@@ -21,7 +21,7 @@
 namespace {
 
 sc::Cycles
-replayOn(const sc::bench::GpmArtifacts &artifacts,
+replayOn(const sc::api::Prepared &artifacts,
          const sc::arch::SparseCoreConfig &config)
 {
     sc::backend::SparseCoreBackend be(config);

@@ -95,46 +95,26 @@ captureGpmTrace(const graph::CsrGraph &g,
     return recorder.takeTrace();
 }
 
-GpmArtifacts
+api::Prepared
 gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
              unsigned root_stride)
 {
-    GpmArtifacts artifacts;
-    if (api::ArtifactStore::resolveEnabled(std::nullopt)) {
-        artifacts.key =
-            api::ArtifactStore::gpmTraceKey(app, g, root_stride);
-        artifacts.cached = api::ArtifactStore::global().trace(
-            artifacts.key, [&](trace::TraceRecorder &recorder) {
-                gpm::PlanExecutor executor(g, recorder);
-                executor.setRootStride(root_stride);
-                return executor.runMany(gpm::gpmAppPlans(app))
-                    .embeddings;
-            });
-    } else {
-        auto local =
-            std::make_shared<api::ArtifactStore::CachedTrace>();
-        local->trace =
-            captureGpmTrace(g, gpm::gpmAppPlans(app), root_stride,
-                            &local->functionalResult);
-        artifacts.cached = std::move(local);
-    }
-    artifacts.embeddings = artifacts.cached->functionalResult;
-    return artifacts;
+    return api::prepare(
+        api::ArtifactStore::resolveEnabled(std::nullopt)
+            ? api::ArtifactStore::gpmTraceKey(app, g, root_stride)
+            : std::string{},
+        [&](trace::TraceRecorder &recorder) {
+            gpm::PlanExecutor executor(g, recorder);
+            executor.setRootStride(root_stride);
+            return executor.runMany(gpm::gpmAppPlans(app)).embeddings;
+        },
+        std::nullopt);
 }
 
 trace::ReplayResult
-replayArtifacts(const GpmArtifacts &artifacts,
-                backend::ExecBackend &be)
+replayArtifacts(const api::Prepared &artifacts, backend::ExecBackend &be)
 {
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(trace::ReplayMode::Auto);
-    if (!artifacts.key.empty() &&
-        mode == trace::ReplayMode::Bytecode) {
-        const auto bc = api::ArtifactStore::global().program(
-            artifacts.key, artifacts.cached->trace);
-        return trace::replayCompiled(*bc, be, /*verify=*/false);
-    }
-    return trace::replay(artifacts.cached->trace, be);
+    return trace::replayCompiled(*artifacts.program, be, /*verify=*/false);
 }
 
 void

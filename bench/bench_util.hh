@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "api/artifact_store.hh"
+#include "api/pipeline.hh"
 #include "arch/config.hh"
 #include "common/json.hh"
 #include "common/parallel_for.hh"
@@ -60,10 +60,9 @@ std::string benchResultsDir();
 void emitTable(const Table &table);
 
 /**
- * Capture one (plans, graph, stride) GPM run's event trace. Sweep
- * ladders (substrates, SU counts, bandwidths) replay the returned
- * trace instead of re-executing the functional enumeration per
- * configuration — the expensive part of a sweep point is paid once.
+ * Capture one (plans, graph, stride) GPM run's event trace privately,
+ * outside the ArtifactStore — for benches that time the replay
+ * engines themselves (bench/replay_microbench.cc).
  */
 trace::Trace captureGpmTrace(const graph::CsrGraph &g,
                              const std::vector<gpm::MiningPlan> &plans,
@@ -71,39 +70,21 @@ trace::Trace captureGpmTrace(const graph::CsrGraph &g,
                              std::uint64_t *embeddings = nullptr);
 
 /**
- * One (app, graph, stride) point's shareable artifacts, fetched from
- * the process-wide ArtifactStore: the captured trace with its
- * functional result, addressed by content key. Sweep drivers fetch
- * this once per point and hand it to replayArtifacts() per ladder
- * configuration — the capture and the trace->bytecode compile then
- * happen exactly once per (app, dataset) for the whole binary, and
- * are shared with every other driver in the same process. With
- * SC_ARTIFACT_CACHE=off the key stays empty and the point owns a
- * private capture (the legacy behavior); cycles are bit-identical
- * either way.
+ * One (app, graph, stride) sweep point's trace and compiled program,
+ * prepared by the same api::prepare() step Machine uses: keyed in the
+ * process-wide ArtifactStore, so the capture and the compile happen
+ * exactly once per (app, dataset) for the whole binary and are shared
+ * with every other driver in the same process. Drivers hold the
+ * result across their config ladder and replay its program per
+ * configuration. With SC_ARTIFACT_CACHE=off the point captures and
+ * compiles privately; cycles are bit-identical either way.
  */
-struct GpmArtifacts
-{
-    /** Store key; empty when the store is bypassed. */
-    std::string key;
-    std::shared_ptr<const api::ArtifactStore::CachedTrace> cached;
-    std::uint64_t embeddings = 0;
+api::Prepared gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
+                           unsigned root_stride);
 
-    const trace::Trace &trace() const { return cached->trace; }
-};
-
-/** Fetch (or capture) the artifacts for one GPM sweep point. */
-GpmArtifacts gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
-                          unsigned root_stride);
-
-/**
- * Replay one sweep point onto `be`. In Bytecode mode (the default)
- * the compiled program comes out of the store — compiled on the
- * first ladder configuration, a hit on every later one. Issues the
- * same backend call sequence as trace::replay, so cycles never
- * depend on the store.
- */
-trace::ReplayResult replayArtifacts(const GpmArtifacts &artifacts,
+/** Replay a sweep point's program onto `be` (prepare() verified
+ *  it already). */
+trace::ReplayResult replayArtifacts(const api::Prepared &artifacts,
                                     backend::ExecBackend &be);
 
 /** steady_clock stopwatch for host wall-clock reporting. */

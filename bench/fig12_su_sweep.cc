@@ -55,7 +55,7 @@ main()
                         bench::replayArtifacts(artifacts, be).cycles;
                     const analysis::ProgramSummary summary =
                         analysis::summarizeTrace(
-                            artifacts.cached->trace, config);
+                            artifacts.trace(), config);
                     ladder_points.fetch_add(1);
                     if (summary.cost.valid &&
                         summary.cost.contains(cyc))

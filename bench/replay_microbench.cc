@@ -1,10 +1,11 @@
 /**
  * @file
  * Trace-replay microbenchmark: host wall clock of the per-event
- * virtual walker (SC_REPLAY=event) versus the compiled-bytecode
- * devirtualized loops (SC_REPLAY=bytecode) on fig07-class GPM traces,
- * for every replay substrate. Simulated cycles are engine-invariant
- * by construction (tests/trace_bytecode_test.cc pins bit-identity);
+ * virtual walker (trace::replayEvents, the reference engine) versus
+ * the compiled-bytecode devirtualized loops (trace::replayCompiled,
+ * the engine every api path uses) on fig07-class GPM traces, for
+ * every replay substrate. Simulated cycles are engine-invariant by
+ * construction (tests/trace_bytecode_test.cc pins bit-identity);
  * this bench measures the only thing the bytecode is allowed to move:
  * how fast the host re-walks a captured trace, and how quickly the
  * one-time compile amortizes.
@@ -47,10 +48,8 @@ measureReplays(const trace::Trace &tr,
     const bench::WallTimer timer;
     do {
         auto backend = make();
-        const auto r =
-            bc ? trace::replayCompiled(*bc, *backend, false)
-               : trace::replay(tr, *backend, false,
-                               trace::ReplayMode::Event);
+        const auto r = bc ? trace::replayCompiled(*bc, *backend, false)
+                          : trace::replayEvents(tr, *backend);
         *cycles = r.cycles;
         ++reps;
     } while ((seconds = timer.seconds()) < min_seconds || reps < 2);
@@ -77,8 +76,7 @@ main(int argc, char **argv)
     std::printf("==== replay microbench: event walker vs compiled "
                 "bytecode ====\n");
     std::printf("host wall clock only; cycles are checksummed across "
-                "engines (SC_REPLAY / RunOptions::replayMode select "
-                "the same paths)\n\n");
+                "engines\n\n");
 
     // Fig. 7-class workload: power-law graphs, the paper's headline
     // app set. The smoke graph keeps every leg under a second; the

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full local check: regular build + complete test suite, then the
-# same suite with the runtime verifier hooks forced on, then again
-# under each forced trace-replay engine (SC_REPLAY=event|bytecode),
+# Full local check: regular build + complete test suite (including
+# the absolute cycle golden and the pipeline benchmark's smoke gate),
+# then the same suite with the runtime verifier hooks forced on,
 # then the scverify static-verifier leg over the example programs,
 # the golden trace and the golden bytecode program, a scverify v2
 # leg diffing --json --summary output (diagnostics, pressure
@@ -9,12 +9,15 @@
 # leg (skipped when the tool is absent),
 # then a ThreadSanitizer build running the concurrency-sensitive
 # suites (thread pool, host-parallel mining, machine comparisons,
-# artifact-store/LRU-cache races), then an ASan+UBSan build running
-# the trace capture/replay/serialization + artifact-store suites
-# (arena ownership and event-decoding bugs show up here), then a
+# artifact-store/LRU-cache races, the shared execution pipeline),
+# then an ASan+UBSan build running the trace capture/replay/
+# serialization + artifact-store + pipeline suites and the cycle
+# golden (arena ownership and event-decoding bugs show up here), then a
 # forced-scalar kernel build (SIMD TUs omitted) with the full suite
 # under SC_FORCE_KERNEL=scalar, kernel and replay microbench smoke
-# runs, an artifact-store cold/warm sweep leg: fig12 with
+# runs (their BENCH_*.json stay under the build directory; this
+# script never writes the tracked bench/results/ snapshots), an
+# artifact-store cold/warm sweep leg: fig12 with
 # SC_ARTIFACT_CACHE=off and =on must emit bit-identical cycles while
 # the warm run compiles each (app, dataset) exactly once, and a job
 # server smoke leg: a 12-job mixed batch through the jsonl front end
@@ -39,21 +42,12 @@ ctest --test-dir "${prefix}" --output-on-failure -j"$(nproc)"
 
 echo
 echo "=== full ctest, verifier hooks forced on ==="
-# SC_VERIFY=1 turns the Machine::run / trace::replay verification
-# wrappers on regardless of build type, so every trace the suite
+# SC_VERIFY=1 turns the api::prepare / Machine::run / trace::replay
+# verification on regardless of build type, so every trace the suite
 # produces goes through the stream-lifetime checker.
 SC_VERIFY=1 ctest --test-dir "${prefix}" \
     --output-on-failure -j"$(nproc)"
 
-echo
-echo "=== full ctest, forced replay engines ==="
-# Both trace-replay engines must pass the whole suite: the per-event
-# virtual walker (the bit-identity reference) and the compiled
-# bytecode loops the suite exercises by default.
-SC_REPLAY=event ctest --test-dir "${prefix}" \
-    --output-on-failure -j"$(nproc)"
-SC_REPLAY=bytecode ctest --test-dir "${prefix}" \
-    --output-on-failure -j"$(nproc)"
 
 echo
 echo "=== scverify: example programs + golden trace + bytecode ==="
@@ -105,7 +99,7 @@ echo "=== TSan build + parallel suites ==="
 cmake -B "${prefix}-tsan" -S . -DSPARSECORE_SANITIZE=thread >/dev/null
 cmake --build "${prefix}-tsan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-tsan/tests/sparsecore_tests" \
-    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*'
+    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*:Pipeline.*:CyclesGolden.*'
 
 echo
 echo "=== ASan+UBSan build + trace/replay suites ==="
@@ -113,7 +107,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="
@@ -137,9 +131,10 @@ echo
 echo "=== artifact store: cold vs warm sweep bit-identity ==="
 # fig12 replays each of its 36 (app, graph) points across a 5-SU
 # ladder. With the store on, every point must capture and compile
-# exactly once (36 trace misses, 36 program misses) while the other
-# 144 ladder replays hit the shared program — and the emitted cycle
-# numbers must match the store-off run bit for bit.
+# exactly once (36 trace misses, 36 program misses; each point holds
+# its prepared program across the ladder, so nothing re-fetches it)
+# — and the emitted cycle numbers must match the store-off run bit
+# for bit.
 fig12_bin="$(cd "${prefix}" && pwd)/bench/fig12_su_sweep"
 store_tmp="$(mktemp -d)"
 (cd "${store_tmp}" && SC_BENCH_SMOKE=1 SC_ARTIFACT_CACHE=off \
@@ -149,7 +144,7 @@ store_tmp="$(mktemp -d)"
 sed -n '/-- csv --/,/^$/p' "${store_tmp}/off.txt" > "${store_tmp}/off.csv"
 sed -n '/-- csv --/,/^$/p' "${store_tmp}/on.txt" > "${store_tmp}/on.csv"
 diff "${store_tmp}/off.csv" "${store_tmp}/on.csv"
-grep -q 'traces 0 hits / 36 misses | programs 144 hits / 36 misses' \
+grep -q 'traces 0 hits / 36 misses | programs 0 hits / 36 misses' \
     "${store_tmp}/on.txt"
 grep -q 'traces 0 hits / 0 misses | programs 0 hits / 0 misses' \
     "${store_tmp}/off.txt"
@@ -246,14 +241,6 @@ echo "=== server throughput bench smoke (scheduler gate) ==="
 # hosts still assert per-job cycle bit-identity across every
 # policy x width cell.
 (cd "${prefix}" && SC_BENCH_SMOKE=1 bench/server_throughput)
-
-# Keep the tracked bench snapshots in sync with what this run
-# produced (bench/results/README.md describes provenance; re-bless
-# them from a full, non-smoke run before committing perf claims).
-# Bench binaries write into bench_results/ under their cwd
-# (SC_BENCH_DIR overrides).
-mkdir -p bench/results
-cp -f "${prefix}"/bench_results/BENCH_*.json bench/results/
 
 echo
 echo "All checks passed."

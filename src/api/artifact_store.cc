@@ -121,18 +121,11 @@ ArtifactStore::trace(const std::string &key, const CaptureFn &capture)
 
 std::shared_ptr<const trace::BytecodeProgram>
 ArtifactStore::program(const std::string &trace_key,
-                       const trace::Trace &tr,
-                       std::optional<bool> verify, bool *compiled)
+                       const trace::Trace &tr, bool *compiled)
 {
     bool built = false;
     auto program = programs_.getOrBuild(programKey(trace_key), [&] {
         built = true;
-        if (verify.value_or(analysis::verifyByDefault())) {
-            const auto report =
-                verdict(trace_key, tr, isa::numStreamRegs);
-            if (report->hasErrors())
-                throw analysis::VerifyError(report->format());
-        }
         return std::make_shared<const trace::BytecodeProgram>(
             trace::compileTrace(tr));
     });

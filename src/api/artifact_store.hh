@@ -101,19 +101,15 @@ class ArtifactStore
     trace(const std::string &key, const CaptureFn &capture);
 
     /**
-     * Get-or-compile the bytecode program for a trace. On a miss the
-     * trace is verified first when `verify` resolves to true
-     * (analysis::verifyByDefault() when nullopt) and then compiled;
-     * hits skip both, which never changes cycles — verification and
-     * compilation are pure functions of the already-validated trace.
-     * When `compiled` is non-null it is set to whether *this call*
-     * ran the compile (i.e. the request was a store miss) — the
-     * race-free way to report per-call cache hits, unlike sampling
-     * the aggregate miss counters around the call.
+     * Get-or-compile the bytecode program for a trace. Compiling does
+     * not verify: api::prepare() checks the trace's verdict() on every
+     * call, hit or miss. When `compiled` is non-null it is set to
+     * whether *this call* ran the compile (i.e. the request was a
+     * store miss) — the race-free way to report per-call cache hits,
+     * unlike sampling the aggregate miss counters around the call.
      */
     std::shared_ptr<const trace::BytecodeProgram>
     program(const std::string &trace_key, const trace::Trace &tr,
-            std::optional<bool> verify = std::nullopt,
             bool *compiled = nullptr);
 
     /**

@@ -179,9 +179,6 @@ JobSpec::toJsonValue() const
                      *options.indexPolicy)));
     if (options.verify)
         opts.set("verify", JsonValue::boolean(*options.verify));
-    if (options.replayMode != trace::ReplayMode::Auto)
-        opts.set("replay", JsonValue::str(trace::replayModeName(
-                               options.replayMode)));
     if (options.artifactCache)
         opts.set("artifact_cache",
                  JsonValue::boolean(*options.artifactCache));
@@ -322,21 +319,13 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
         } else if (name == "verify") {
             if (reader.readBool(name, value, b))
                 options.verify = b;
-        } else if (name == "replay") {
-            if (reader.readChoice(name, value,
-                                  {"auto", "event", "bytecode"}, s)) {
-                if (s == "event")
-                    options.replayMode = trace::ReplayMode::Event;
-                else if (s == "bytecode")
-                    options.replayMode = trace::ReplayMode::Bytecode;
-            }
         } else if (name == "artifact_cache") {
             if (reader.readBool(name, value, b))
                 options.artifactCache = b;
         } else {
             diag(errors, reader.fieldPath(name),
                  "unknown field (options accepts stride, root_stride, "
-                 "host_threads, kernel, index_policy, verify, replay, "
+                 "host_threads, kernel, index_policy, verify, "
                  "artifact_cache)");
         }
     }

@@ -4,18 +4,14 @@
 #include <optional>
 #include <string>
 
-#include "analysis/trace_check.hh"
 #include "analysis/verifying_backend.hh"
-#include "api/artifact_store.hh"
-#include "backend/cpu_backend.hh"
-#include "backend/sparsecore_backend.hh"
+#include "api/pipeline.hh"
 #include "common/logging.hh"
 #include "common/parallel_for.hh"
 #include "gpm/executor.hh"
 #include "gpm/fsm.hh"
 #include "kernels/ttm.hh"
 #include "kernels/ttv.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 
@@ -107,16 +103,18 @@ executeOn(const RunRequest &req, backend::ExecBackend &be)
 }
 
 /**
- * ArtifactStore key for the request, or "" when the workload is not
- * content-keyed. GPM and FSM datasets carry content fingerprints, so
- * their captures are pure functions of the key; the tensor workloads
- * stay uncached for now (each bench point runs them once, and spmspm
- * may materialize a caller-owned result matrix the cache could not
- * replay).
+ * ArtifactStore key for the request, or "" when the request bypasses
+ * the store or its workload is not content-keyed. GPM and FSM
+ * datasets carry content fingerprints, so their captures are pure
+ * functions of the key; the tensor workloads stay uncached for now
+ * (each bench point runs them once, and spmspm may materialize a
+ * caller-owned result matrix the cache could not replay).
  */
 std::string
 traceKeyFor(const RunRequest &req)
 {
+    if (!ArtifactStore::resolveEnabled(req.options.artifactCache))
+        return {};
     switch (req.workload) {
       case RunRequest::Workload::Gpm:
         return ArtifactStore::gpmTraceKey(req.app, *req.graph,
@@ -129,196 +127,22 @@ traceKeyFor(const RunRequest &req)
     }
 }
 
-/** Capture the request's trace into the store (or reuse it).
- *  `cache_hit` reports whether *this call* skipped the capture —
- *  detected by a flag the capture lambda sets, which is race-free
- *  under concurrent callers (the builder runs at most once),
- *  unlike sampling the store's aggregate miss counters. */
-std::shared_ptr<const ArtifactStore::CachedTrace>
-storeTrace(const RunRequest &req, const std::string &key,
-           bool *cache_hit)
+/** The capture leg for prepare(): executeOn() against the recorder,
+ *  the same code path as direct execution. */
+ArtifactStore::CaptureFn
+captureOf(const RunRequest &req)
 {
-    ArtifactStore &store = ArtifactStore::global();
-    bool captured = false;
-    auto cached =
-        store.trace(key, [&](trace::TraceRecorder &recorder) {
-            captured = true;
-            return executeOn(req, recorder).functionalResult;
-        });
-    if (cache_hit)
-        *cache_hit = !captured;
-    return cached;
+    return [&req](trace::TraceRecorder &recorder) {
+        return executeOn(req, recorder).functionalResult;
+    };
 }
 
 double
-secondsBetween(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to)
+secondsSince(std::chrono::steady_clock::time_point from)
 {
-    return std::chrono::duration<double>(to - from).count();
-}
-
-/** Store-backed verification for Event-mode replays: recall (or
- *  compute exactly once) the trace's verified bit and throw the same
- *  VerifyError trace::replay would. Callers then replay with
- *  verify=false; the verdict is settled entirely before any timing
- *  backend starts, so cycles are bit-identical either way. */
-void
-verifyViaStore(const std::string &key, const trace::Trace &tr,
-               std::optional<bool> verify)
-{
-    if (!verify.value_or(analysis::verifyByDefault()))
-        return;
-    const auto report =
-        ArtifactStore::global().verdict(key, tr, isa::numStreamRegs);
-    if (report->hasErrors())
-        throw analysis::VerifyError(report->format());
-}
-
-/**
- * The capture-once/replay-twice comparison core: the workload runs
- * functionally against a TraceRecorder once; the captured trace is
- * then replayed onto the CPU baseline and SparseCore concurrently on
- * `pool`. In Bytecode mode (the default) the trace is compiled once
- * and both substrates replay the shared program through the
- * devirtualized loops. The timing is bit-identical to running the
- * workload directly on each backend and identical across replay
- * modes (see tests/trace_test.cc).
- */
-template <typename CaptureFn>
-Comparison
-compareViaTrace(const arch::SparseCoreConfig &config, ThreadPool &pool,
-                const RunOptions &options, CaptureFn &&capture)
-{
-    Comparison cmp;
-    const auto t0 = std::chrono::steady_clock::now();
-    trace::TraceRecorder recorder;
-    cmp.functionalResult = capture(recorder);
-    const trace::Trace tr = recorder.takeTrace();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(options.replayMode);
-    cmp.trace.replayMode = trace::replayModeName(mode);
-
-    trace::ReplayResult cpu, sc;
-    auto t2 = t1;
-    if (mode == trace::ReplayMode::Bytecode) {
-        // Verify the trace once up front (the compile preserves event
-        // order), compile once, replay the shared program twice.
-        if (options.verify.value_or(analysis::verifyByDefault())) {
-            const analysis::VerifyReport report =
-                analysis::verifyTrace(tr);
-            if (report.hasErrors())
-                throw analysis::VerifyError(report.format());
-        }
-        const trace::BytecodeProgram bc = trace::compileTrace(tr);
-        t2 = std::chrono::steady_clock::now();
-        cmp.trace.bytecodeBytes = bc.codeBytes();
-        cmp.trace.compileSeconds = secondsBetween(t1, t2);
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replayCompiled(bc, be, /*verify=*/false);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replayCompiled(bc, be, /*verify=*/false);
-            });
-    } else {
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replay(tr, be, options.verify,
-                                    trace::ReplayMode::Event);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replay(tr, be, options.verify,
-                                   trace::ReplayMode::Event);
-            });
-    }
-    const auto t3 = std::chrono::steady_clock::now();
-
-    cmp.baseline = {"cpu", cpu.cycles, cpu.breakdown};
-    cmp.accelerated = {"sparsecore", sc.cycles, sc.breakdown};
-    cmp.trace.events = tr.numEvents();
-    cmp.trace.arenaBytes = tr.arenaBytes();
-    cmp.trace.captureSeconds = secondsBetween(t0, t1);
-    cmp.trace.replaySeconds = secondsBetween(t2, t3);
-    return cmp;
-}
-
-/**
- * The store-backed comparison core: the trace (and in Bytecode mode
- * the compiled program) comes out of the shared ArtifactStore, so a
- * sweep of compare() calls over one (app, dataset) captures and
- * compiles exactly once. Issues the identical replay calls as
- * compareViaTrace — cycles are bit-identical either way.
- */
-Comparison
-compareViaStore(const arch::SparseCoreConfig &config, ThreadPool &pool,
-                const RunOptions &options, const RunRequest &req,
-                const std::string &key)
-{
-    Comparison cmp;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto cached = storeTrace(req, key, &cmp.trace.traceCacheHit);
-    cmp.functionalResult = cached->functionalResult;
-    const trace::Trace &tr = cached->trace;
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(options.replayMode);
-    cmp.trace.replayMode = trace::replayModeName(mode);
-
-    trace::ReplayResult cpu, sc;
-    auto t2 = t1;
-    if (mode == trace::ReplayMode::Bytecode) {
-        bool compiled = false;
-        const auto bc = ArtifactStore::global().program(
-            key, tr, options.verify, &compiled);
-        cmp.trace.bytecodeCacheHit = !compiled;
-        t2 = std::chrono::steady_clock::now();
-        cmp.trace.bytecodeBytes = bc->codeBytes();
-        cmp.trace.compileSeconds =
-            cmp.trace.bytecodeCacheHit ? 0 : secondsBetween(t1, t2);
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replayCompiled(*bc, be, /*verify=*/false);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replayCompiled(*bc, be, /*verify=*/false);
-            });
-    } else {
-        verifyViaStore(key, tr, options.verify);
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replay(tr, be, /*verify=*/false,
-                                    trace::ReplayMode::Event);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replay(tr, be, /*verify=*/false,
-                                   trace::ReplayMode::Event);
-            });
-    }
-    const auto t3 = std::chrono::steady_clock::now();
-
-    cmp.baseline = {"cpu", cpu.cycles, cpu.breakdown};
-    cmp.accelerated = {"sparsecore", sc.cycles, sc.breakdown};
-    cmp.trace.events = tr.numEvents();
-    cmp.trace.arenaBytes = tr.arenaBytes();
-    cmp.trace.captureSeconds =
-        cmp.trace.traceCacheHit ? 0 : secondsBetween(t0, t1);
-    cmp.trace.replaySeconds = secondsBetween(t2, t3);
-    return cmp;
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - from)
+        .count();
 }
 
 } // namespace
@@ -331,129 +155,75 @@ RunResult
 Machine::run(const RunRequest &request, Substrate substrate) const
 {
     validate(request);
-    std::optional<streams::ScopedKernelOverride> forced;
-    if (request.options.kernel)
-        forced.emplace(*request.options.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (request.options.indexPolicy)
-        forced_index.emplace(*request.options.indexPolicy);
+    const ScopedHostOverrides overrides(request.options.kernel,
+                                        request.options.indexPolicy);
 
-    const bool verify =
-        request.options.verify.value_or(analysis::verifyByDefault());
-
-    // Store-backed path: capture (or reuse) the content-keyed trace
-    // and replay it onto the requested substrate — a warm run skips
-    // the functional enumeration and the compile. Replay is
-    // bit-identical to direct execution (the PR-2 invariant), so this
-    // only moves host wall-clock. Trace-level verification replaces
-    // the live VerifyingBackend wrapper here: both run the same
-    // stream-lifetime rules over the same call sequence.
-    const std::string key =
-        ArtifactStore::resolveEnabled(request.options.artifactCache)
-            ? traceKeyFor(request)
-            : std::string{};
-    if (!key.empty()) {
-        RunResult out;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto cached =
-            storeTrace(request, key, &out.trace.traceCacheHit);
-        const trace::Trace &tr = cached->trace;
-        const auto t1 = std::chrono::steady_clock::now();
-        const trace::ReplayMode mode =
-            trace::resolveReplayMode(request.options.replayMode);
-        out.trace.replayMode = trace::replayModeName(mode);
-        out.trace.events = tr.numEvents();
-        out.trace.arenaBytes = tr.arenaBytes();
-        out.trace.captureSeconds = out.trace.traceCacheHit
-                                       ? 0
-                                       : secondsBetween(t0, t1);
-        trace::ReplayResult rep;
-        auto t2 = t1;
-        if (mode == trace::ReplayMode::Bytecode) {
-            bool compiled = false;
-            const auto bc = ArtifactStore::global().program(
-                key, tr, request.options.verify, &compiled);
-            out.trace.bytecodeCacheHit = !compiled;
-            t2 = std::chrono::steady_clock::now();
-            out.trace.bytecodeBytes = bc->codeBytes();
-            out.trace.compileSeconds =
-                compiled ? secondsBetween(t1, t2) : 0;
-            if (substrate == Substrate::Cpu) {
-                backend::CpuBackend be(config_.core, config_.mem);
-                rep = trace::replayCompiled(*bc, be, false);
-            } else {
-                backend::SparseCoreBackend be(config_);
-                rep = trace::replayCompiled(*bc, be, false);
-            }
-        } else if (substrate == Substrate::Cpu) {
-            verifyViaStore(key, tr, request.options.verify);
-            backend::CpuBackend be(config_.core, config_.mem);
-            rep = trace::replay(tr, be, /*verify=*/false,
-                                trace::ReplayMode::Event);
-        } else {
-            verifyViaStore(key, tr, request.options.verify);
-            backend::SparseCoreBackend be(config_);
-            rep = trace::replay(tr, be, /*verify=*/false,
-                                trace::ReplayMode::Event);
-        }
-        out.trace.replaySeconds = secondsBetween(
-            t2, std::chrono::steady_clock::now());
-        out.functionalResult = cached->functionalResult;
-        out.cycles = rep.cycles;
-        out.breakdown = rep.breakdown;
-        return out;
-    }
-
-    // Cold path: execute directly on the timing backend, optionally
-    // wrapped in the stream-lifetime checker. The wrapper forwards
-    // every call unchanged, so verified and unverified runs report
-    // the same cycles — it only adds VerifyError on contract
-    // violations.
-    if (substrate == Substrate::Cpu) {
-        backend::CpuBackend be(config_.core, config_.mem);
-        if (!verify)
-            return executeOn(request, be);
-        analysis::VerifyingBackend vbe(be);
+    // Unkeyed workloads execute directly on the timing backend: one
+    // functional pass instead of a capture plus a replay. The
+    // verifying wrapper forwards every call unchanged, so verified
+    // and unverified runs report the same cycles — it only adds
+    // VerifyError on contract violations.
+    const std::string key = traceKeyFor(request);
+    if (key.empty()) {
+        const auto be = makeBackend(substrate, config_);
+        if (!request.options.verify.value_or(
+                analysis::verifyByDefault()))
+            return executeOn(request, *be);
+        analysis::VerifyingBackend vbe(*be);
         return executeOn(request, vbe);
     }
-    backend::SparseCoreBackend be(config_);
-    if (!verify)
-        return executeOn(request, be);
-    analysis::VerifyingBackend vbe(be);
-    return executeOn(request, vbe);
+
+    // Keyed workloads replay the store's trace: a warm run skips the
+    // functional enumeration and the compile. Replay is bit-identical
+    // to direct execution, so this only moves host wall clock.
+    const Prepared prepared =
+        prepare(key, captureOf(request), request.options.verify);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto be = makeBackend(substrate, config_);
+    const trace::ReplayResult rep =
+        trace::replayCompiled(*prepared.program, *be, /*verify=*/false);
+    RunResult out;
+    out.functionalResult = prepared.functionalResult();
+    out.cycles = rep.cycles;
+    out.breakdown = rep.breakdown;
+    out.trace = prepared.stats;
+    out.trace.replaySeconds = secondsSince(t0);
+    return out;
 }
 
 Comparison
 Machine::compare(const RunRequest &request) const
 {
     validate(request);
-    std::optional<streams::ScopedKernelOverride> forced;
-    if (request.options.kernel)
-        forced.emplace(*request.options.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (request.options.indexPolicy)
-        forced_index.emplace(*request.options.indexPolicy);
-
+    const ScopedHostOverrides overrides(request.options.kernel,
+                                        request.options.indexPolicy);
     std::optional<ThreadPool> local;
     if (request.options.hostThreads)
         local.emplace(request.options.hostThreads);
     ThreadPool &pool = local ? *local : ThreadPool::global();
 
-    const std::string key =
-        ArtifactStore::resolveEnabled(request.options.artifactCache)
-            ? traceKeyFor(request)
-            : std::string{};
-    if (!key.empty())
-        return compareViaStore(config_, pool, request.options, request,
-                               key);
+    // Capture once (or hit the store), then replay the shared program
+    // onto both substrates concurrently.
+    const Prepared prepared = prepare(
+        traceKeyFor(request), captureOf(request), request.options.verify);
+    const auto t0 = std::chrono::steady_clock::now();
+    trace::ReplayResult cpu, sc;
+    const auto replayOn = [&](Substrate substrate) {
+        return trace::replayCompiled(*prepared.program,
+                                     *makeBackend(substrate, config_),
+                                     /*verify=*/false);
+    };
+    parallelInvoke(
+        pool, [&] { cpu = replayOn(Substrate::Cpu); },
+        [&] { sc = replayOn(Substrate::SparseCore); });
 
-    return compareViaTrace(config_, pool, request.options,
-                           [&](trace::TraceRecorder &rec) {
-                               return executeOn(request, rec)
-                                   .functionalResult;
-                           });
+    Comparison cmp;
+    cmp.functionalResult = prepared.functionalResult();
+    cmp.baseline = {"cpu", cpu.cycles, cpu.breakdown};
+    cmp.accelerated = {"sparsecore", sc.cycles, sc.breakdown};
+    cmp.trace = prepared.stats;
+    cmp.trace.replaySeconds = secondsSince(t0);
+    return cmp;
 }
 
 } // namespace sc::api

@@ -8,8 +8,10 @@
  * benchmarks use; lower layers (backends, engine, plans) remain
  * public for advanced use.
  *
- * GPM and FSM requests route their captured traces and compiled
- * bytecode through the content-keyed ArtifactStore
+ * Traces are prepared through api::prepare() (api/pipeline.hh);
+ * run() executes unkeyed (tensor) requests directly on the timing
+ * backend instead. GPM and FSM requests keep their captured traces
+ * and compiled bytecode in the content-keyed ArtifactStore
  * (api/artifact_store.hh), so repeated runs of one (app, dataset)
  * across substrates, configs or sweep points pay the functional
  * enumeration and the trace->bytecode compile once. Cached and cold

@@ -1,16 +1,12 @@
 #include "api/parallel.hh"
 
 #include <algorithm>
-#include <memory>
+#include <vector>
 
-#include "analysis/trace_check.hh"
-#include "api/artifact_store.hh"
-#include "backend/cpu_backend.hh"
-#include "backend/sparsecore_backend.hh"
+#include "api/pipeline.hh"
 #include "common/logging.hh"
 #include "common/parallel_for.hh"
 #include "gpm/executor.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 
@@ -18,123 +14,83 @@ namespace sc::api {
 
 namespace {
 
-/** One root-loop chunk's contribution (per-task backend session). */
-struct ChunkRun
-{
-    std::uint64_t embeddings = 0;
-    Cycles cycles = 0;
-};
-
-void
-checkParallelArgs(unsigned num_cores, unsigned root_stride)
+/**
+ * The chunk loop behind every multi-core entry point: one
+ * ParallelGpmResult per entry of `substrates`, in that order.
+ *
+ * The root loop splits into K * num_cores chunks, stolen dynamically
+ * by the host threads; chunk m covers roots
+ * { (m + i*M) * root_stride } — the interleaved per-core split, just
+ * finer, so a heavy root region spreads over every simulated core AND
+ * over every host thread — and is attributed to simulated core
+ * m % num_cores. Each chunk prepares its trace once (under its own
+ * store key, so concurrent chunks dedup in-flight builds and a warm
+ * run skips capture and compile) and replays it onto a private
+ * backend per substrate within the same host task, so the chunk
+ * outcome is a pure function of the chunk index.
+ */
+std::vector<ParallelGpmResult>
+mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
+           const arch::SparseCoreConfig &config, unsigned root_stride,
+           const HostOptions &host, const std::vector<Substrate> &substrates)
 {
     if (num_cores == 0)
         fatal("need at least one core");
     if (root_stride == 0)
         fatal("root stride must be positive");
-}
-
-/**
- * Capture one root-loop chunk's event trace. Chunk m covers roots
- * { (m + i*M) * root_stride } — the same interleaved split as the
- * legacy per-core loop, just finer, so a heavy root region spreads
- * over every simulated core AND over every host thread.
- */
-gpm::GpmRunResult
-captureChunk(const std::vector<gpm::MiningPlan> &plans,
-             const graph::CsrGraph &g,
-             unsigned chunk, unsigned num_chunks, unsigned root_stride,
-             trace::TraceRecorder &recorder)
-{
-    gpm::PlanExecutor executor(g, recorder);
-    executor.setRootRange(chunk * root_stride,
-                          num_chunks * root_stride);
-    return executor.runMany(plans);
-}
-
-template <typename MakeBackend>
-ParallelGpmResult
-mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
-             unsigned num_cores, unsigned root_stride,
-             const HostOptions &host, MakeBackend &&make_backend)
-{
-    checkParallelArgs(num_cores, root_stride);
     const auto plans = gpm::gpmAppPlans(app);
     ThreadPool &pool = host.pool ? *host.pool : ThreadPool::global();
-    std::optional<streams::ScopedKernelOverride> forced;
-    if (host.kernel)
-        forced.emplace(*host.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (host.indexPolicy)
-        forced_index.emplace(*host.indexPolicy);
-
-    // K * num_cores chunks, stolen dynamically by the host threads.
-    // Chunk m is attributed to simulated core m % num_cores. Each
-    // chunk captures its event trace once and replays it onto a
-    // private backend — the chunk outcome is a pure function of the
-    // chunk index, so the result is independent of host scheduling.
-    const unsigned k = std::max(1u, host.chunksPerCore);
-    const unsigned num_chunks = num_cores * k;
-
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(host.replayMode);
+    const ScopedHostOverrides overrides(host.kernel, host.indexPolicy);
+    const unsigned num_chunks = num_cores * std::max(1u, host.chunksPerCore);
     const bool use_store =
         ArtifactStore::resolveEnabled(host.artifactCache);
+
+    struct ChunkRun
+    {
+        std::uint64_t embeddings = 0;
+        std::vector<Cycles> cycles; ///< per substrate
+    };
     const auto runs = parallelMap<ChunkRun>(
-        pool, num_chunks, [&](std::size_t chunk) {
-            if (use_store) {
-                // Per-chunk content key: concurrent chunks dedup
-                // in-flight builds inside the store, and a warm run
-                // (same app/graph/split) skips capture and compile
-                // entirely.
-                const std::string key =
-                    ArtifactStore::gpmChunkTraceKey(
-                        app, g, root_stride,
-                        static_cast<unsigned>(chunk), num_chunks);
-                ArtifactStore &store = ArtifactStore::global();
-                const auto cached = store.trace(
-                    key, [&](trace::TraceRecorder &recorder) {
-                        return captureChunk(
-                                   plans, g,
-                                   static_cast<unsigned>(chunk),
-                                   num_chunks, root_stride, recorder)
-                            .embeddings;
-                    });
-                auto backend = make_backend();
-                trace::ReplayResult rep;
-                if (mode == trace::ReplayMode::Bytecode) {
-                    const auto bc = store.program(key, cached->trace);
-                    rep = trace::replayCompiled(*bc, *backend, false);
-                } else {
-                    rep = trace::replay(cached->trace, *backend,
-                                        std::nullopt,
-                                        trace::ReplayMode::Event);
-                }
-                return ChunkRun{cached->functionalResult, rep.cycles};
-            }
-            trace::TraceRecorder recorder;
-            const auto run =
-                captureChunk(plans, g, static_cast<unsigned>(chunk),
-                             num_chunks, root_stride, recorder);
-            const trace::Trace tr = recorder.takeTrace();
-            auto backend = make_backend();
-            const auto rep =
-                trace::replay(tr, *backend, std::nullopt, mode);
-            return ChunkRun{run.embeddings, rep.cycles};
+        pool, num_chunks, [&](std::size_t m) {
+            const auto chunk = static_cast<unsigned>(m);
+            const std::string key =
+                use_store ? ArtifactStore::gpmChunkTraceKey(
+                                app, g, root_stride, chunk, num_chunks)
+                          : std::string{};
+            const Prepared prepared = prepare(
+                key,
+                [&](trace::TraceRecorder &recorder) {
+                    gpm::PlanExecutor executor(g, recorder);
+                    executor.setRootRange(chunk * root_stride,
+                                          num_chunks * root_stride);
+                    return executor.runMany(plans).embeddings;
+                },
+                std::nullopt);
+            ChunkRun run;
+            run.embeddings = prepared.functionalResult();
+            for (const Substrate substrate : substrates)
+                run.cycles.push_back(
+                    trace::replayCompiled(*prepared.program,
+                                          *makeBackend(substrate, config),
+                                          /*verify=*/false)
+                        .cycles);
+            return run;
         });
 
     // Ordered reduction: chunk-index order, fixed chunk→core cycle
     // attribution — bit-identical for any host thread count.
-    ParallelGpmResult result;
-    result.perCore.assign(num_cores, 0);
-    for (unsigned chunk = 0; chunk < num_chunks; ++chunk) {
-        result.embeddings += runs[chunk].embeddings;
-        result.perCore[chunk % num_cores] += runs[chunk].cycles;
+    std::vector<ParallelGpmResult> results(substrates.size());
+    for (std::size_t s = 0; s < substrates.size(); ++s) {
+        ParallelGpmResult &result = results[s];
+        result.perCore.assign(num_cores, 0);
+        for (unsigned chunk = 0; chunk < num_chunks; ++chunk) {
+            result.embeddings += runs[chunk].embeddings;
+            result.perCore[chunk % num_cores] += runs[chunk].cycles[s];
+        }
+        for (Cycles c : result.perCore)
+            result.cycles = std::max(result.cycles, c);
     }
-    for (Cycles c : result.perCore)
-        result.cycles = std::max(result.cycles, c);
-    return result;
+    return results;
 }
 
 } // namespace
@@ -145,9 +101,9 @@ mineParallelSparseCore(gpm::GpmApp app, const graph::CsrGraph &g,
                        const arch::SparseCoreConfig &config,
                        unsigned root_stride, const HostOptions &host)
 {
-    return mineParallel(app, g, num_cores, root_stride, host, [&] {
-        return std::make_unique<backend::SparseCoreBackend>(config);
-    });
+    return mineChunks(app, g, num_cores, config, root_stride, host,
+                      {Substrate::SparseCore})
+        .front();
 }
 
 ParallelGpmResult
@@ -156,10 +112,9 @@ mineParallelCpu(gpm::GpmApp app, const graph::CsrGraph &g,
                 const arch::SparseCoreConfig &config,
                 unsigned root_stride, const HostOptions &host)
 {
-    return mineParallel(app, g, num_cores, root_stride, host, [&] {
-        return std::make_unique<backend::CpuBackend>(config.core,
-                                                     config.mem);
-    });
+    return mineChunks(app, g, num_cores, config, root_stride, host,
+                      {Substrate::Cpu})
+        .front();
 }
 
 ParallelComparison
@@ -168,114 +123,12 @@ compareParallelGpm(gpm::GpmApp app, const graph::CsrGraph &g,
                    const arch::SparseCoreConfig &config,
                    unsigned root_stride, const HostOptions &host)
 {
-    checkParallelArgs(num_cores, root_stride);
-    const auto plans = gpm::gpmAppPlans(app);
-    ThreadPool &pool = host.pool ? *host.pool : ThreadPool::global();
-    std::optional<streams::ScopedKernelOverride> forced;
-    if (host.kernel)
-        forced.emplace(*host.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (host.indexPolicy)
-        forced_index.emplace(*host.indexPolicy);
-    const unsigned k = std::max(1u, host.chunksPerCore);
-    const unsigned num_chunks = num_cores * k;
-
-    struct ChunkCompare
-    {
-        std::uint64_t embeddings = 0;
-        Cycles cpuCycles = 0;
-        Cycles scCycles = 0;
-    };
-
-    // One capture per chunk; the trace replays onto both substrates
-    // within the same host task, so the chunk outcome stays a pure
-    // function of the chunk index. In Bytecode mode the chunk
-    // compiles its trace once and both substrates replay the shared
-    // program.
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(host.replayMode);
-    const bool use_store =
-        ArtifactStore::resolveEnabled(host.artifactCache);
-    const auto runs = parallelMap<ChunkCompare>(
-        pool, num_chunks, [&](std::size_t chunk) {
-            if (use_store) {
-                const std::string key =
-                    ArtifactStore::gpmChunkTraceKey(
-                        app, g, root_stride,
-                        static_cast<unsigned>(chunk), num_chunks);
-                ArtifactStore &store = ArtifactStore::global();
-                const auto cached = store.trace(
-                    key, [&](trace::TraceRecorder &recorder) {
-                        return captureChunk(
-                                   plans, g,
-                                   static_cast<unsigned>(chunk),
-                                   num_chunks, root_stride, recorder)
-                            .embeddings;
-                    });
-                backend::CpuBackend cpu(config.core, config.mem);
-                backend::SparseCoreBackend sc(config);
-                if (mode == trace::ReplayMode::Bytecode) {
-                    const auto bc = store.program(key, cached->trace);
-                    return ChunkCompare{
-                        cached->functionalResult,
-                        trace::replayCompiled(*bc, cpu, false).cycles,
-                        trace::replayCompiled(*bc, sc, false).cycles};
-                }
-                return ChunkCompare{
-                    cached->functionalResult,
-                    trace::replay(cached->trace, cpu, std::nullopt,
-                                  trace::ReplayMode::Event)
-                        .cycles,
-                    trace::replay(cached->trace, sc, std::nullopt,
-                                  trace::ReplayMode::Event)
-                        .cycles};
-            }
-            trace::TraceRecorder recorder;
-            const auto run =
-                captureChunk(plans, g, static_cast<unsigned>(chunk),
-                             num_chunks, root_stride, recorder);
-            const trace::Trace tr = recorder.takeTrace();
-            backend::CpuBackend cpu(config.core, config.mem);
-            backend::SparseCoreBackend sc(config);
-            if (mode == trace::ReplayMode::Bytecode) {
-                if (analysis::verifyByDefault()) {
-                    const analysis::VerifyReport report =
-                        analysis::verifyTrace(tr);
-                    if (report.hasErrors())
-                        throw analysis::VerifyError(report.format());
-                }
-                const trace::BytecodeProgram bc =
-                    trace::compileTrace(tr);
-                return ChunkCompare{
-                    run.embeddings,
-                    trace::replayCompiled(bc, cpu, false).cycles,
-                    trace::replayCompiled(bc, sc, false).cycles};
-            }
-            return ChunkCompare{
-                run.embeddings,
-                trace::replay(tr, cpu, std::nullopt, mode).cycles,
-                trace::replay(tr, sc, std::nullopt, mode).cycles};
-        });
-
+    auto results = mineChunks(app, g, num_cores, config, root_stride,
+                              host, {Substrate::Cpu, Substrate::SparseCore});
     ParallelComparison cmp;
-    cmp.baseline.perCore.assign(num_cores, 0);
-    cmp.accelerated.perCore.assign(num_cores, 0);
-    for (unsigned chunk = 0; chunk < num_chunks; ++chunk) {
-        cmp.functionalResult += runs[chunk].embeddings;
-        cmp.baseline.perCore[chunk % num_cores] +=
-            runs[chunk].cpuCycles;
-        cmp.accelerated.perCore[chunk % num_cores] +=
-            runs[chunk].scCycles;
-    }
-    cmp.baseline.embeddings = cmp.functionalResult;
-    cmp.accelerated.embeddings = cmp.functionalResult;
-    for (unsigned core = 0; core < num_cores; ++core) {
-        cmp.baseline.cycles =
-            std::max(cmp.baseline.cycles, cmp.baseline.perCore[core]);
-        cmp.accelerated.cycles = std::max(
-            cmp.accelerated.cycles, cmp.accelerated.perCore[core]);
-    }
+    cmp.functionalResult = results[0].embeddings;
+    cmp.baseline = std::move(results[0]);
+    cmp.accelerated = std::move(results[1]);
     return cmp;
 }
 

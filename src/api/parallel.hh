@@ -30,7 +30,6 @@
 #include "gpm/apps.hh"
 #include "streams/setindex/policy.hh"
 #include "streams/simd/kernel_table.hh"
-#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -81,13 +80,6 @@ struct HostOptions
      * the cycle invariance).
      */
     std::optional<streams::setindex::IndexPolicy> indexPolicy;
-    /**
-     * Replay engine for the per-chunk replays (same contract as
-     * RunOptions::replayMode): Auto resolves from SC_REPLAY, default
-     * Bytecode. Moves host wall-clock only, never simulated cycles —
-     * tests/parallel_test.cc asserts the cycle identity.
-     */
-    trace::ReplayMode replayMode = trace::ReplayMode::Auto;
     /**
      * Share per-chunk traces and compiled bytecode across runs
      * through the content-keyed ArtifactStore (same contract as

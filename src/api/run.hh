@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gpm/apps.hh"
@@ -32,7 +33,6 @@
 #include "streams/simd/kernel_table.hh"
 #include "tensor/csf_tensor.hh"
 #include "tensor/sparse_matrix.hh"
-#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -68,16 +68,6 @@ struct RunOptions
      * the backend transparently and never changes simulated cycles.
      */
     std::optional<bool> verify;
-    /**
-     * Replay engine for compare()'s trace-driven legs: Auto resolves
-     * from SC_REPLAY (default Bytecode — the trace compiles once and
-     * both substrates replay the devirtualized bytecode loop); Event
-     * forces the original per-event walker. Both engines issue the
-     * identical backend call sequence, so simulated cycles never
-     * depend on this — it only moves host wall-clock (the A/B
-     * escape hatch tests/trace_test.cc pins).
-     */
-    trace::ReplayMode replayMode = trace::ReplayMode::Auto;
     /**
      * Share captured traces and compiled bytecode across run()/
      * compare() calls through the content-keyed ArtifactStore
@@ -192,9 +182,10 @@ struct TraceStats
 {
     std::size_t events = 0;     ///< captured events
     std::size_t arenaBytes = 0; ///< interned key-arena bytes
-    /** Compiled bytecode program bytes (0 when replayMode=event). */
+    /** Compiled bytecode program bytes. */
     std::size_t bytecodeBytes = 0;
-    /** Replay engine used: "event" or "bytecode". */
+    /** "bytecode" on every trace-driven path; empty on direct
+     *  execution (report emission keys off it). */
     std::string replayMode;
     /** The trace came out of the ArtifactStore warm: the functional
      *  capture run was skipped entirely. */
@@ -203,8 +194,8 @@ struct TraceStats
      *  trace->bytecode compile was skipped. */
     bool bytecodeCacheHit = false;
     double captureSeconds = 0;  ///< host wall-clock of the capture run
-    /** Host wall-clock of the trace -> bytecode compile (0 when
-     *  replayMode=event); paid once, amortized over both replays. */
+    /** Host wall-clock of the trace -> bytecode compile; paid once,
+     *  amortized over every replay. */
     double compileSeconds = 0;
     double replaySeconds = 0;   ///< host wall-clock of the replay(s)
 };

@@ -35,13 +35,6 @@ loadConfig(
 {
     Config cfg;
 
-    if (const auto v = lookup("SC_REPLAY")) {
-        if (!oneOf(*v, {"auto", "event", "bytecode"}))
-            fatal("SC_REPLAY='%s' (expected auto|event|bytecode)",
-                  v->c_str());
-        cfg.replay = *v;
-    }
-
     if (const auto v = lookup("SC_JOB_SCHED")) {
         if (!oneOf(*v, {"fifo", "affinity"}))
             fatal("SC_JOB_SCHED='%s' (expected fifo|affinity)",
@@ -131,10 +124,6 @@ describeConfig()
         return v && *v;
     };
     std::vector<ConfigKnob> knobs;
-    knobs.push_back(row(
-        "SC_REPLAY", cfg.replay, set("SC_REPLAY"),
-        "auto|event|bytecode",
-        "trace replay engine (auto = bytecode)"));
     knobs.push_back(row(
         "SC_JOB_SCHED", cfg.jobSched, set("SC_JOB_SCHED"),
         "fifo|affinity",

@@ -15,7 +15,6 @@
  *
  * The knobs:
  *
- *   SC_REPLAY              auto|event|bytecode   trace replay engine
  *   SC_JOB_SCHED           fifo|affinity         JobQueue scheduling policy
  *   SC_VERIFY              0|1                   stream-lifetime verifier
  *   SC_ARTIFACT_CACHE      off|on|0|1            content-keyed store
@@ -27,7 +26,7 @@
  *   SC_BENCH_SMOKE         0|1                   tiny CI sweep points
  *
  * Enum-valued knobs are stored as validated lowercase strings and
- * mapped to their enums by the owning subsystem (trace/replay.cc,
+ * mapped to their enums by the owning subsystem (api/job_queue.cc,
  * streams/...), keeping this layer dependency-free. Numeric and
  * boolean knobs are parsed here with the same error behavior the
  * scattered call sites had (fatal() on nonsense byte counts, warn +
@@ -48,8 +47,6 @@ namespace sc {
 /** Resolved process-wide defaults for every SC_* knob. */
 struct Config
 {
-    /** SC_REPLAY: "auto" (= bytecode), "event" or "bytecode". */
-    std::string replay = "auto";
     /** SC_JOB_SCHED: "fifo" or "affinity" (the default). */
     std::string jobSched = "affinity";
     /** SC_VERIFY: nullopt = build-type default (debug on). */

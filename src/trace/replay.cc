@@ -1,13 +1,9 @@
 #include "trace/replay.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
-#include "common/config.hh"
 #include "common/logging.hh"
 #include "trace/compile.hh"
 
@@ -27,107 +23,6 @@ mapHandle(const std::vector<BackendStream> &map, TraceStream h)
         panic("trace replay: handle %u out of range (%zu created)",
               h, map.size());
     return map[h];
-}
-
-/** The original engine: walk the Event records, one virtual call
- *  per event. Kept verbatim as the bit-identity reference the
- *  bytecode loop is pinned against. */
-ReplayResult
-replayEvents(const Trace &trace, backend::ExecBackend &backend)
-{
-    backend.begin();
-
-    // Trace handles are dense and assigned in creation order; the map
-    // fills in the same order during replay, so backend-side handle
-    // numbering matches the original capture run exactly.
-    std::vector<BackendStream> map(trace.handleCount(),
-                                   backend::noStream);
-
-    for (const Event &e : trace.events()) {
-        switch (e.kind) {
-        case EventKind::ScalarOps:
-            backend.scalarOps(e.n);
-            break;
-        case EventKind::ScalarBranch:
-            backend.scalarBranch(e.addr0, e.aux != 0);
-            break;
-        case EventKind::ScalarLoad:
-            backend.scalarLoad(e.addr0);
-            break;
-        case EventKind::StreamLoad:
-            map[e.result] = backend.streamLoad(
-                e.addr0, static_cast<std::uint32_t>(e.n), e.aux,
-                trace.span(e.s0));
-            break;
-        case EventKind::StreamLoadKv:
-            map[e.result] = backend.streamLoadKv(
-                e.addr0, e.addr1, static_cast<std::uint32_t>(e.n),
-                e.aux, trace.span(e.s0));
-            break;
-        case EventKind::StreamFree:
-            backend.streamFree(mapHandle(map, e.a));
-            break;
-        case EventKind::SetOp:
-            map[e.result] = backend.setOp(
-                static_cast<streams::SetOpKind>(e.aux),
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.bound,
-                trace.span(e.s2), e.addr0);
-            break;
-        case EventKind::SetOpCount:
-            backend.setOpCount(static_cast<streams::SetOpKind>(e.aux),
-                               mapHandle(map, e.a), mapHandle(map, e.b),
-                               trace.span(e.s0), trace.span(e.s1),
-                               e.bound, e.n);
-            break;
-        case EventKind::ValueIntersect:
-            backend.valueIntersect(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                trace.span(e.s2), trace.span(e.s3));
-            break;
-        case EventKind::DenseValueIntersect:
-            backend.denseValueIntersect(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                trace.span(e.s2), trace.span(e.s3));
-            break;
-        case EventKind::ValueMerge:
-            map[e.result] = backend.valueMerge(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                e.n, e.addr2);
-            break;
-        case EventKind::NestedGroup: {
-            std::vector<backend::NestedItem> items;
-            items.reserve(e.aux2);
-            for (std::uint32_t i = 0; i < e.aux2; ++i) {
-                const NestedEntry &entry = trace.nestedEntry(e.n + i);
-                items.push_back({entry.infoAddr, entry.keyAddr,
-                                 trace.span(entry.nested), entry.bound,
-                                 entry.count});
-            }
-            // Virtual dispatch lowers the group to the explicit loop
-            // on substrates without S_NESTINTER.
-            backend.nestedIntersect(mapHandle(map, e.a),
-                                    trace.span(e.s0), items);
-            break;
-        }
-        case EventKind::ConsumeStream:
-            backend.consumeStream(mapHandle(map, e.a));
-            break;
-        case EventKind::IterateStream:
-            backend.iterateStream(mapHandle(map, e.a), e.n, e.aux);
-            break;
-        case EventKind::NumKinds:
-            panic("trace replay: corrupt event kind");
-        }
-    }
-
-    ReplayResult out;
-    out.cycles = backend.finish();
-    out.breakdown = backend.breakdown();
-    return out;
 }
 
 /**
@@ -269,40 +164,9 @@ runBytecode(const BytecodeProgram &bc, B &backend)
 
 } // namespace
 
-const char *
-replayModeName(ReplayMode mode)
-{
-    switch (mode) {
-      case ReplayMode::Auto:
-        return "auto";
-      case ReplayMode::Event:
-        return "event";
-      case ReplayMode::Bytecode:
-        return "bytecode";
-    }
-    return "unknown";
-}
-
-ReplayMode
-defaultReplayMode()
-{
-    // config() validates SC_REPLAY; "auto" resolves to the bytecode
-    // engine (the default since PR 6).
-    static const ReplayMode mode =
-        config().replay == "event" ? ReplayMode::Event
-                                   : ReplayMode::Bytecode;
-    return mode;
-}
-
-ReplayMode
-resolveReplayMode(ReplayMode mode)
-{
-    return mode == ReplayMode::Auto ? defaultReplayMode() : mode;
-}
-
 ReplayResult
 replay(const Trace &trace, backend::ExecBackend &backend,
-       std::optional<bool> verify, ReplayMode mode)
+       std::optional<bool> verify)
 {
     if (verify.value_or(analysis::verifyByDefault())) {
         const analysis::VerifyReport report =
@@ -310,10 +174,6 @@ replay(const Trace &trace, backend::ExecBackend &backend,
         if (report.hasErrors())
             throw analysis::VerifyError(report.format());
     }
-
-    if (resolveReplayMode(mode) == ReplayMode::Event)
-        return replayEvents(trace, backend);
-
     // Verified above (the bytecode preserves event order, so the
     // trace-level check covers it); don't re-verify per replay.
     return replayCompiled(compileTrace(trace), backend,
@@ -353,6 +213,104 @@ replayCompiled(const BytecodeProgram &program,
         fn->applyProfile(program.profile());
     else
         runBytecode(program, backend);
+
+    ReplayResult out;
+    out.cycles = backend.finish();
+    out.breakdown = backend.breakdown();
+    return out;
+}
+
+ReplayResult
+replayEvents(const Trace &trace, backend::ExecBackend &backend)
+{
+    backend.begin();
+
+    // Trace handles are dense and assigned in creation order; the map
+    // fills in the same order during replay, so backend-side handle
+    // numbering matches the original capture run exactly.
+    std::vector<BackendStream> map(trace.handleCount(),
+                                   backend::noStream);
+
+    for (const Event &e : trace.events()) {
+        switch (e.kind) {
+        case EventKind::ScalarOps:
+            backend.scalarOps(e.n);
+            break;
+        case EventKind::ScalarBranch:
+            backend.scalarBranch(e.addr0, e.aux != 0);
+            break;
+        case EventKind::ScalarLoad:
+            backend.scalarLoad(e.addr0);
+            break;
+        case EventKind::StreamLoad:
+            map[e.result] = backend.streamLoad(
+                e.addr0, static_cast<std::uint32_t>(e.n), e.aux,
+                trace.span(e.s0));
+            break;
+        case EventKind::StreamLoadKv:
+            map[e.result] = backend.streamLoadKv(
+                e.addr0, e.addr1, static_cast<std::uint32_t>(e.n),
+                e.aux, trace.span(e.s0));
+            break;
+        case EventKind::StreamFree:
+            backend.streamFree(mapHandle(map, e.a));
+            break;
+        case EventKind::SetOp:
+            map[e.result] = backend.setOp(
+                static_cast<streams::SetOpKind>(e.aux),
+                mapHandle(map, e.a), mapHandle(map, e.b),
+                trace.span(e.s0), trace.span(e.s1), e.bound,
+                trace.span(e.s2), e.addr0);
+            break;
+        case EventKind::SetOpCount:
+            backend.setOpCount(static_cast<streams::SetOpKind>(e.aux),
+                               mapHandle(map, e.a), mapHandle(map, e.b),
+                               trace.span(e.s0), trace.span(e.s1),
+                               e.bound, e.n);
+            break;
+        case EventKind::ValueIntersect:
+            backend.valueIntersect(
+                mapHandle(map, e.a), mapHandle(map, e.b),
+                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
+                trace.span(e.s2), trace.span(e.s3));
+            break;
+        case EventKind::DenseValueIntersect:
+            backend.denseValueIntersect(
+                mapHandle(map, e.a), mapHandle(map, e.b),
+                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
+                trace.span(e.s2), trace.span(e.s3));
+            break;
+        case EventKind::ValueMerge:
+            map[e.result] = backend.valueMerge(
+                mapHandle(map, e.a), mapHandle(map, e.b),
+                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
+                e.n, e.addr2);
+            break;
+        case EventKind::NestedGroup: {
+            std::vector<backend::NestedItem> items;
+            items.reserve(e.aux2);
+            for (std::uint32_t i = 0; i < e.aux2; ++i) {
+                const NestedEntry &entry = trace.nestedEntry(e.n + i);
+                items.push_back({entry.infoAddr, entry.keyAddr,
+                                 trace.span(entry.nested), entry.bound,
+                                 entry.count});
+            }
+            // Virtual dispatch lowers the group to the explicit loop
+            // on substrates without S_NESTINTER.
+            backend.nestedIntersect(mapHandle(map, e.a),
+                                    trace.span(e.s0), items);
+            break;
+        }
+        case EventKind::ConsumeStream:
+            backend.consumeStream(mapHandle(map, e.a));
+            break;
+        case EventKind::IterateStream:
+            backend.iterateStream(mapHandle(map, e.a), e.n, e.aux);
+            break;
+        case EventKind::NumKinds:
+            panic("trace replay: corrupt event kind");
+        }
+    }
 
     ReplayResult out;
     out.cycles = backend.finish();

@@ -7,22 +7,18 @@
  * per-site branch pcs) see identical numbering — making replayed
  * cycles and breakdowns bit-identical to direct execution.
  *
- * Two replay engines produce that call sequence:
+ * The engine: the trace is lowered once (trace/compile.hh) into the
+ * flat bytecode form (trace/bytecode.hh) and driven by a
+ * template-specialized loop instantiated per concrete backend, so
+ * every backend call devirtualizes and inlines. The compiled program
+ * is reusable across backends and replays — the intended shape is
+ * compile once, replayCompiled() many times (api/pipeline.hh does
+ * exactly that for every api path).
  *
- *  - Event: the original walker over the captured Event records, one
- *    virtual ExecBackend call per event.
- *  - Bytecode: the trace is lowered once (trace/compile.hh) into the
- *    flat bytecode form (trace/bytecode.hh) and driven by a
- *    template-specialized loop instantiated per concrete backend, so
- *    every backend call devirtualizes and inlines. The compiled
- *    program is reusable across backends and replays — the intended
- *    shape for sweeps is compile once, replayCompiled() many times.
- *
- * Both engines issue the identical call sequence, so cycles and
- * breakdowns are bit-identical; the mode is a pure wall-clock choice.
- * SC_REPLAY=event|bytecode forces a mode process-wide (the escape
- * hatch for A/B tests); explicit mode arguments win over the
- * environment.
+ * replayEvents() keeps the original per-event walker, one virtual
+ * ExecBackend call per captured Event. It issues the identical call
+ * sequence and is the reference the bytecode loop is tested against;
+ * no api path uses it.
  */
 
 #ifndef SPARSECORE_TRACE_REPLAY_HH
@@ -43,23 +39,6 @@ struct ReplayResult
     sim::CycleBreakdown breakdown;
 };
 
-/** Which replay engine to use. */
-enum class ReplayMode : std::uint8_t
-{
-    Auto,     ///< resolve from SC_REPLAY (default: Bytecode)
-    Event,    ///< walk the captured Event records (virtual dispatch)
-    Bytecode, ///< compile to bytecode, run the devirtualized loop
-};
-
-const char *replayModeName(ReplayMode mode);
-
-/** The process-wide default: SC_REPLAY=event|bytecode, else
- *  Bytecode. Read once and cached (panics on unknown values). */
-ReplayMode defaultReplayMode();
-
-/** Auto -> defaultReplayMode(), anything else passes through. */
-ReplayMode resolveReplayMode(ReplayMode mode);
-
 /**
  * Replay the trace onto a backend (begin() .. finish()). Nested
  * groups re-dispatch through the backend's nestedIntersect, which
@@ -73,16 +52,14 @@ ReplayMode resolveReplayMode(ReplayMode mode);
  * the trace, so a verified replay's cycles are identical to an
  * unverified one.
  *
- * In Bytecode mode the trace is compiled on every call; callers that
- * replay one trace repeatedly should compileTrace() once and use
- * replayCompiled().
+ * The trace is compiled on every call; callers that replay one trace
+ * repeatedly should compileTrace() once and use replayCompiled().
  *
  * Thread safety: the trace is only read; concurrent replays of one
  * trace onto distinct backends are safe.
  */
 ReplayResult replay(const Trace &trace, backend::ExecBackend &backend,
-                    std::optional<bool> verify = std::nullopt,
-                    ReplayMode mode = ReplayMode::Auto);
+                    std::optional<bool> verify = std::nullopt);
 
 /**
  * Replay a compiled program (compile once per (app, dataset), replay
@@ -96,6 +73,15 @@ ReplayResult replay(const Trace &trace, backend::ExecBackend &backend,
 ReplayResult replayCompiled(const BytecodeProgram &program,
                             backend::ExecBackend &backend,
                             std::optional<bool> verify = std::nullopt);
+
+/**
+ * The reference walker: replay the captured Event records directly,
+ * one virtual backend call per event (no verification, no compile).
+ * Bit-identical to replayCompiled() by construction; tests and
+ * bench/replay_microbench compare the two.
+ */
+ReplayResult replayEvents(const Trace &trace,
+                          backend::ExecBackend &backend);
 
 } // namespace sc::trace
 

@@ -173,8 +173,7 @@ TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
     // hit, and no new misses.
     Machine machine;
     const auto g = testGraph(106);
-    RunOptions options = withCache(true);
-    options.replayMode = trace::ReplayMode::Bytecode;
+    const RunOptions options = withCache(true);
 
     machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g, options));
     const auto before = ArtifactStore::global().stats();

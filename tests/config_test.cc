@@ -37,7 +37,6 @@ load(const std::map<std::string, std::string> &env)
 TEST(Config, Defaults)
 {
     const Config cfg = load({});
-    EXPECT_EQ(cfg.replay, "auto");
     EXPECT_EQ(cfg.jobSched, "affinity");
     EXPECT_FALSE(cfg.verify.has_value());
     EXPECT_TRUE(cfg.artifactCache);
@@ -52,7 +51,6 @@ TEST(Config, Defaults)
 TEST(Config, ParsesEveryKnob)
 {
     const Config cfg = load({
-        {"SC_REPLAY", "event"},
         {"SC_JOB_SCHED", "fifo"},
         {"SC_VERIFY", "1"},
         {"SC_ARTIFACT_CACHE", "off"},
@@ -63,7 +61,6 @@ TEST(Config, ParsesEveryKnob)
         {"SC_BENCH_DIR", "/tmp/b"},
         {"SC_BENCH_SMOKE", "1"},
     });
-    EXPECT_EQ(cfg.replay, "event");
     EXPECT_EQ(cfg.jobSched, "fifo");
     ASSERT_TRUE(cfg.verify.has_value());
     EXPECT_TRUE(*cfg.verify);
@@ -85,9 +82,8 @@ TEST(Config, VerifyZeroDisables)
 
 TEST(Config, LoadBearingKnobsRejectBadValues)
 {
-    // A typo in SC_REPLAY or the cache knobs must fail loudly, not
+    // A typo in the scheduler or cache knobs must fail loudly, not
     // silently run a different experiment.
-    EXPECT_THROW(load({{"SC_REPLAY", "bytecod"}}), SimError);
     EXPECT_THROW(load({{"SC_JOB_SCHED", "lifo"}}), SimError);
     EXPECT_THROW(load({{"SC_ARTIFACT_CACHE", "maybe"}}), SimError);
     EXPECT_THROW(load({{"SC_ARTIFACT_CACHE_BYTES", "1GB"}}), SimError);
@@ -115,7 +111,7 @@ TEST(Config, ProcessConfigIsStable)
 TEST(Config, DescribeCoversEveryKnob)
 {
     const auto knobs = describeConfig();
-    ASSERT_EQ(knobs.size(), 10u);
+    ASSERT_EQ(knobs.size(), 9u);
     for (const ConfigKnob &k : knobs) {
         EXPECT_EQ(k.name.rfind("SC_", 0), 0u) << k.name;
         EXPECT_FALSE(k.value.empty()) << k.name;

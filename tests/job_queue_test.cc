@@ -161,13 +161,10 @@ TEST(JobQueue, SingleWorkerRunsInSubmissionOrder)
 TEST(JobQueue, StatsExposeArtifactSharing)
 {
     // Two identical compare jobs: the second replays the first's
-    // captured trace and compiled program. The spec pins the
-    // bytecode engine so the program-hit assertion holds regardless
-    // of SC_REPLAY (JobSpec beats environment).
+    // captured trace and compiled program.
     JobQueue queue(1);
     const std::string job =
-        R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
-        R"("options":{"replay":"bytecode"}})";
+        R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     const api::JobQueueStats stats = queue.stats();

@@ -62,7 +62,7 @@ validCorpus()
         R"({"version":1,"workload":"gpm","app":"TC","dataset":"W","arch":{"sus":8,"window":32,"bandwidth":64,"nested":false}})",
         R"({"version":1,"workload":"fsm","dataset":"C","min_support":500,"num_labels":4})",
         R"({"version":1,"workload":"spmspm","dataset":"C","dataset_b":"E","algorithm":"inner"})",
-        R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false,"replay":"event"}})",
+        R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false}})",
         R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"host_threads":2,"kernel":"scalar","index_policy":"array","artifact_cache":false}})",
         R"({"version":1,"id":"p","priority":9,"workload":"gpm","app":"T","dataset":"W"})",
     };

@@ -1,0 +1,108 @@
+/**
+ * @file
+ * Tests for the shared execution pipeline (api/pipeline.hh): prepare()
+ * verifies on every call — including when the program is already
+ * resident in the store — keyed and local preparation produce the
+ * same program and result, and TraceStats report hits and misses
+ * per call. (makeBackend()'s config plumbing is pinned by the
+ * non-default arch point of tests/cycles_golden_test.cc.)
+ */
+
+#include <gtest/gtest.h>
+
+#include "analysis/diagnostics.hh"
+#include "api/machine.hh"
+#include "api/pipeline.hh"
+#include "gpm/executor.hh"
+#include "test_util.hh"
+#include "trace/recorder.hh"
+
+using namespace sc;
+using namespace sc::api;
+
+namespace {
+
+/** A capture with a stream-lifetime error (double free). */
+std::uint64_t
+doubleFree(trace::TraceRecorder &rec)
+{
+    rec.begin();
+    const auto a = rec.streamLoad(0x1000, 3, 0, std::vector<Key>{1, 2, 3});
+    rec.streamFree(a);
+    rec.streamFree(a);
+    return 0;
+}
+
+ArtifactStore::CaptureFn
+captureTriangles(const graph::CsrGraph &g)
+{
+    return [&g](trace::TraceRecorder &rec) {
+        gpm::PlanExecutor executor(g, rec);
+        return executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::T))
+            .embeddings;
+    };
+}
+
+} // namespace
+
+TEST(Pipeline, VerifyRunsOnWarmProgramHits)
+{
+    // A program compiled unverified into the store must not let a
+    // verify=true request skip the check: run and compare both reject
+    // the poisoned trace before any backend sees it.
+    ArtifactStore &store = ArtifactStore::global();
+    store.clear();
+    const graph::CsrGraph g = test::randomTestGraph(30, 120, 58);
+    const std::string key =
+        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
+    const auto cached = store.trace(key, doubleFree);
+    store.program(key, cached->trace);
+
+    RunOptions options;
+    options.verify = true;
+    options.artifactCache = true;
+    const Machine machine;
+    const auto req = RunRequest::gpm(gpm::GpmApp::T, g, options);
+    EXPECT_THROW(machine.run(req, Substrate::Cpu), analysis::VerifyError);
+    EXPECT_THROW(machine.compare(req), analysis::VerifyError);
+
+    // Drop the poisoned trace so later tests rebuild the real one.
+    store.clear();
+}
+
+TEST(Pipeline, LocalCaptureVerifiesWhenAsked)
+{
+    EXPECT_THROW(prepare("", doubleFree, true), analysis::VerifyError);
+    const Prepared unchecked = prepare("", doubleFree, false);
+    EXPECT_GT(unchecked.trace().numEvents(), 0u);
+    EXPECT_GT(unchecked.program->codeBytes(), 0u);
+}
+
+TEST(Pipeline, KeyedAndLocalPrepareAgree)
+{
+    ArtifactStore::global().clear();
+    const graph::CsrGraph g = test::randomTestGraph(60, 400, 59);
+    const std::string key =
+        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
+
+    const Prepared local = prepare("", captureTriangles(g), false);
+    const Prepared cold = prepare(key, captureTriangles(g), false);
+    const Prepared warm = prepare(key, captureTriangles(g), false);
+
+    EXPECT_EQ(local.functionalResult(), cold.functionalResult());
+    EXPECT_EQ(local.program->code(), cold.program->code());
+    EXPECT_EQ(cold.program, warm.program); // the shared store entry
+
+    for (const Prepared *p : {&local, &cold}) {
+        EXPECT_FALSE(p->stats.traceCacheHit);
+        EXPECT_FALSE(p->stats.bytecodeCacheHit);
+        EXPECT_EQ(p->stats.replayMode, "bytecode");
+        EXPECT_EQ(p->stats.events, p->trace().numEvents());
+        EXPECT_EQ(p->stats.bytecodeBytes, p->program->codeBytes());
+    }
+    EXPECT_TRUE(warm.stats.traceCacheHit);
+    EXPECT_TRUE(warm.stats.bytecodeCacheHit);
+    EXPECT_EQ(warm.stats.captureSeconds, 0.0);
+    EXPECT_EQ(warm.stats.compileSeconds, 0.0);
+    ArtifactStore::global().clear();
+}

@@ -5,8 +5,8 @@
  * sentinel handles and explicit result ids), replayed cycles are
  * bit-identical between the event walker and the bytecode loops for
  * every GPM app and tensor kernel on both timing substrates, the SCBC
- * image is byte-stable and validated on load, and the api paths
- * (Machine::compare / compareParallelGpm) agree across replay modes.
+ * image is byte-stable and validated on load, and Machine::compare
+ * agrees with the reference event walker.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "api/machine.hh"
-#include "api/parallel.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
@@ -297,7 +296,7 @@ TEST(BytecodeRoundTrip, HandBuiltExplicitResultIds)
                      "hand-built serialized");
 }
 
-// ---------------- replay-mode cycle identity ----------------
+// ---------------- walker vs bytecode cycle identity ----------------
 
 TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
 {
@@ -310,19 +309,17 @@ TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
 
         backend::CpuBackend cpu_e(config.core, config.mem);
         backend::CpuBackend cpu_b(config.core, config.mem);
-        const auto ce = trace::replay(tr, cpu_e, std::nullopt,
-                                      trace::ReplayMode::Event);
-        const auto cb = trace::replay(tr, cpu_b, std::nullopt,
-                                      trace::ReplayMode::Bytecode);
+        const auto ce = trace::replayEvents(tr, cpu_e);
+        const auto cb =
+            trace::replayCompiled(trace::compileTrace(tr), cpu_b);
         EXPECT_EQ(ce.cycles, cb.cycles) << gpm::gpmAppName(app);
         EXPECT_EQ(ce.breakdown.cycles, cb.breakdown.cycles)
             << gpm::gpmAppName(app);
 
         backend::SparseCoreBackend sc_e(config), sc_b(config);
-        const auto se = trace::replay(tr, sc_e, std::nullopt,
-                                      trace::ReplayMode::Event);
-        const auto sb = trace::replay(tr, sc_b, std::nullopt,
-                                      trace::ReplayMode::Bytecode);
+        const auto se = trace::replayEvents(tr, sc_e);
+        const auto sb =
+            trace::replayCompiled(trace::compileTrace(tr), sc_b);
         EXPECT_EQ(se.cycles, sb.cycles) << gpm::gpmAppName(app);
         EXPECT_EQ(se.breakdown.cycles, sb.breakdown.cycles)
             << gpm::gpmAppName(app);
@@ -343,11 +340,8 @@ TEST(BytecodeReplay, CycleIdenticalForFsm)
 
     const arch::SparseCoreConfig config;
     backend::SparseCoreBackend sc_e(config), sc_b(config);
-    EXPECT_EQ(trace::replay(tr, sc_e, std::nullopt,
-                            trace::ReplayMode::Event)
-                  .cycles,
-              trace::replay(tr, sc_b, std::nullopt,
-                            trace::ReplayMode::Bytecode)
+    EXPECT_EQ(trace::replayEvents(tr, sc_e).cycles,
+              trace::replayCompiled(trace::compileTrace(tr), sc_b)
                   .cycles);
 }
 
@@ -386,19 +380,13 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
         expectRoundTrip(tr, "tensor");
         backend::CpuBackend cpu_e(config.core, config.mem);
         backend::CpuBackend cpu_b(config.core, config.mem);
-        EXPECT_EQ(trace::replay(tr, cpu_e, std::nullopt,
-                                trace::ReplayMode::Event)
-                      .cycles,
-                  trace::replay(tr, cpu_b, std::nullopt,
-                                trace::ReplayMode::Bytecode)
+        EXPECT_EQ(trace::replayEvents(tr, cpu_e).cycles,
+                  trace::replayCompiled(trace::compileTrace(tr), cpu_b)
                       .cycles)
             << "kernel trace " << i;
         backend::SparseCoreBackend sc_e(config), sc_b(config);
-        EXPECT_EQ(trace::replay(tr, sc_e, std::nullopt,
-                                trace::ReplayMode::Event)
-                      .cycles,
-                  trace::replay(tr, sc_b, std::nullopt,
-                                trace::ReplayMode::Bytecode)
+        EXPECT_EQ(trace::replayEvents(tr, sc_e).cycles,
+                  trace::replayCompiled(trace::compileTrace(tr), sc_b)
                       .cycles)
             << "kernel trace " << i;
     }
@@ -434,9 +422,8 @@ TEST(BytecodeReplay, FunctionalStatsIdenticalAcrossEngines)
     for (std::size_t i = 0; i < traces.size(); ++i) {
         const trace::Trace &tr = traces[i];
         backend::FunctionalBackend ev, bc;
-        trace::replay(tr, ev, std::nullopt, trace::ReplayMode::Event);
-        trace::replay(tr, bc, std::nullopt,
-                      trace::ReplayMode::Bytecode);
+        trace::replayEvents(tr, ev);
+        trace::replayCompiled(trace::compileTrace(tr), bc);
         EXPECT_EQ(ev.stats().dump(), bc.stats().dump())
             << "trace " << i;
         EXPECT_EQ(ev.liveStreams(), bc.liveStreams()) << "trace " << i;
@@ -459,31 +446,13 @@ TEST(BytecodeReplay, ReplayCompiledMatchesEventWalk)
 
     const arch::SparseCoreConfig config;
     backend::SparseCoreBackend ref(config);
-    const auto want =
-        trace::replay(tr, ref, std::nullopt, trace::ReplayMode::Event);
+    const auto want = trace::replayEvents(tr, ref);
     for (int round = 0; round < 3; ++round) {
         backend::SparseCoreBackend be(config);
         const auto got = trace::replayCompiled(bc, be);
         EXPECT_EQ(want.cycles, got.cycles) << "round " << round;
         EXPECT_EQ(want.breakdown.cycles, got.breakdown.cycles);
     }
-}
-
-TEST(BytecodeReplay, ModeNamesAndResolution)
-{
-    EXPECT_STREQ(trace::replayModeName(trace::ReplayMode::Event),
-                 "event");
-    EXPECT_STREQ(trace::replayModeName(trace::ReplayMode::Bytecode),
-                 "bytecode");
-    // Explicit modes pass through resolution untouched; only Auto
-    // consults SC_REPLAY.
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Event),
-              trace::ReplayMode::Event);
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Bytecode),
-              trace::ReplayMode::Bytecode);
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Auto),
-              trace::defaultReplayMode());
-    EXPECT_NE(trace::defaultReplayMode(), trace::ReplayMode::Auto);
 }
 
 // ---------------- serialization ----------------
@@ -560,68 +529,45 @@ TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
     const auto golden = trace::BytecodeProgram::loadFile(path);
     backend::SparseCoreBackend be_a, be_b;
     EXPECT_EQ(trace::replayCompiled(golden, be_a).cycles,
-              trace::replay(tr, be_b, std::nullopt,
-                            trace::ReplayMode::Event)
-                  .cycles);
+              trace::replayEvents(tr, be_b).cycles);
 }
 
-// ---------------- api paths across modes ----------------
+// ---------------- api path vs the reference walker ----------------
 
 TEST(BytecodeApi, CompareIdenticalAcrossReplayModes)
 {
+    // Machine::compare replays compiled bytecode; the reference
+    // walker over a capture of the same request must give the same
+    // cycles and breakdowns on both substrates.
     const auto g = test::randomTestGraph(90, 700, 97);
-    api::Machine machine;
-    auto req = api::RunRequest::gpm(gpm::GpmApp::TC, g);
+    const arch::SparseCoreConfig config;
+    api::Machine machine(config);
+    const auto bc =
+        machine.compare(api::RunRequest::gpm(gpm::GpmApp::TC, g));
 
-    req.options.replayMode = trace::ReplayMode::Event;
-    const auto ev = machine.compare(req);
-    req.options.replayMode = trace::ReplayMode::Bytecode;
-    const auto bc = machine.compare(req);
+    trace::TraceRecorder recorder;
+    gpm::PlanExecutor executor(g, recorder);
+    const auto run =
+        executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::TC));
+    const trace::Trace tr = recorder.takeTrace();
+    backend::CpuBackend cpu(config.core, config.mem);
+    const auto cpu_ev = trace::replayEvents(tr, cpu);
+    backend::SparseCoreBackend sc(config);
+    const auto sc_ev = trace::replayEvents(tr, sc);
 
-    EXPECT_EQ(ev.baseline.cycles, bc.baseline.cycles);
-    EXPECT_EQ(ev.accelerated.cycles, bc.accelerated.cycles);
-    EXPECT_EQ(ev.baseline.breakdown.cycles,
-              bc.baseline.breakdown.cycles);
-    EXPECT_EQ(ev.functionalResult, bc.functionalResult);
+    EXPECT_EQ(cpu_ev.cycles, bc.baseline.cycles);
+    EXPECT_EQ(sc_ev.cycles, bc.accelerated.cycles);
+    EXPECT_EQ(cpu_ev.breakdown.cycles, bc.baseline.breakdown.cycles);
+    EXPECT_EQ(sc_ev.breakdown.cycles, bc.accelerated.breakdown.cycles);
+    EXPECT_EQ(run.embeddings, bc.functionalResult);
 
-    // TraceStats: the bytecode leg reports its compiled size and
-    // mode; the event leg reports no bytecode.
-    EXPECT_EQ(ev.trace.replayMode, "event");
-    EXPECT_EQ(ev.trace.bytecodeBytes, 0u);
+    // TraceStats: every trace-driven path reports its compiled size
+    // and the bytecode engine.
     EXPECT_EQ(bc.trace.replayMode, "bytecode");
     EXPECT_GT(bc.trace.bytecodeBytes, 0u);
     EXPECT_GE(bc.trace.compileSeconds, 0.0);
     EXPECT_NE(bc.str().find("bytecode:"), std::string::npos);
     EXPECT_NE(bc.str().find("(bytecode)"), std::string::npos);
-}
-
-TEST(BytecodeApi, CompareParallelIdenticalAcrossReplayModes)
-{
-    const auto g = test::randomTestGraph(150, 1200, 98);
-    api::HostOptions ev_host, bc_host;
-    ev_host.replayMode = trace::ReplayMode::Event;
-    bc_host.replayMode = trace::ReplayMode::Bytecode;
-
-    const auto ev = api::compareParallelGpm(gpm::GpmApp::T, g, 4, {},
-                                            1, ev_host);
-    const auto bc = api::compareParallelGpm(gpm::GpmApp::T, g, 4, {},
-                                            1, bc_host);
-    EXPECT_EQ(ev.functionalResult, bc.functionalResult);
-    EXPECT_EQ(ev.baseline.cycles, bc.baseline.cycles);
-    EXPECT_EQ(ev.accelerated.cycles, bc.accelerated.cycles);
-    ASSERT_EQ(ev.baseline.perCore.size(), bc.baseline.perCore.size());
-    for (std::size_t c = 0; c < ev.baseline.perCore.size(); ++c) {
-        EXPECT_EQ(ev.baseline.perCore[c], bc.baseline.perCore[c]);
-        EXPECT_EQ(ev.accelerated.perCore[c],
-                  bc.accelerated.perCore[c]);
-    }
-
-    const auto mine_ev = api::mineParallelSparseCore(
-        gpm::GpmApp::T, g, 4, {}, 1, ev_host);
-    const auto mine_bc = api::mineParallelSparseCore(
-        gpm::GpmApp::T, g, 4, {}, 1, bc_host);
-    EXPECT_EQ(mine_ev.embeddings, mine_bc.embeddings);
-    EXPECT_EQ(mine_ev.cycles, mine_bc.cycles);
 }
 
 // ---------------- compactness ----------------
