@@ -70,6 +70,18 @@ struct GoldenCase
     std::uint64_t pc;
 };
 
+/**
+ * Print a case by its expected anchor pc (the test name already says
+ * the fixture). Without this, gtest byte-dumps the struct, and the
+ * listed test name would carry the address of `file`, which
+ * address-space randomisation changes on every run.
+ */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << "pc " << c.pc;
+}
+
 class GoldenDiagnostics : public ::testing::TestWithParam<GoldenCase>
 {
 };
