@@ -1,8 +1,9 @@
 /**
  * @file
  * Host set-op kernel microbenchmark: wall-clock throughput of every
- * registered kernel level (scalar / SSE / AVX2) on the three stream
- * ops, plus the speedup over the scalar reference. This measures the
+ * registered kernel level (scalar / AVX2) on the three stream ops,
+ * plus the speedup over the scalar reference, and the hybrid set
+ * index's Auto policy against the array-only path. This measures the
  * HOST kernels only — simulated SparseCore cycles are independent of
  * the kernel level by construction (DESIGN.md §10), which
  * tests/kernel_table_test.cc enforces.
@@ -216,60 +217,44 @@ runSetIndexBench(bool smoke)
     const std::size_t la = smoke ? 1024 : 4096;
     const std::size_t pairs = smoke ? 4 : 16;
     const double min_seconds = smoke ? 0.02 : 0.2;
-    // Densities bracketing the build thresholds: the auto tier needs
-    // rank density >= 1/64 (1 word per key), the forced tier >= 1/256
-    // (4 words per key); below that no bitmap exists and every policy
-    // collapses to the array kernels.
+    // Densities bracketing the build threshold: a bitmap needs rank
+    // density >= 1/64 (1 word per key); below that no bitmap exists
+    // and auto collapses to the array kernels.
     const std::size_t inv_densities[] = {4, 16, 64, 256, 1024};
     const std::size_t skews[] = {1, 8, 64};
 
     std::printf("==== hybrid set-index sweep: density x skew ====\n");
     std::printf("policy rates are counting-intersect dispatch through "
-                "runSetOp (SC_FORCE_SETINDEX / RunOptions.indexPolicy "
-                "select the same paths)\n\n");
+                "runSetOp\n\n");
     Table table({"1/density", "skew", "|A|", "|B|", "array Melem/s",
-                 "auto Melem/s", "bitmap Melem/s", "auto/array",
-                 "bitmap/array"});
-    Table crossover({"skew", "bitmap wins at 1/density <="});
+                 "auto Melem/s", "auto/array"});
     Rng rng(0x5e71d);
     for (const std::size_t skew : skews) {
-        std::size_t best_inv_density = 0;
         for (const std::size_t inv_density : inv_densities) {
             const std::size_t lb = std::max<std::size_t>(la / skew, 8);
             const auto g = makeOperandGraph(rng, la * inv_density, la,
                                             lb, pairs);
-            double rates[3] = {0, 0, 0};
-            std::uint64_t sums[3] = {0, 0, 0};
-            const IndexPolicy policies[] = {IndexPolicy::ArrayOnly,
-                                            IndexPolicy::Auto,
-                                            IndexPolicy::Bitmap};
-            for (int i = 0; i < 3; ++i)
-                rates[i] = measureIndexed(policies[i], g, pairs,
-                                          min_seconds, &sums[i]);
-            if (sums[1] != sums[0] || sums[2] != sums[0]) {
+            std::uint64_t array_sum = 0, auto_sum = 0;
+            const double array_rate =
+                measureIndexed(IndexPolicy::ArrayOnly, g, pairs,
+                               min_seconds, &array_sum);
+            const double auto_rate = measureIndexed(
+                IndexPolicy::Auto, g, pairs, min_seconds, &auto_sum);
+            if (auto_sum != array_sum) {
                 std::fprintf(stderr,
                              "FAIL: setindex checksum mismatch at "
                              "1/density=%zu skew=%zu\n",
                              inv_density, skew);
                 return 1;
             }
-            if (rates[2] > rates[0])
-                best_inv_density = inv_density;
             table.addRow({std::to_string(inv_density),
                           std::to_string(skew), std::to_string(la),
-                          std::to_string(lb), Table::num(rates[0], 1),
-                          Table::num(rates[1], 1),
-                          Table::num(rates[2], 1),
-                          Table::speedup(rates[1] / rates[0]),
-                          Table::speedup(rates[2] / rates[0])});
+                          std::to_string(lb), Table::num(array_rate, 1),
+                          Table::num(auto_rate, 1),
+                          Table::speedup(auto_rate / array_rate)});
         }
-        crossover.addRow({std::to_string(skew),
-                          best_inv_density
-                              ? std::to_string(best_inv_density)
-                              : std::string("never")});
     }
     report.emit("hybrid format sweep (counting intersect)", table);
-    report.emit("bitmap-over-array crossover density", crossover);
 
     // Workload leg: clique mining over a power-law graph whose hub
     // neighborhoods are long and (after degree relabeling) dense in
@@ -374,8 +359,8 @@ main(int argc, char **argv)
     std::printf("levels:");
     for (const KernelLevel level : levels)
         std::printf(" %s", streams::kernelLevelName(level));
-    std::printf("  (SC_FORCE_KERNEL overrides the process default; "
-                "this bench measures each level explicitly)\n\n");
+    std::printf("  (the process default is the widest one; this bench "
+                "measures each level explicitly)\n\n");
 
     const std::vector<std::size_t> lengths =
         smoke ? std::vector<std::size_t>{4096}

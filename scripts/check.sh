@@ -13,9 +13,9 @@
 # then an ASan+UBSan build running the trace capture/replay/
 # serialization + artifact-store + pipeline suites and the cycle
 # golden (arena ownership and event-decoding bugs show up here), then a
-# forced-scalar kernel build (SIMD TUs omitted) with the full suite
-# under SC_FORCE_KERNEL=scalar, kernel and replay microbench smoke
-# runs (their BENCH_*.json stay under the build directory; this
+# forced-scalar kernel build (the AVX2 TU omitted, so scalar is the
+# only kernel level) with the full suite, kernel and replay microbench
+# smoke runs (their BENCH_*.json stay under the build directory; this
 # script never writes the tracked bench/results/ snapshots), an
 # artifact-store cold/warm sweep leg: fig12 with
 # SC_ARTIFACT_CACHE=off and =on must emit bit-identical cycles while
@@ -85,16 +85,6 @@ else
 fi
 
 echo
-echo "=== full ctest, forced array set-index policy ==="
-SC_FORCE_SETINDEX=array ctest --test-dir "${prefix}" \
-    --output-on-failure -j"$(nproc)"
-
-echo
-echo "=== full ctest, forced bitmap set-index policy ==="
-SC_FORCE_SETINDEX=bitmap ctest --test-dir "${prefix}" \
-    --output-on-failure -j"$(nproc)"
-
-echo
 echo "=== TSan build + parallel suites ==="
 cmake -B "${prefix}-tsan" -S . -DSPARSECORE_SANITIZE=thread >/dev/null
 cmake --build "${prefix}-tsan" -j"$(nproc)" --target sparsecore_tests
@@ -114,8 +104,7 @@ echo "=== forced-scalar kernel build + full ctest ==="
 cmake -B "${prefix}-scalar" -S . \
     -DSPARSECORE_FORCE_SCALAR_KERNELS=ON >/dev/null
 cmake --build "${prefix}-scalar" -j"$(nproc)"
-SC_FORCE_KERNEL=scalar ctest --test-dir "${prefix}-scalar" \
-    --output-on-failure -j"$(nproc)"
+ctest --test-dir "${prefix}-scalar" --output-on-failure -j"$(nproc)"
 
 echo
 echo "=== kernel microbench smoke ==="

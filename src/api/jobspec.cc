@@ -166,17 +166,6 @@ JobSpec::toJsonValue() const
     if (options.rootStride != 1)
         opts.set("root_stride",
                  JsonValue::number(std::uint64_t{options.rootStride}));
-    if (options.hostThreads != 0)
-        opts.set("host_threads",
-                 JsonValue::number(
-                     std::uint64_t{options.hostThreads}));
-    if (options.kernel)
-        opts.set("kernel", JsonValue::str(streams::kernelLevelName(
-                               *options.kernel)));
-    if (options.indexPolicy)
-        opts.set("index_policy",
-                 JsonValue::str(streams::setindex::indexPolicyName(
-                     *options.indexPolicy)));
     if (options.verify)
         opts.set("verify", JsonValue::boolean(*options.verify));
     if (options.artifactCache)
@@ -294,7 +283,6 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
     FieldReader reader(errors, "options");
     for (const auto &[name, value] : obj.members()) {
         std::uint64_t u = 0;
-        std::string s;
         bool b = false;
         if (name == "stride") {
             if (reader.readUint(name, value, u, 1, kMaxStride))
@@ -302,20 +290,6 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
         } else if (name == "root_stride") {
             if (reader.readUint(name, value, u, 1, kMaxStride))
                 options.rootStride = static_cast<unsigned>(u);
-        } else if (name == "host_threads") {
-            if (reader.readUint(name, value, u, 0, 1024))
-                options.hostThreads = static_cast<unsigned>(u);
-        } else if (name == "kernel") {
-            if (reader.readChoice(name, value,
-                                  {"auto", "scalar", "sse", "avx2"},
-                                  s) &&
-                s != "auto")
-                options.kernel = streams::parseKernelLevel(s);
-        } else if (name == "index_policy") {
-            if (reader.readChoice(name, value,
-                                  {"auto", "array", "bitmap"}, s))
-                options.indexPolicy =
-                    streams::setindex::parseIndexPolicy(s);
         } else if (name == "verify") {
             if (reader.readBool(name, value, b))
                 options.verify = b;
@@ -325,8 +299,7 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
         } else {
             diag(errors, reader.fieldPath(name),
                  "unknown field (options accepts stride, root_stride, "
-                 "host_threads, kernel, index_policy, verify, "
-                 "artifact_cache)");
+                 "verify, artifact_cache)");
         }
     }
 }
@@ -599,9 +572,6 @@ validateJobSpec(const JobSpec &spec)
         diag(errors, "options.root_stride",
              strprintf("out of range (expected 1..%llu)",
                        static_cast<unsigned long long>(kMaxStride)));
-    if (spec.options.hostThreads > 1024)
-        diag(errors, "options.host_threads",
-             "out of range (expected 0..1024)");
     if (spec.priority < 0 || spec.priority > 100)
         diag(errors, "priority", "out of range (expected 0..100)");
     return errors;

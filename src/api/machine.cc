@@ -1,7 +1,6 @@
 #include "api/machine.hh"
 
 #include <chrono>
-#include <optional>
 #include <string>
 
 #include "analysis/verifying_backend.hh"
@@ -155,8 +154,6 @@ RunResult
 Machine::run(const RunRequest &request, Substrate substrate) const
 {
     validate(request);
-    const ScopedHostOverrides overrides(request.options.kernel,
-                                        request.options.indexPolicy);
 
     // Unkeyed workloads execute directly on the timing backend: one
     // functional pass instead of a capture plus a replay. The
@@ -195,12 +192,6 @@ Comparison
 Machine::compare(const RunRequest &request) const
 {
     validate(request);
-    const ScopedHostOverrides overrides(request.options.kernel,
-                                        request.options.indexPolicy);
-    std::optional<ThreadPool> local;
-    if (request.options.hostThreads)
-        local.emplace(request.options.hostThreads);
-    ThreadPool &pool = local ? *local : ThreadPool::global();
 
     // Capture once (or hit the store), then replay the shared program
     // onto both substrates concurrently.
@@ -214,7 +205,7 @@ Machine::compare(const RunRequest &request) const
                                      /*verify=*/false);
     };
     parallelInvoke(
-        pool, [&] { cpu = replayOn(Substrate::Cpu); },
+        ThreadPool::global(), [&] { cpu = replayOn(Substrate::Cpu); },
         [&] { sc = replayOn(Substrate::SparseCore); });
 
     Comparison cmp;

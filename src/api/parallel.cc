@@ -40,7 +40,6 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
         fatal("root stride must be positive");
     const auto plans = gpm::gpmAppPlans(app);
     ThreadPool &pool = host.pool ? *host.pool : ThreadPool::global();
-    const ScopedHostOverrides overrides(host.kernel, host.indexPolicy);
     const unsigned num_chunks = num_cores * std::max(1u, host.chunksPerCore);
     const bool use_store =
         ArtifactStore::resolveEnabled(host.artifactCache);

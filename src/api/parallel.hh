@@ -28,8 +28,6 @@
 #include "arch/config.hh"
 #include "common/thread_pool.hh"
 #include "gpm/apps.hh"
-#include "streams/setindex/policy.hh"
-#include "streams/simd/kernel_table.hh"
 
 namespace sc::api {
 
@@ -65,21 +63,6 @@ struct HostOptions
      * one-session-per-core split exactly.
      */
     unsigned chunksPerCore = 4;
-    /**
-     * Host set-op kernel level for this run (nullopt = process
-     * default). Scoped for the whole run so every pool thread's
-     * chunks use the same kernels; results and cycles are
-     * bit-identical across levels either way (the kernels only move
-     * host wall-clock), which tests/kernel_table_test.cc asserts.
-     */
-    std::optional<streams::KernelLevel> kernel;
-    /**
-     * Hybrid set-index policy for this run (nullopt = process
-     * default). Same contract as `kernel`: scoped for the whole run,
-     * moves host wall-clock only (tests/set_index_test.cc asserts
-     * the cycle invariance).
-     */
-    std::optional<streams::setindex::IndexPolicy> indexPolicy;
     /**
      * Share per-chunk traces and compiled bytecode across runs
      * through the content-keyed ArtifactStore (same contract as

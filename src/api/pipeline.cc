@@ -87,14 +87,4 @@ makeBackend(Substrate substrate, const arch::SparseCoreConfig &config)
     return std::make_unique<backend::SparseCoreBackend>(config);
 }
 
-ScopedHostOverrides::ScopedHostOverrides(
-    std::optional<streams::KernelLevel> kernel,
-    std::optional<streams::setindex::IndexPolicy> index_policy)
-{
-    if (kernel)
-        kernel_.emplace(*kernel);
-    if (index_policy)
-        index_.emplace(*index_policy);
-}
-
 } // namespace sc::api

@@ -24,8 +24,6 @@
 #include "api/artifact_store.hh"
 #include "api/run.hh"
 #include "backend/exec_backend.hh"
-#include "streams/setindex/policy.hh"
-#include "streams/simd/kernel_table.hh"
 
 namespace sc::api {
 
@@ -67,23 +65,6 @@ Prepared prepare(const std::string &key,
 /** The timing backend for `substrate` under `config`. */
 std::unique_ptr<backend::ExecBackend>
 makeBackend(Substrate substrate, const arch::SparseCoreConfig &config);
-
-/**
- * The per-call host set-op kernel and set-index overrides (nullopt =
- * keep the process default), held for one api call. Both move host
- * wall clock only, never results or cycles.
- */
-class ScopedHostOverrides
-{
-  public:
-    ScopedHostOverrides(
-        std::optional<streams::KernelLevel> kernel,
-        std::optional<streams::setindex::IndexPolicy> index_policy);
-
-  private:
-    std::optional<streams::ScopedKernelOverride> kernel_;
-    std::optional<streams::setindex::ScopedIndexPolicyOverride> index_;
-};
 
 } // namespace sc::api
 

@@ -29,8 +29,6 @@
 #include "graph/labeled_graph.hh"
 #include "kernels/spmspm.hh"
 #include "sim/core_model.hh"
-#include "streams/setindex/policy.hh"
-#include "streams/simd/kernel_table.hh"
 #include "tensor/csf_tensor.hh"
 #include "tensor/sparse_matrix.hh"
 
@@ -46,20 +44,6 @@ struct RunOptions
     unsigned stride = 1;
     /** GPM/FSM: process every rootStride-th root vertex. */
     unsigned rootStride = 1;
-    /**
-     * Host threads for compare()'s replay legs: 0 = the shared
-     * global pool; otherwise a dedicated pool of this size for the
-     * call. Simulated cycles do not depend on this.
-     */
-    unsigned hostThreads = 0;
-    /** Host set-op kernel level override (nullopt = process
-     *  default); moves wall-clock only, never simulated cycles. */
-    std::optional<streams::KernelLevel> kernel;
-    /** Hybrid set-index policy override (auto / array-only / bitmap;
-     *  nullopt = process default, i.e. SC_FORCE_SETINDEX or auto).
-     *  Like `kernel`, moves wall-clock only, never simulated
-     *  cycles. */
-    std::optional<streams::setindex::IndexPolicy> indexPolicy;
     /**
      * Run the stream-lifetime verifier (analysis/) over the backend
      * event stream and throw analysis::VerifyError on violations.

@@ -9,9 +9,9 @@
  * operand key spans via streams::suCost() — it never calls the
  * host's dispatched SIMD kernels (streams/simd/kernel_table.hh),
  * which only accelerate the *functional* computation of results.
- * Simulated cycles are therefore bit-identical under every
- * SC_FORCE_KERNEL level; tests/kernel_table_test.cc replays the
- * golden trace at each level to enforce this (DESIGN.md §10).
+ * Simulated cycles are therefore bit-identical under every kernel
+ * level; tests/kernel_table_test.cc replays the golden trace at each
+ * level to enforce this (DESIGN.md §10).
  */
 
 #ifndef SPARSECORE_ARCH_STREAM_UNIT_HH

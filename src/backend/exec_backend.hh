@@ -137,31 +137,16 @@ class ExecBackend
 
     // ---------------- capabilities ----------------
     /**
-     * Substrate capability flags, declared in one place instead of
-     * one boolean probe per feature. Defaults describe the minimal
-     * substrate: every backend must implement the (key,value)
-     * operations (they are pure virtual), nested intersection and
-     * vectorized set-ops are opt-in.
+     * Substrate capability flags. Every backend must implement the
+     * (key,value) operations (they are pure virtual); nested
+     * intersection is opt-in.
      */
     struct Caps
     {
-        bool nested = false;   ///< implements S_NESTINTER natively
-        bool keyValue = true;  ///< (key,value) streams + S_VINTER
-        bool valueMerge = true; ///< S_VMERGE materialization
-        /** Set operations ride wide comparators (the SU's 16-wide
-         *  window, or the host SIMD kernel table on functional
-         *  substrates) rather than a scalar merge loop. */
-        bool vectorizedSetOps = false;
+        bool nested = false; ///< implements S_NESTINTER natively
     };
 
     virtual Caps caps() const { return Caps{}; }
-
-    /** @deprecated probe caps().nested instead. */
-    [[deprecated("use caps().nested")]] bool
-    supportsNested() const
-    {
-        return caps().nested;
-    }
 
     // ---------------- nested intersection ----------------
     /**

@@ -11,7 +11,6 @@
 
 #include "backend/exec_backend.hh"
 #include "common/stats.hh"
-#include "streams/simd/kernel_table.hh"
 
 namespace sc::trace {
 struct EventProfile;
@@ -66,10 +65,6 @@ class FunctionalBackend final : public ExecBackend
     {
         Caps c;
         c.nested = true;
-        // The functional path executes on the host's active SIMD
-        // kernel table (streams/simd) when one beats scalar.
-        c.vectorizedSetOps =
-            streams::activeKernels().level != streams::KernelLevel::Scalar;
         return c;
     }
     void nestedIntersect(BackendStream s, streams::KeySpan s_keys,

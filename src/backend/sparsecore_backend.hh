@@ -64,7 +64,6 @@ class SparseCoreBackend final : public ExecBackend
     {
         Caps c;
         c.nested = engine_->config().nestedIntersection;
-        c.vectorizedSetOps = true; // the SU's 16-wide window (Fig. 6)
         return c;
     }
     void nestedIntersect(BackendStream s, streams::KeySpan s_keys,

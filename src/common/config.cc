@@ -26,6 +26,17 @@ oneOf(const std::string &v, std::initializer_list<const char *> set)
     return false;
 }
 
+/** A boolean knob: off|on|0|1, fatal() on anything else. */
+bool
+parseSwitch(const char *name, const std::string &v)
+{
+    if (oneOf(v, {"on", "1"}))
+        return true;
+    if (!oneOf(v, {"off", "0"}))
+        fatal("%s must be off|on|0|1, got '%s'", name, v.c_str());
+    return false;
+}
+
 } // namespace
 
 Config
@@ -43,17 +54,10 @@ loadConfig(
     }
 
     if (const auto v = lookup("SC_VERIFY"))
-        cfg.verify = (*v)[0] != '0';
+        cfg.verify = parseSwitch("SC_VERIFY", *v);
 
-    if (const auto v = lookup("SC_ARTIFACT_CACHE")) {
-        if (oneOf(*v, {"on", "1"}))
-            cfg.artifactCache = true;
-        else if (oneOf(*v, {"off", "0"}))
-            cfg.artifactCache = false;
-        else
-            fatal("SC_ARTIFACT_CACHE must be off|on|0|1, got '%s'",
-                  v->c_str());
-    }
+    if (const auto v = lookup("SC_ARTIFACT_CACHE"))
+        cfg.artifactCache = parseSwitch("SC_ARTIFACT_CACHE", *v);
 
     if (const auto v = lookup("SC_ARTIFACT_CACHE_BYTES")) {
         char *end = nullptr;
@@ -75,29 +79,11 @@ loadConfig(
             warn("ignoring invalid SC_HOST_THREADS='%s'", v->c_str());
     }
 
-    if (const auto v = lookup("SC_FORCE_KERNEL")) {
-        if (oneOf(*v, {"auto", "scalar", "sse", "avx2"}))
-            cfg.forceKernel = *v;
-        else
-            warn("SC_FORCE_KERNEL='%s' not recognized "
-                 "(want scalar|sse|avx2|auto); auto-detecting",
-                 v->c_str());
-    }
-
-    if (const auto v = lookup("SC_FORCE_SETINDEX")) {
-        if (oneOf(*v, {"auto", "array", "bitmap"}))
-            cfg.forceSetindex = *v;
-        else
-            warn("SC_FORCE_SETINDEX='%s' not recognized "
-                 "(want auto|array|bitmap); using auto",
-                 v->c_str());
-    }
-
     if (const auto v = lookup("SC_BENCH_DIR"))
         cfg.benchDir = *v;
 
     if (const auto v = lookup("SC_BENCH_SMOKE"))
-        cfg.benchSmoke = *v != "0";
+        cfg.benchSmoke = parseSwitch("SC_BENCH_SMOKE", *v);
 
     return cfg;
 }
@@ -132,7 +118,7 @@ describeConfig()
     knobs.push_back(row(
         "SC_VERIFY",
         cfg.verify ? (*cfg.verify ? "1" : "0") : "build-type",
-        set("SC_VERIFY"), "0|1",
+        set("SC_VERIFY"), "off|on|0|1",
         "stream-lifetime verifier (default: on in debug builds)"));
     knobs.push_back(row(
         "SC_ARTIFACT_CACHE", cfg.artifactCache ? "on" : "off",
@@ -149,18 +135,11 @@ describeConfig()
         set("SC_HOST_THREADS"), "1..1024",
         "host pool size (auto = hardware concurrency)"));
     knobs.push_back(row(
-        "SC_FORCE_KERNEL", cfg.forceKernel, set("SC_FORCE_KERNEL"),
-        "auto|scalar|sse|avx2", "host SIMD set-op kernel level"));
-    knobs.push_back(row(
-        "SC_FORCE_SETINDEX", cfg.forceSetindex,
-        set("SC_FORCE_SETINDEX"), "auto|array|bitmap",
-        "hybrid set-index policy"));
-    knobs.push_back(row(
         "SC_BENCH_DIR", cfg.benchDir, set("SC_BENCH_DIR"), "<dir>",
         "directory BENCH_*.json reports land in"));
     knobs.push_back(row(
         "SC_BENCH_SMOKE", cfg.benchSmoke ? "1" : "0",
-        set("SC_BENCH_SMOKE"), "0|1",
+        set("SC_BENCH_SMOKE"), "off|on|0|1",
         "shrink bench sweep targets ~64x for CI"));
     return knobs;
 }

@@ -9,28 +9,28 @@
  *
  * Precedence, highest first:
  *   1. per-job / per-call overrides (JobSpec fields, RunOptions,
- *      HostOptions, Scoped*Override) — always win;
+ *      HostOptions) — always win;
  *   2. the environment (this loader);
  *   3. built-in defaults.
  *
  * The knobs:
  *
  *   SC_JOB_SCHED           fifo|affinity         JobQueue scheduling policy
- *   SC_VERIFY              0|1                   stream-lifetime verifier
+ *   SC_VERIFY              off|on|0|1            stream-lifetime verifier
  *   SC_ARTIFACT_CACHE      off|on|0|1            content-keyed store
  *   SC_ARTIFACT_CACHE_BYTES <bytes>              per-cache LRU budget
  *   SC_HOST_THREADS        1..1024               host pool size
- *   SC_FORCE_KERNEL        auto|scalar|sse|avx2  SIMD set-op kernels
- *   SC_FORCE_SETINDEX      auto|array|bitmap     hybrid set index
  *   SC_BENCH_DIR           <dir>                 BENCH_*.json directory
- *   SC_BENCH_SMOKE         0|1                   tiny CI sweep points
+ *   SC_BENCH_SMOKE         off|on|0|1            tiny CI sweep points
+ *
+ * The host set-op kernels (AVX2 or scalar, by CPUID) and the set
+ * index policy (Auto) are not knobs: both move host wall clock only.
  *
  * Enum-valued knobs are stored as validated lowercase strings and
- * mapped to their enums by the owning subsystem (api/job_queue.cc,
- * streams/...), keeping this layer dependency-free. Numeric and
- * boolean knobs are parsed here with the same error behavior the
- * scattered call sites had (fatal() on nonsense byte counts, warn +
- * fallback on a bad thread count).
+ * mapped to their enums by the owning subsystem (api/job_queue.cc),
+ * keeping this layer dependency-free. Numeric and boolean knobs are
+ * parsed here: fatal() on a nonsense boolean or byte count, warn +
+ * fallback on a bad thread count.
  */
 
 #ifndef SPARSECORE_COMMON_CONFIG_HH
@@ -57,10 +57,6 @@ struct Config
     std::size_t artifactCacheBytes = std::size_t{1} << 30;
     /** SC_HOST_THREADS: 0 = hardware_concurrency(). */
     unsigned hostThreads = 0;
-    /** SC_FORCE_KERNEL: "auto", "scalar", "sse" or "avx2". */
-    std::string forceKernel = "auto";
-    /** SC_FORCE_SETINDEX: "auto", "array" or "bitmap". */
-    std::string forceSetindex = "auto";
     /** SC_BENCH_DIR: where BENCH_*.json reports land. */
     std::string benchDir = "bench_results";
     /** SC_BENCH_SMOKE: shrink bench sweep targets 64x for CI. */

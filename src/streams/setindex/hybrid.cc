@@ -11,7 +11,7 @@ namespace {
 using BitmapView = StreamSetIndex::BitmapView;
 
 /** One operand resolved against the registry; `bm` is valid only when
- *  the list has a bitmap usable under the active policy. */
+ *  the list has a bitmap. */
 struct Operand
 {
     ResolvedSpan rs;
@@ -19,17 +19,11 @@ struct Operand
 };
 
 Operand
-resolveOperand(KeySpan s, IndexPolicy policy)
+resolveOperand(KeySpan s)
 {
     Operand op;
-    if (!resolveSpan(s, op.rs))
-        return op;
-    const BitmapView bm = op.rs.index->bitmap(op.rs.vertex);
-    if (!bm.valid())
-        return op;
-    if (policy == IndexPolicy::Auto && !bm.autoTier)
-        return op;
-    op.bm = bm;
+    if (resolveSpan(s, op.rs))
+        op.bm = op.rs.index->bitmap(op.rs.vertex);
     return op;
 }
 
@@ -164,38 +158,28 @@ constexpr std::size_t autoProbeSkew = 4;
  * 2 = probe B's bitmap (iterate a). Probe work is O(iterated side),
  * so Auto only probes when the probed (bitmap) side is at least
  * autoProbeSkew times the iterated side — near-balanced operands stay
- * on the array kernels, which process both sides at SIMD rates. The
- * forced Bitmap policy probes whenever any bitmap exists (A/B stress
- * legs).
+ * on the array kernels, which process both sides at SIMD rates.
  */
 int
-chooseProbeSide(IndexPolicy policy, const Operand &oa, const Operand &ob,
-                std::size_t la, std::size_t lb)
+chooseProbeSide(const Operand &oa, const Operand &ob, std::size_t la,
+                std::size_t lb)
 {
-    const bool can_a = oa.bm.valid(), can_b = ob.bm.valid();
-    if (policy == IndexPolicy::Auto) {
-        if (can_b && lb >= autoProbeSkew * la)
-            return 2;
-        if (can_a && la >= autoProbeSkew * lb)
-            return 1;
-        return 0;
-    }
-    if (can_b && (!can_a || lb >= la))
+    if (ob.bm.valid() && lb >= autoProbeSkew * la)
         return 2;
-    return can_a ? 1 : 0;
+    if (oa.bm.valid() && la >= autoProbeSkew * lb)
+        return 1;
+    return 0;
 }
 
 /** Word-kernel gate for Auto: the chunks must pack at least two list
- *  keys per 64-bit word (rank density >= 1/32). At the auto-tier
- *  floor (one key per word) the word loop touches as many words as
- *  the array kernel touches keys and loses to SIMD compares — the
- *  sweep's skew-1 density-1/64 cell. Forced Bitmap runs it anyway. */
+ *  keys per 64-bit word (rank density >= 1/32). At the bitmap floor
+ *  (one key per word) the word loop touches as many words as the
+ *  array kernel touches keys and loses to SIMD compares — the
+ *  sweep's skew-1 density-1/64 cell. */
 bool
-wordKernelPays(IndexPolicy policy, const Operand &oa, const Operand &ob,
-               std::size_t la, std::size_t lb)
+wordKernelPays(const Operand &oa, const Operand &ob, std::size_t la,
+               std::size_t lb)
 {
-    if (policy != IndexPolicy::Auto)
-        return true;
     return 2ull * oa.bm.numWords <= la && 2ull * ob.bm.numWords <= lb;
 }
 
@@ -205,11 +189,8 @@ bool
 tryRunIndexed(SetOpKind kind, KeySpan a, KeySpan b, Key bound,
               std::vector<Key> *out, SetOpResult &res)
 {
-    const IndexPolicy policy = activeIndexPolicy();
-    if (policy == IndexPolicy::ArrayOnly)
-        return false;
-    const Operand oa = resolveOperand(a, policy);
-    const Operand ob = resolveOperand(b, policy);
+    const Operand oa = resolveOperand(a);
+    const Operand ob = resolveOperand(b);
     if (!oa.bm.valid() && !ob.bm.valid())
         return false;
     const bool same_index = oa.bm.valid() && ob.bm.valid() &&
@@ -224,13 +205,13 @@ tryRunIndexed(SetOpKind kind, KeySpan a, KeySpan b, Key bound,
         // order-destroying relabel cannot express as a word mask).
         if (!out && same_index && oa.rs.fullList && ob.rs.fullList &&
             la == a.size() && lb == b.size() &&
-            wordKernelPays(policy, oa, ob, la, lb)) {
+            wordKernelPays(oa, ob, la, lb)) {
             res = simd::finishIntersect(a, la, b, lb,
                                         wordAndCount(oa.bm, ob.bm));
             return true;
         }
         // array x bitmap gallop-probe.
-        const int side = chooseProbeSide(policy, oa, ob, la, lb);
+        const int side = chooseProbeSide(oa, ob, la, lb);
         std::uint64_t count;
         if (side == 2)
             count = probeIntersect(a, la, b, lb, *ob.rs.index, ob.bm,
@@ -249,16 +230,14 @@ tryRunIndexed(SetOpKind kind, KeySpan a, KeySpan b, Key bound,
             return false; // must iterate A; only B's bitmap helps
         const std::size_t la = simd::trimToBound(a, bound);
         if (!out && same_index && oa.rs.fullList && ob.rs.fullList &&
-            la == a.size() &&
-            wordKernelPays(policy, oa, ob, a.size(), b.size())) {
+            la == a.size() && wordKernelPays(oa, ob, a.size(), b.size())) {
             res = simd::finishSubtract(a, la, b,
                                        wordAndNotCount(oa.bm, ob.bm));
             return true;
         }
         // Probing costs O(la) regardless of |b|; it pays only when b
         // (the probed side) dwarfs a — same threshold as intersect.
-        if (policy == IndexPolicy::Auto &&
-            b.size() < autoProbeSkew * a.size())
+        if (b.size() < autoProbeSkew * a.size())
             return false;
         const std::uint64_t count =
             probeSubtract(a, la, b, *ob.rs.index, ob.bm, out);
@@ -273,14 +252,13 @@ tryRunIndexed(SetOpKind kind, KeySpan a, KeySpan b, Key bound,
         if (out)
             return false;
         if (same_index && oa.rs.fullList && ob.rs.fullList &&
-            wordKernelPays(policy, oa, ob, a.size(), b.size())) {
+            wordKernelPays(oa, ob, a.size(), b.size())) {
             const std::uint64_t united = wordOrCount(oa.bm, ob.bm);
             res = simd::finishMerge(a, b,
                                     a.size() + b.size() - united);
             return true;
         }
-        const int side =
-            chooseProbeSide(policy, oa, ob, a.size(), b.size());
+        const int side = chooseProbeSide(oa, ob, a.size(), b.size());
         std::uint64_t matches;
         if (side == 2)
             matches = probeIntersect(a, a.size(), b, b.size(),

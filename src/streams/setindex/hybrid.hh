@@ -24,18 +24,11 @@
 
 namespace sc::streams::setindex {
 
-/** Operands below this size never consult the registry: no bitmap can
- *  exist for them (Params::minBitmapDegree) and the array kernels win
- *  outright. Keeps the runSetOp fast path one size compare + one
- *  relaxed atomic load for tiny ops. */
-constexpr std::size_t minIndexedKeys = 8;
-
-/** Under Auto, ops whose LONGER operand is below this skip the index
- *  without even resolving the registry: span resolution plus bound
- *  trimming costs on the order of 100ns, which a bitmap kernel can
- *  only win back when the op is at least a few hundred elements. The
- *  forced Bitmap policy ignores this so the stress test legs exercise
- *  the hybrid kernels on small operands too. Tuned by the
+/** Ops whose LONGER operand is below this skip the index without even
+ *  resolving the registry: span resolution plus bound trimming costs
+ *  on the order of 100ns, which a bitmap kernel can only win back
+ *  when the op is at least a few hundred elements. Keeps the runSetOp
+ *  fast path one size compare for small ops. Tuned by the
  *  kernel_microbench workload leg (BENCH_setindex.json). */
 constexpr std::size_t autoMinIndexedKeys = 256;
 
@@ -43,21 +36,18 @@ constexpr std::size_t autoMinIndexedKeys = 256;
 inline bool
 indexedDispatchPossible(KeySpan a, KeySpan b)
 {
-    const std::size_t longer = std::max(a.size(), b.size());
-    if (longer < minIndexedKeys)
+    if (std::max(a.size(), b.size()) < autoMinIndexedKeys)
         return false;
     if (registryEmpty())
         return false;
-    const IndexPolicy policy = activeIndexPolicy();
-    if (policy == IndexPolicy::ArrayOnly)
-        return false;
-    return policy != IndexPolicy::Auto || longer >= autoMinIndexedKeys;
+    return activeIndexPolicy() == IndexPolicy::Auto;
 }
 
 /**
- * Attempt the op with hybrid-format kernels. Returns true (and fills
- * `res`, appending to `out` when materializing) when an indexed
- * format handled it; false falls back to the array kernel table.
+ * Attempt the op with hybrid-format kernels; call only when
+ * indexedDispatchPossible() holds. Returns true (and fills `res`,
+ * appending to `out` when materializing) when an indexed format
+ * handled it; false falls back to the array kernel table.
  * Bit-identical to the array path in outputs and SetOpResult.
  */
 bool tryRunIndexed(SetOpKind kind, KeySpan a, KeySpan b, Key bound,

@@ -1,26 +1,14 @@
 #include "streams/setindex/policy.hh"
 
 #include <atomic>
-#include <cstdlib>
 
-#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace sc::streams::setindex {
 
 namespace {
 
-/** Process default from SC_FORCE_SETINDEX via the common/config
- *  loader (which warns and falls back to auto on unknown values). */
-IndexPolicy
-resolveDefault()
-{
-    return parseIndexPolicy(config().forceSetindex)
-        .value_or(IndexPolicy::Auto);
-}
-
-// -1 = unresolved / no override; otherwise an IndexPolicy value.
-std::atomic<int> g_default{-1};
+// -1 = no override; otherwise an IndexPolicy value.
 std::atomic<int> g_override{-1};
 
 } // namespace
@@ -33,40 +21,17 @@ indexPolicyName(IndexPolicy policy)
         return "auto";
       case IndexPolicy::ArrayOnly:
         return "array";
-      case IndexPolicy::Bitmap:
-        return "bitmap";
       default:
         panic("unknown index policy %u",
               static_cast<unsigned>(policy));
     }
 }
 
-std::optional<IndexPolicy>
-parseIndexPolicy(std::string_view name)
-{
-    if (name == "auto")
-        return IndexPolicy::Auto;
-    if (name == "array")
-        return IndexPolicy::ArrayOnly;
-    if (name == "bitmap")
-        return IndexPolicy::Bitmap;
-    return std::nullopt;
-}
-
 IndexPolicy
 activeIndexPolicy()
 {
     const int o = g_override.load(std::memory_order_acquire);
-    if (o >= 0)
-        return static_cast<IndexPolicy>(o);
-    int d = g_default.load(std::memory_order_acquire);
-    if (d < 0) {
-        // Benign race: resolveDefault() is deterministic, so
-        // concurrent first calls store the same value.
-        d = static_cast<int>(resolveDefault());
-        g_default.store(d, std::memory_order_release);
-    }
-    return static_cast<IndexPolicy>(d);
+    return o >= 0 ? static_cast<IndexPolicy>(o) : IndexPolicy::Auto;
 }
 
 ScopedIndexPolicyOverride::ScopedIndexPolicyOverride(IndexPolicy policy)

@@ -2,12 +2,10 @@
  * @file
  * Format-selection policy for the hybrid stream set index.
  *
- * Mirrors the kernel-level machinery in streams/simd/kernel_table.hh:
- * the process default comes from SC_FORCE_SETINDEX (auto|array|
- * bitmap, resolved once on first use), an RAII ScopedIndexPolicyOverride
- * wins over the default, and RunOptions/HostOptions carry an optional
- * per-run override that the Machine facade applies the same way it
- * applies RunOptions::kernel.
+ * The process always runs Auto. ArrayOnly bypasses the index and is
+ * the reference the hybrid kernels are tested against; tests reach it
+ * through an RAII ScopedIndexPolicyOverride, the same seam
+ * streams/simd/kernel_table.hh offers for kernel levels.
  *
  * Like the kernel level, the index policy moves host wall-clock only:
  * every policy produces bit-identical outputs and SetOpResult work
@@ -18,39 +16,29 @@
 #ifndef SPARSECORE_STREAMS_SETINDEX_POLICY_HH
 #define SPARSECORE_STREAMS_SETINDEX_POLICY_HH
 
-#include <optional>
-#include <string_view>
-
 namespace sc::streams::setindex {
 
 /**
  * Which adjacency-list representation runSetOp may pick per operand.
- *  - Auto: bitmap kernels when the operand's list passed the dense
- *    build threshold AND the probe-side heuristic says they pay off.
- *  - ArrayOnly: bypass the index entirely (PR 3 behavior).
- *  - Bitmap: use bitmap kernels whenever a bitmap exists for an
- *    operand (including the sparser forced-tier bitmaps) — the A/B
- *    stress policy for SC_FORCE_SETINDEX=bitmap test legs.
+ *  - Auto: bitmap kernels when the operand's list has a bitmap AND
+ *    the probe-side heuristic says they pay off.
+ *  - ArrayOnly: bypass the index entirely (the reference).
  */
-enum class IndexPolicy : unsigned { Auto = 0, ArrayOnly = 1, Bitmap = 2 };
+enum class IndexPolicy : unsigned { Auto = 0, ArrayOnly = 1 };
 
 const char *indexPolicyName(IndexPolicy policy);
 
-/** "auto"|"array"|"bitmap" -> policy; anything else -> nullopt. */
-std::optional<IndexPolicy> parseIndexPolicy(std::string_view name);
-
 /**
  * Policy in effect for this call: an active ScopedIndexPolicyOverride
- * if present, else the process default (SC_FORCE_SETINDEX or Auto,
- * resolved once on first use).
+ * if present, else Auto.
  */
 IndexPolicy activeIndexPolicy();
 
 /**
- * RAII process-global policy override (tests, RunOptions, parallel
- * mining). Nests; restores the previous override on destruction.
- * Process-wide for the same reason ScopedKernelOverride is: host pool
- * threads executing a parallel run must observe it too.
+ * RAII process-global policy override (tests). Nests; restores the
+ * previous override on destruction. Process-wide for the same reason
+ * ScopedKernelOverride is: host pool threads executing a parallel run
+ * must observe it too.
  */
 class ScopedIndexPolicyOverride
 {

@@ -71,15 +71,13 @@ StreamSetIndex::build(const std::vector<std::uint64_t> &offsets,
         }
         const std::uint32_t first_word = min_rank >> 6;
         const std::uint32_t num_words = (max_rank >> 6) - first_word + 1;
-        if (num_words > static_cast<std::uint64_t>(degree) *
-                            params.maxWordsPerKey)
+        if (num_words >
+            static_cast<std::uint64_t>(degree) * params.wordsPerKey)
             continue;
         ListMeta &m = idx->lists_[v];
         m.wordOff = idx->words_.size();
         m.firstWord = first_word;
         m.numWords = num_words;
-        m.autoTier = num_words <= static_cast<std::uint64_t>(degree) *
-                                      params.autoWordsPerKey;
         idx->words_.resize(m.wordOff + num_words, 0);
         std::uint64_t *w = idx->words_.data() + m.wordOff;
         for (std::uint64_t e = lo; e < hi; ++e) {
@@ -87,8 +85,6 @@ StreamSetIndex::build(const std::vector<std::uint64_t> &offsets,
             w[(r >> 6) - first_word] |= std::uint64_t{1} << (r & 63);
         }
         ++idx->numBitmaps_;
-        if (m.autoTier)
-            ++idx->numAutoBitmaps_;
     }
     return idx;
 }

@@ -24,12 +24,10 @@
  * Lists are stored adaptively: every list keeps the graph's sorted
  * array (it IS the CSR edge array); lists with degree >=
  * Params::minBitmapDegree additionally get a bitmap chunk when the
- * chunk is at most Params::{auto,max}WordsPerKey words per key. The
- * auto tier (1 word/key, i.e. rank-range density >= 1/64) is what
- * IndexPolicy::Auto uses; the forced tier (maxWordsPerKey) exists so
- * SC_FORCE_SETINDEX=bitmap exercises bitmap kernels on sparser lists
- * too. The thresholds are justified by the bench/kernel_microbench
- * density x skew sweep (BENCH_setindex.json).
+ * chunk is at most Params::wordsPerKey words per key (1 word/key,
+ * i.e. rank-range density >= 1/64). The thresholds are justified by
+ * the bench/kernel_microbench density x skew sweep
+ * (BENCH_setindex.json).
  *
  * Cost-model contract: the index is a HOST-side acceleration
  * structure. suCost and CpuBackend never see it, and every hybrid
@@ -59,11 +57,9 @@ struct IndexParams
     /** Lists shorter than this never get a bitmap — a handful of
      *  key compares beats even one perm[] + word probe. */
     std::uint32_t minBitmapDegree = 8;
-    /** Auto-tier chunk budget: words <= degree * this (1 word per
-     *  key = rank-range density >= 1/64). */
-    std::uint32_t autoWordsPerKey = 1;
-    /** Forced-tier chunk budget for IndexPolicy::Bitmap. */
-    std::uint32_t maxWordsPerKey = 4;
+    /** Chunk budget: words <= degree * this (1 word per key =
+     *  rank-range density >= 1/64). */
+    std::uint32_t wordsPerKey = 1;
 };
 
 /** Degree-ordered relabeling + adaptive per-list bitmap chunks for
@@ -81,8 +77,6 @@ class StreamSetIndex
         const std::uint64_t *words = nullptr;
         std::uint32_t firstWord = 0;
         std::uint32_t numWords = 0;
-        /** Dense enough for IndexPolicy::Auto (not just forced). */
-        bool autoTier = false;
 
         bool valid() const { return words != nullptr; }
     };
@@ -118,8 +112,7 @@ class StreamSetIndex
         const ListMeta &m = lists_[v];
         if (m.numWords == 0)
             return {};
-        return {words_.data() + m.wordOff, m.firstWord, m.numWords,
-                m.autoTier};
+        return {words_.data() + m.wordOff, m.firstWord, m.numWords};
     }
 
     /** One-word membership probe: is original key k in the list the
@@ -138,7 +131,6 @@ class StreamSetIndex
 
     // ---- stats (benches, DESIGN.md numbers, tests) ----
     std::uint64_t numBitmaps() const { return numBitmaps_; }
-    std::uint64_t numAutoBitmaps() const { return numAutoBitmaps_; }
     std::uint64_t bitmapWords() const { return words_.size(); }
     const Params &params() const { return params_; }
 
@@ -169,7 +161,6 @@ class StreamSetIndex
         std::uint64_t wordOff = 0;
         std::uint32_t firstWord = 0;
         std::uint32_t numWords = 0; ///< 0 = array-only
-        bool autoTier = false;
     };
 
     std::vector<std::uint32_t> perm_; ///< original id -> rank
@@ -177,7 +168,6 @@ class StreamSetIndex
     std::vector<std::uint64_t> words_;
     std::vector<ListMeta> lists_;
     std::uint64_t numBitmaps_ = 0;
-    std::uint64_t numAutoBitmaps_ = 0;
     Params params_;
 };
 

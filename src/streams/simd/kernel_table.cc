@@ -1,16 +1,14 @@
 /**
  * @file
- * Kernel registry: one-time CPUID resolution, SC_FORCE_KERNEL
- * parsing, scoped overrides, and the runSetOp/runSetOpCount dispatch
- * entry points that streams/set_ops.hh declares.
+ * Kernel registry: one-time CPUID resolution, scoped overrides, and
+ * the runSetOp/runSetOpCount dispatch entry points that
+ * streams/set_ops.hh declares.
  */
 
 #include "streams/simd/kernel_table.hh"
 
 #include <atomic>
-#include <cstdlib>
 
-#include "common/config.hh"
 #include "common/logging.hh"
 #include "streams/setindex/hybrid.hh"
 
@@ -26,12 +24,6 @@ tableFor(KernelLevel level)
     switch (level) {
       case KernelLevel::Scalar:
         return &simd::scalarKernelTable();
-      case KernelLevel::Sse:
-#if defined(SPARSECORE_HAVE_X86_KERNELS)
-        if (__builtin_cpu_supports("sse4.1"))
-            return &simd::sseKernelTable();
-#endif
-        return nullptr;
       case KernelLevel::Avx2:
 #if defined(SPARSECORE_HAVE_X86_KERNELS)
         if (__builtin_cpu_supports("avx2"))
@@ -42,35 +34,13 @@ tableFor(KernelLevel level)
     return nullptr;
 }
 
+/** Process default: the widest level this build and CPU support. */
 const KernelTable *
 bestAvailable()
 {
     if (const KernelTable *t = tableFor(KernelLevel::Avx2))
         return t;
-    if (const KernelTable *t = tableFor(KernelLevel::Sse))
-        return t;
     return &simd::scalarKernelTable();
-}
-
-/** Process default: SC_FORCE_KERNEL (via the common/config loader,
- *  which warns and falls back to auto on unknown values) if usable,
- *  else CPUID. */
-const KernelTable *
-resolveDefault()
-{
-    const std::string &forced = config().forceKernel;
-    if (forced == "auto")
-        return bestAvailable();
-    const auto level = parseKernelLevel(forced);
-    if (!level)
-        return bestAvailable();
-    if (const KernelTable *t = tableFor(*level))
-        return t;
-    const KernelTable *best = bestAvailable();
-    warn("SC_FORCE_KERNEL=%s unavailable on this host/build; "
-         "falling back to %s",
-         forced.c_str(), kernelLevelName(best->level));
-    return best;
 }
 
 std::atomic<const KernelTable *> g_default{nullptr};
@@ -84,25 +54,11 @@ kernelLevelName(KernelLevel level)
     switch (level) {
       case KernelLevel::Scalar:
         return "scalar";
-      case KernelLevel::Sse:
-        return "sse";
       case KernelLevel::Avx2:
         return "avx2";
       default:
         panic("unknown kernel level %u", static_cast<unsigned>(level));
     }
-}
-
-std::optional<KernelLevel>
-parseKernelLevel(std::string_view name)
-{
-    if (name == "scalar")
-        return KernelLevel::Scalar;
-    if (name == "sse")
-        return KernelLevel::Sse;
-    if (name == "avx2")
-        return KernelLevel::Avx2;
-    return std::nullopt;
 }
 
 const KernelTable &
@@ -112,9 +68,9 @@ activeKernels()
         return *o;
     const KernelTable *t = g_default.load(std::memory_order_acquire);
     if (!t) {
-        // Benign race: resolveDefault() is deterministic, so
+        // Benign race: bestAvailable() is deterministic, so
         // concurrent first calls store the same pointer.
-        t = resolveDefault();
+        t = bestAvailable();
         g_default.store(t, std::memory_order_release);
     }
     return *t;
@@ -130,8 +86,7 @@ std::vector<KernelLevel>
 availableKernelLevels()
 {
     std::vector<KernelLevel> levels;
-    for (const KernelLevel level :
-         {KernelLevel::Scalar, KernelLevel::Sse, KernelLevel::Avx2})
+    for (const KernelLevel level : {KernelLevel::Scalar, KernelLevel::Avx2})
         if (kernelLevelAvailable(level))
             levels.push_back(level);
     return levels;

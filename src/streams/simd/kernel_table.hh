@@ -7,9 +7,10 @@
  * intersection/subtraction/merge the GPM executor, the stream-ISA
  * interpreter and the tensor kernels evaluate — mirrors that idea on
  * the host: a KernelTable holds one implementation per operation and
- * is selected once per process from CPUID (AVX2 > SSE4 > scalar),
- * overridable with SC_FORCE_KERNEL=scalar|sse|avx2|auto or a
- * ScopedKernelOverride.
+ * is selected once per process from CPUID (AVX2 when the build and
+ * the CPU have it, else scalar). Scalar is the reference every other
+ * level is tested against; tests and the kernel microbench reach a
+ * specific level through kernelsFor() or a ScopedKernelOverride.
  *
  * Invariant (enforced by tests/kernel_table_test.cc): every kernel
  * level returns bit-identical outputs AND bit-identical SetOpResult
@@ -23,8 +24,6 @@
 #ifndef SPARSECORE_STREAMS_SIMD_KERNEL_TABLE_HH
 #define SPARSECORE_STREAMS_SIMD_KERNEL_TABLE_HH
 
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "streams/set_ops.hh"
@@ -32,12 +31,9 @@
 namespace sc::streams {
 
 /** Host instruction-set tier of a kernel implementation. */
-enum class KernelLevel : unsigned { Scalar = 0, Sse = 1, Avx2 = 2 };
+enum class KernelLevel : unsigned { Scalar = 0, Avx2 = 1 };
 
 const char *kernelLevelName(KernelLevel level);
-
-/** "scalar"|"sse"|"avx2" -> level; anything else -> nullopt. */
-std::optional<KernelLevel> parseKernelLevel(std::string_view name);
 
 /**
  * One implementation of each stream set operation. Function pointers
@@ -61,8 +57,8 @@ struct KernelTable
 
 /**
  * The table in effect for this call: an active ScopedKernelOverride
- * if present, else the process default (SC_FORCE_KERNEL or the best
- * level the CPU supports, resolved once on first use).
+ * if present, else the process default (the best level the CPU
+ * supports, resolved once on first use).
  */
 const KernelTable &activeKernels();
 
@@ -76,11 +72,11 @@ std::vector<KernelLevel> availableKernelLevels();
 const KernelTable &kernelsFor(KernelLevel level);
 
 /**
- * RAII process-global kernel override (tests, RunOptions, parallel
- * mining). Nests; restores the previous override on destruction.
- * The override is process-wide so host pool threads executing a
- * parallel run observe it too — do not run two overridden workloads
- * with different levels concurrently.
+ * RAII process-global kernel override, the seam tests use to compare
+ * a level against the scalar reference. Nests; restores the previous
+ * override on destruction. The override is process-wide so host pool
+ * threads executing a parallel run observe it too — do not run two
+ * overridden workloads with different levels concurrently.
  */
 class ScopedKernelOverride
 {
@@ -95,10 +91,9 @@ class ScopedKernelOverride
 };
 
 namespace simd {
-/** Per-level tables (scalar always; SSE/AVX2 when compiled in). */
+/** Per-level tables (scalar always; AVX2 when compiled in). */
 const KernelTable &scalarKernelTable();
 #if defined(SPARSECORE_HAVE_X86_KERNELS)
-const KernelTable &sseKernelTable();
 const KernelTable &avx2KernelTable();
 #endif
 } // namespace simd

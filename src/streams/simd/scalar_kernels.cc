@@ -1,9 +1,9 @@
 /**
  * @file
  * Portable scalar kernel table: thin trampolines onto the reference
- * two-pointer templates in streams/set_ops.hh. SC_FORCE_KERNEL=scalar
- * therefore reproduces the exact pre-registry host behavior, and
- * every other level is property-tested against this one.
+ * two-pointer templates in streams/set_ops.hh. It is the process
+ * default on hosts and builds without AVX2, and every other level is
+ * property-tested against this one.
  */
 
 #include "streams/simd/kernel_table.hh"

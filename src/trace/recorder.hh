@@ -10,7 +10,6 @@
 #define SPARSECORE_TRACE_RECORDER_HH
 
 #include "backend/exec_backend.hh"
-#include "streams/simd/kernel_table.hh"
 #include "trace/trace.hh"
 
 namespace sc::trace {
@@ -81,8 +80,6 @@ class TraceRecorder : public backend::ExecBackend
     {
         backend::ExecBackend::Caps c;
         c.nested = true;
-        c.vectorizedSetOps =
-            streams::activeKernels().level != streams::KernelLevel::Scalar;
         return c;
     }
     void nestedIntersect(

@@ -42,8 +42,6 @@ TEST(Config, Defaults)
     EXPECT_TRUE(cfg.artifactCache);
     EXPECT_EQ(cfg.artifactCacheBytes, std::size_t{1} << 30);
     EXPECT_EQ(cfg.hostThreads, 0u);
-    EXPECT_EQ(cfg.forceKernel, "auto");
-    EXPECT_EQ(cfg.forceSetindex, "auto");
     EXPECT_EQ(cfg.benchDir, "bench_results");
     EXPECT_FALSE(cfg.benchSmoke);
 }
@@ -56,8 +54,6 @@ TEST(Config, ParsesEveryKnob)
         {"SC_ARTIFACT_CACHE", "off"},
         {"SC_ARTIFACT_CACHE_BYTES", "1048576"},
         {"SC_HOST_THREADS", "8"},
-        {"SC_FORCE_KERNEL", "scalar"},
-        {"SC_FORCE_SETINDEX", "bitmap"},
         {"SC_BENCH_DIR", "/tmp/b"},
         {"SC_BENCH_SMOKE", "1"},
     });
@@ -67,8 +63,6 @@ TEST(Config, ParsesEveryKnob)
     EXPECT_FALSE(cfg.artifactCache);
     EXPECT_EQ(cfg.artifactCacheBytes, 1048576u);
     EXPECT_EQ(cfg.hostThreads, 8u);
-    EXPECT_EQ(cfg.forceKernel, "scalar");
-    EXPECT_EQ(cfg.forceSetindex, "bitmap");
     EXPECT_EQ(cfg.benchDir, "/tmp/b");
     EXPECT_TRUE(cfg.benchSmoke);
 }
@@ -78,6 +72,28 @@ TEST(Config, VerifyZeroDisables)
     const Config cfg = load({{"SC_VERIFY", "0"}});
     ASSERT_TRUE(cfg.verify.has_value());
     EXPECT_FALSE(*cfg.verify);
+}
+
+TEST(Config, SwitchKnobsAcceptOffOnZeroOne)
+{
+    // Every on/off knob reads the same four spellings and rejects the
+    // rest: SC_VERIFY=off must not turn the verifier on.
+    const auto read = [](const std::string &name, const char *value) {
+        const Config cfg = load({{name, value}});
+        if (name == "SC_VERIFY")
+            return cfg.verify.value();
+        return name == "SC_BENCH_SMOKE" ? cfg.benchSmoke
+                                        : cfg.artifactCache;
+    };
+    for (const char *name :
+         {"SC_VERIFY", "SC_BENCH_SMOKE", "SC_ARTIFACT_CACHE"}) {
+        EXPECT_TRUE(read(name, "on")) << name;
+        EXPECT_TRUE(read(name, "1")) << name;
+        EXPECT_FALSE(read(name, "off")) << name;
+        EXPECT_FALSE(read(name, "0")) << name;
+        EXPECT_THROW(read(name, "maybe"), SimError) << name;
+        EXPECT_THROW(read(name, "yes"), SimError) << name;
+    }
 }
 
 TEST(Config, LoadBearingKnobsRejectBadValues)
@@ -96,10 +112,6 @@ TEST(Config, TuningKnobsWarnAndFallBack)
     EXPECT_EQ(load({{"SC_HOST_THREADS", "0"}}).hostThreads, 0u);
     EXPECT_EQ(load({{"SC_HOST_THREADS", "99999"}}).hostThreads, 0u);
     EXPECT_EQ(load({{"SC_HOST_THREADS", "four"}}).hostThreads, 0u);
-    EXPECT_EQ(load({{"SC_FORCE_KERNEL", "avx512"}}).forceKernel,
-              "auto");
-    EXPECT_EQ(load({{"SC_FORCE_SETINDEX", "btree"}}).forceSetindex,
-              "auto");
 }
 
 TEST(Config, ProcessConfigIsStable)
@@ -111,7 +123,7 @@ TEST(Config, ProcessConfigIsStable)
 TEST(Config, DescribeCoversEveryKnob)
 {
     const auto knobs = describeConfig();
-    ASSERT_EQ(knobs.size(), 9u);
+    ASSERT_EQ(knobs.size(), 7u);
     for (const ConfigKnob &k : knobs) {
         EXPECT_EQ(k.name.rfind("SC_", 0), 0u) << k.name;
         EXPECT_FALSE(k.value.empty()) << k.name;

@@ -11,6 +11,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/jobspec.hh"
@@ -63,7 +64,7 @@ validCorpus()
         R"({"version":1,"workload":"fsm","dataset":"C","min_support":500,"num_labels":4})",
         R"({"version":1,"workload":"spmspm","dataset":"C","dataset_b":"E","algorithm":"inner"})",
         R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false}})",
-        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"host_threads":2,"kernel":"scalar","index_policy":"array","artifact_cache":false}})",
+        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"artifact_cache":false}})",
         R"({"version":1,"id":"p","priority":9,"workload":"gpm","app":"T","dataset":"W"})",
     };
     return corpus;
@@ -258,6 +259,19 @@ TEST(JobSpec, UnknownFieldsAreRejectedEverywhere)
             R"("options":{"threads":4}})")
             .errors,
         "options.threads"));
+    // Host-implementation selectors are not job options: the process
+    // picks the set-op kernels, the set index and the host pool.
+    const std::pair<std::string, std::string> host_knobs[] = {
+        {"kernel", R"("scalar")"},
+        {"index_policy", R"("array")"},
+        {"host_threads", "2"}};
+    for (const auto &[field, value] : host_knobs) {
+        const auto r = parseJobSpec(
+            R"({"version":1,"workload":"gpm","dataset":"W","options":{")" +
+            field + "\":" + value + "}}");
+        EXPECT_TRUE(hasField(r.errors, "options." + field))
+            << diagStr(r.errors);
+    }
 }
 
 TEST(JobSpec, MissingDatasetReferences)

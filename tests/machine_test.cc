@@ -166,23 +166,6 @@ TEST(Machine, FsmComparison)
     EXPECT_GT(cmp.speedup(), 0.8);
 }
 
-TEST(Machine, DedicatedHostPoolMatchesGlobalPool)
-{
-    // hostThreads only picks the host pool for the replay legs; the
-    // simulated outcome is bit-identical.
-    Machine machine;
-    const auto g = denseGraph();
-    RunOptions options;
-    options.hostThreads = 2;
-    const auto shared =
-        machine.compare(RunRequest::gpm(gpm::GpmApp::T, g));
-    const auto dedicated =
-        machine.compare(RunRequest::gpm(gpm::GpmApp::T, g, options));
-    EXPECT_EQ(shared.functionalResult, dedicated.functionalResult);
-    EXPECT_EQ(shared.baseline.cycles, dedicated.baseline.cycles);
-    EXPECT_EQ(shared.accelerated.cycles, dedicated.accelerated.cycles);
-}
-
 TEST(Report, FormattingContainsEverything)
 {
     Comparison cmp;

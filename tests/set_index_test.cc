@@ -4,10 +4,10 @@
  * (streams/setindex): policy machinery, degree-ordered relabeling,
  * bitmap format selection, registry lifetime, and — the load-bearing
  * invariant — bit-identical outputs AND bit-identical SetOpResult
- * work summaries across IndexPolicy::{Auto, ArrayOnly, Bitmap} on
- * graph-resident operands, with simulated cycles pinned by
- * golden-trace replay, Machine comparisons and parallel mining under
- * every policy.
+ * work summaries of IndexPolicy::Auto against the ArrayOnly reference
+ * and the scalar set ops on graph-resident operands, with simulated
+ * cycles pinned by golden-trace replay, Machine comparisons and
+ * parallel mining under both policies.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +39,8 @@ using namespace sc::streams::setindex;
 
 namespace {
 
-constexpr IndexPolicy allPolicies[] = {
-    IndexPolicy::Auto, IndexPolicy::ArrayOnly, IndexPolicy::Bitmap};
+constexpr IndexPolicy allPolicies[] = {IndexPolicy::Auto,
+                                       IndexPolicy::ArrayOnly};
 
 void
 expectSameResult(const SetOpResult &ref, const SetOpResult &got,
@@ -86,6 +86,25 @@ hubGraph(VertexId hubs, VertexId spokes)
         offsets.push_back(edges.size());
     }
     return graph::CsrGraph(std::move(offsets), std::move(edges), "hub");
+}
+
+/** Auto consults the index only for ops whose longer operand has
+ *  autoMinIndexedKeys (256) keys, and probes only a bitmap side at
+ *  least autoProbeSkew (4) times longer than the other. This hub
+ *  graph's hub lists have 319 keys and its spoke lists 22, so every
+ *  hybrid kernel runs under Auto. */
+graph::CsrGraph
+autoHubGraph()
+{
+    return hubGraph(20, 300);
+}
+
+/** One of the `top` highest-degree vertices of g, drawn from rng. */
+VertexId
+hubVertex(const graph::CsrGraph &g, Rng &rng, std::uint32_t top = 8)
+{
+    return static_cast<VertexId>(g.setIndex()->originalId(
+        static_cast<std::uint32_t>(rng.below(top))));
 }
 
 /** The operand-span shapes the executors actually pass to runSetOp. */
@@ -166,15 +185,6 @@ checkAllPolicies(KeySpan a, KeySpan b, const std::string &ctx)
 
 // ---------------- policy machinery ----------------
 
-TEST(SetIndexPolicy, ParseRoundTrips)
-{
-    for (const IndexPolicy policy : allPolicies)
-        EXPECT_EQ(parseIndexPolicy(indexPolicyName(policy)), policy);
-    EXPECT_FALSE(parseIndexPolicy("").has_value());
-    EXPECT_FALSE(parseIndexPolicy("hybrid").has_value());
-    EXPECT_FALSE(parseIndexPolicy("Bitmap").has_value());
-}
-
 TEST(SetIndexPolicy, OverrideIsScopedAndNests)
 {
     const IndexPolicy def = activeIndexPolicy();
@@ -220,34 +230,51 @@ TEST(SetIndexBuild, PermutationIsDegreeDescendingAndBijective)
 
 TEST(SetIndexBuild, BitmapFormatSelection)
 {
-    const auto g = hubGraph(24, 60);
-    const auto idx = g.setIndex();
-    ASSERT_NE(idx, nullptr);
-    // Hubs are adjacent to everything: their lists are dense over the
-    // whole rank space, far inside the auto tier.
-    EXPECT_GT(idx->numAutoBitmaps(), 0u);
-    EXPECT_GE(idx->numBitmaps(), idx->numAutoBitmaps());
-    std::uint64_t with_bitmap = 0;
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        const auto bm = idx->bitmap(v);
-        if (g.degree(v) < idx->params().minBitmapDegree) {
-            EXPECT_FALSE(bm.valid()) << "short list " << v;
+    // One tier: a list gets a bitmap exactly when it has at least
+    // minBitmapDegree keys and its rank range fits in wordsPerKey
+    // words per key. Every hub-graph list passes (hubs are adjacent to
+    // everything); the sparse power-law graph has lists that fail.
+    std::uint64_t too_sparse = 0;
+    for (const auto &g :
+         {hubGraph(24, 60),
+          graph::generateChungLu(2000, 12000, 400, 2.1, 7)}) {
+        const auto idx = g.setIndex();
+        ASSERT_NE(idx, nullptr) << g.name();
+        const StreamSetIndex::Params &params = idx->params();
+        std::uint64_t with_bitmap = 0;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            std::uint32_t lo = ~0u, hi = 0;
+            for (const Key k : g.neighbors(v)) {
+                lo = std::min(lo, idx->rank(k));
+                hi = std::max(hi, idx->rank(k));
+            }
+            const std::uint64_t words = (hi >> 6) - (lo >> 6) + 1;
+            const bool long_enough = g.degree(v) >= params.minBitmapDegree;
+            const bool dense_enough =
+                words <= std::uint64_t{g.degree(v)} * params.wordsPerKey;
+            const auto bm = idx->bitmap(v);
+            ASSERT_EQ(bm.valid(), long_enough && dense_enough)
+                << g.name() << " v=" << v << " degree=" << g.degree(v)
+                << " words=" << words;
+            if (!bm.valid()) {
+                too_sparse += long_enough;
+                continue;
+            }
+            ++with_bitmap;
+            EXPECT_EQ(bm.firstWord, lo >> 6);
+            EXPECT_EQ(bm.numWords, words);
+            // Membership agrees exactly with the adjacency list.
+            for (Key k = 0; k < g.numVertices(); ++k)
+                EXPECT_EQ(idx->contains(bm, k), g.hasEdge(v, k))
+                    << g.name() << " v=" << v << " k=" << k;
+            // Out-of-universe keys never hit.
+            EXPECT_FALSE(idx->contains(bm, g.numVertices()));
+            EXPECT_FALSE(idx->contains(bm, noBound));
         }
-        if (!bm.valid())
-            continue;
-        ++with_bitmap;
-        // Chunk budget honored.
-        EXPECT_LE(bm.numWords,
-                  g.degree(v) * idx->params().maxWordsPerKey);
-        // Membership agrees exactly with the adjacency list.
-        for (Key k = 0; k < g.numVertices(); ++k)
-            EXPECT_EQ(idx->contains(bm, k), g.hasEdge(v, k))
-                << "v=" << v << " k=" << k;
-        // Out-of-universe keys never hit.
-        EXPECT_FALSE(idx->contains(bm, g.numVertices()));
-        EXPECT_FALSE(idx->contains(bm, noBound));
+        EXPECT_GT(with_bitmap, 0u) << g.name();
+        EXPECT_EQ(with_bitmap, idx->numBitmaps()) << g.name();
     }
-    EXPECT_EQ(with_bitmap, idx->numBitmaps());
+    EXPECT_GT(too_sparse, 0u);
 }
 
 TEST(SetIndexBuild, RejectsNonVertexKeysAndEmptyGraphs)
@@ -346,15 +373,22 @@ TEST_P(SetIndexProperty, PoliciesBitIdenticalOnGraphSpans)
     const std::uint64_t seed = GetParam();
     const auto er = test::randomTestGraph(140, 1000, seed);
     const auto pl = graph::generateChungLu(260, 2200, 100, 2.1, seed);
-    const auto hub = hubGraph(20, 50);
+    const auto hub = autoHubGraph();
     Rng rng(seed * 31 + 1);
     for (const graph::CsrGraph *g : {&er, &pl, &hub}) {
         ASSERT_NE(g->setIndex(), nullptr) << g->name();
+        const auto any = [&] {
+            return static_cast<VertexId>(rng.below(g->numVertices()));
+        };
         for (int pair = 0; pair < 8; ++pair) {
-            const auto u =
-                static_cast<VertexId>(rng.below(g->numVertices()));
-            const auto v =
-                static_cast<VertexId>(rng.below(g->numVertices()));
+            // Hub x any, any x hub, hub x hub, any x any: the long
+            // lists are where Auto leaves the array kernels.
+            const VertexId u = pair % 4 == 0 || pair % 4 == 2
+                                   ? hubVertex(*g, rng)
+                                   : any();
+            const VertexId v = pair % 4 == 1 || pair % 4 == 2
+                                   ? hubVertex(*g, rng)
+                                   : any();
             for (const KeySpan a : spanShapes(*g, u))
                 for (const KeySpan b : spanShapes(*g, v))
                     checkAllPolicies(a, b,
@@ -367,16 +401,20 @@ TEST_P(SetIndexProperty, PoliciesBitIdenticalOnGraphSpans)
 
 TEST_P(SetIndexProperty, MixedGraphAndHeapOperands)
 {
-    const auto g = hubGraph(20, 50);
+    const auto g = autoHubGraph();
     ASSERT_NE(g.setIndex(), nullptr);
     Rng rng(GetParam() ^ 0x5e7);
     for (int iter = 0; iter < 6; ++iter) {
-        const auto v = static_cast<VertexId>(rng.below(g.numVertices()));
+        const auto v =
+            iter % 2 ? static_cast<VertexId>(rng.below(g.numVertices()))
+                     : hubVertex(g, rng);
         // A heap-resident operand (an executor arena buffer, say):
-        // only the graph side can use a bitmap.
+        // only the graph side can use a bitmap. Every third one is
+        // sparse enough for a hub list to probe it.
+        const std::uint64_t keep_one_in = iter % 3 == 2 ? 8 : 3;
         std::vector<Key> heap;
         for (Key k = 0; k < g.numVertices(); ++k)
-            if (rng.below(3) == 0)
+            if (rng.below(keep_one_in) == 0)
                 heap.push_back(k);
         checkAllPolicies(g.neighbors(v), heap, "graph-x-heap");
         checkAllPolicies(heap, g.neighbors(v), "heap-x-graph");
@@ -392,8 +430,8 @@ TEST(SetIndexInterpreter, StreamOpsBitIdenticalAcrossPolicies)
 {
     // Graph-backed memory image: the interpreter's zero-copy operand
     // spans alias the live edge array, so S_INTER.C operands resolve
-    // in the registry and take the hybrid path under Auto/Bitmap.
-    const auto g = hubGraph(18, 40);
+    // in the registry and take the hybrid path under Auto.
+    const auto g = autoHubGraph();
     ASSERT_NE(g.setIndex(), nullptr);
     isa::MemoryImage mem;
     mem.addSegment(g.vertexArrayBase(), g.offsets().data(),
@@ -473,17 +511,21 @@ TEST(SetIndexCycles, GoldenTraceReplayInvariantAcrossPolicies)
 
 TEST(SetIndexCycles, MachineComparisonInvariantAcrossPolicies)
 {
-    const auto g = graph::generateChungLu(220, 1800, 90, 2.1, 23);
+    const auto g = autoHubGraph();
     api::Machine machine;
+    // Store off: every policy must capture its own trace, or the
+    // second policy would replay the first one's capture.
+    api::RunOptions opts;
+    opts.artifactCache = false;
 
     std::uint64_t emb_ref = 0;
     Cycles cpu_ref = 0, sc_ref = 0;
     bool first = true;
     for (const IndexPolicy policy : allPolicies) {
-        api::RunOptions opts;
-        opts.indexPolicy = policy;
+        ScopedIndexPolicyOverride forced(policy);
         const auto cmp = machine.compare(
             api::RunRequest::gpm(gpm::GpmApp::T, g, opts));
+        EXPECT_FALSE(cmp.trace.traceCacheHit) << indexPolicyName(policy);
         if (first) {
             emb_ref = cmp.functionalResult;
             cpu_ref = cmp.baseline.cycles;
@@ -502,13 +544,14 @@ TEST(SetIndexCycles, MachineComparisonInvariantAcrossPolicies)
 
 TEST(SetIndexCycles, ParallelMiningDeterministicAcrossPolicies)
 {
-    const auto g = test::randomTestGraph(150, 1200, 29);
+    const auto g = autoHubGraph();
     std::uint64_t emb_ref = 0;
     Cycles cyc_ref = 0;
     bool first = true;
+    api::HostOptions host;
+    host.artifactCache = false; // capture every chunk under each policy
     for (const IndexPolicy policy : allPolicies) {
-        api::HostOptions host;
-        host.indexPolicy = policy;
+        ScopedIndexPolicyOverride forced(policy);
         const auto par = api::mineParallelSparseCore(
             gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1, host);
         if (first) {
