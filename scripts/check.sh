@@ -2,17 +2,18 @@
 # Full local check: regular build + complete test suite (including
 # the absolute cycle golden and the pipeline benchmark's smoke gate),
 # then the same suite with the runtime verifier hooks forced on,
-# then the scverify static-verifier leg over the example programs,
-# the golden trace and the golden bytecode program, a scverify v2
-# leg diffing --json --summary output (diagnostics, pressure
-# profiles, cost bounds) against the blessed golden, a clang-tidy
-# leg (skipped when the tool is absent),
+# then the scverify static-verifier leg over the example programs
+# and the golden bytecode program, a scverify v2 leg diffing
+# --json --summary output (diagnostics, pressure profiles, cost
+# bounds) against the blessed golden, a clang-tidy leg (skipped when
+# the tool is absent),
 # then a ThreadSanitizer build running the concurrency-sensitive
 # suites (thread pool, host-parallel mining, machine comparisons,
 # artifact-store/LRU-cache races, the shared execution pipeline),
 # then an ASan+UBSan build running the trace capture/replay/
-# serialization + artifact-store + pipeline suites and the cycle
-# golden (arena ownership and event-decoding bugs show up here), then a
+# serialization + SCBC rejection + artifact-store + pipeline suites
+# and the cycle golden (arena ownership, event-decoding and
+# image-loading bugs show up here), then a
 # forced-scalar kernel build (the AVX2 TU omitted, so scalar is the
 # only kernel level) with the full suite, kernel and replay microbench
 # smoke runs (their BENCH_*.json stay under the build directory; this
@@ -42,31 +43,32 @@ ctest --test-dir "${prefix}" --output-on-failure -j"$(nproc)"
 
 echo
 echo "=== full ctest, verifier hooks forced on ==="
-# SC_VERIFY=1 turns the api::prepare / Machine::run / trace::replay
+# SC_VERIFY=1 turns the api::prepare / trace::replayCompiled
 # verification on regardless of build type, so every trace the suite
-# produces goes through the stream-lifetime checker.
+# produces goes through the stream-lifetime checker — including every
+# unkeyed Machine::run, which then captures and prepares its trace
+# instead of executing directly.
 SC_VERIFY=1 ctest --test-dir "${prefix}" \
     --output-on-failure -j"$(nproc)"
 
 
 echo
-echo "=== scverify: example programs + golden trace + bytecode ==="
-"${prefix}/tools/scverify" examples/asm/*.s \
-    tests/data/golden_trace.bin tests/data/golden_trace.scbc
+echo "=== scverify: example programs + golden bytecode ==="
+"${prefix}/tools/scverify" examples/asm/*.s tests/data/golden_trace.scbc
 
 echo
 echo "=== scverify v2: quantitative summaries vs blessed goldens ==="
 # --json --summary over every emitted kernel program, the rule
-# fixtures, the golden trace and the golden SCBC image must be
-# byte-identical to the blessed output (pins diagnostic ordering,
-# the pressure profiles and the cost bounds). The rule fixtures
+# fixtures and the golden SCBC image must be byte-identical to the
+# blessed output (pins diagnostic ordering, the pressure profiles and
+# the cost bounds). The rule fixtures
 # carry error diagnostics by design, so the expected exit is 1.
 sv_tmp="$(mktemp -d)"
 sv_rc=0
 "${prefix}/tools/scverify" --json --summary \
     examples/asm/*.s \
     tests/data/scverify/*.s \
-    tests/data/golden_trace.bin tests/data/golden_trace.scbc \
+    tests/data/golden_trace.scbc \
     > "${sv_tmp}/scverify.json" || sv_rc=$?
 test "${sv_rc}" -eq 1
 diff tests/data/scverify_golden.json "${sv_tmp}/scverify.json"
@@ -97,7 +99,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ScbcRejection.*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="

@@ -1,8 +1,8 @@
 /**
  * @file
  * Diagnostic types shared by the stream-program static verifier
- * (analysis/verifier.hh), the trace checker (analysis/trace_check.hh)
- * and the online backend checker (analysis/verifying_backend.hh).
+ * (analysis/verifier.hh) and the trace/bytecode checker
+ * (analysis/trace_check.hh).
  *
  * Every rule has a stable kebab-case id ("use-after-free") that the
  * scverify CLI prints and the golden-diagnostic tests assert on; rule

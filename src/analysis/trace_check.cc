@@ -143,61 +143,69 @@ StreamLifetimeChecker::reset()
     report_ = VerifyReport{};
 }
 
+namespace {
+
+/** One event's checker calls — the shared core of the event-list and
+ *  bytecode walks, so both forms check one contract. */
+void
+checkEvent(StreamLifetimeChecker &chk, const Event &e)
+{
+    const char *what = eventKindName(e.kind);
+    switch (e.kind) {
+      case EventKind::StreamLoad:
+        chk.onDefine(e.result, /*kv=*/false, what);
+        break;
+      case EventKind::StreamLoadKv:
+        chk.onDefine(e.result, /*kv=*/true, what);
+        break;
+      case EventKind::StreamFree:
+        chk.onFree(e.a, what);
+        break;
+      case EventKind::SetOp:
+        chk.onUse(e.a, false, what);
+        chk.onUse(e.b, false, what);
+        chk.onDefine(e.result, /*kv=*/false, what);
+        break;
+      case EventKind::SetOpCount:
+        chk.onUse(e.a, false, what);
+        chk.onUse(e.b, false, what);
+        chk.skipEvent();
+        break;
+      case EventKind::ValueIntersect:
+      case EventKind::DenseValueIntersect:
+        chk.onUse(e.a, true, what);
+        chk.onUse(e.b, true, what);
+        chk.skipEvent();
+        break;
+      case EventKind::ValueMerge:
+        chk.onUse(e.a, true, what);
+        chk.onUse(e.b, true, what);
+        chk.onDefine(e.result, /*kv=*/true, what);
+        break;
+      case EventKind::NestedGroup:
+      case EventKind::ConsumeStream:
+      case EventKind::IterateStream:
+        chk.onUse(e.a, false, what);
+        chk.skipEvent();
+        break;
+      case EventKind::ScalarOps:
+      case EventKind::ScalarBranch:
+      case EventKind::ScalarLoad:
+      case EventKind::NumKinds:
+        chk.skipEvent();
+        break;
+    }
+}
+
+} // namespace
+
 VerifyReport
 verifyEvents(const std::vector<Event> &events,
              StreamLifetimeChecker::Options options)
 {
     StreamLifetimeChecker chk(options);
-    for (const Event &e : events) {
-        const char *what = eventKindName(e.kind);
-        switch (e.kind) {
-          case EventKind::StreamLoad:
-            chk.onDefine(e.result, /*kv=*/false, what);
-            break;
-          case EventKind::StreamLoadKv:
-            chk.onDefine(e.result, /*kv=*/true, what);
-            break;
-          case EventKind::StreamFree:
-            chk.onFree(e.a, what);
-            break;
-          case EventKind::SetOp:
-            chk.onUse(e.a, false, what);
-            chk.onUse(e.b, false, what);
-            chk.onDefine(e.result, /*kv=*/false, what);
-            break;
-          case EventKind::SetOpCount:
-            chk.onUse(e.a, false, what);
-            chk.onUse(e.b, false, what);
-            chk.skipEvent();
-            break;
-          case EventKind::ValueIntersect:
-          case EventKind::DenseValueIntersect:
-            chk.onUse(e.a, true, what);
-            chk.onUse(e.b, true, what);
-            chk.skipEvent();
-            break;
-          case EventKind::ValueMerge:
-            chk.onUse(e.a, true, what);
-            chk.onUse(e.b, true, what);
-            chk.onDefine(e.result, /*kv=*/true, what);
-            break;
-          case EventKind::NestedGroup:
-            chk.onUse(e.a, false, what);
-            chk.skipEvent();
-            break;
-          case EventKind::ConsumeStream:
-          case EventKind::IterateStream:
-            chk.onUse(e.a, false, what);
-            chk.skipEvent();
-            break;
-          case EventKind::ScalarOps:
-          case EventKind::ScalarBranch:
-          case EventKind::ScalarLoad:
-          case EventKind::NumKinds:
-            chk.skipEvent();
-            break;
-        }
-    }
+    for (const Event &e : events)
+        checkEvent(chk, e);
     chk.onEnd();
     return chk.report();
 }
@@ -213,7 +221,15 @@ VerifyReport
 verifyBytecode(const trace::BytecodeProgram &program,
                StreamLifetimeChecker::Options options)
 {
-    return verifyEvents(program.decodeEvents(), options);
+    StreamLifetimeChecker chk(options);
+    program.forEachEvent([&](const Event &e, std::uint32_t repeat) {
+        // Only fused scalar runs repeat, and those check nothing:
+        // advance the event index past the rest of the run.
+        checkEvent(chk, e);
+        chk.skipEvent(repeat - 1);
+    });
+    chk.onEnd();
+    return chk.report();
 }
 
 } // namespace sc::analysis

@@ -3,15 +3,17 @@
  * Stream-lifetime checking for execution-event sequences: the same
  * contract the static verifier (analysis/verifier.hh) enforces on
  * stream-ISA programs, applied to the dynamic event stream an
- * algorithm reports to an ExecBackend — either after the fact over a
- * captured trace::Trace (verifyTrace) or online while a backend runs
- * (analysis/verifying_backend.hh).
+ * algorithm reports to an ExecBackend — over a captured trace::Trace
+ * (verifyTrace, what api::prepare runs before any replay) or over its
+ * compiled SCBC program (verifyBytecode, what scverify runs on an
+ * image).
  *
  * Event sequences are branch-free, so no lattice is needed: the
  * checker walks the concrete define/use/free order and reports the
- * same rule ids the static pass uses. Handles are backend handles
- * (Machine::run) or dense trace handles (replay) rather than sids;
- * diagnostics carry the event index as their pc.
+ * same rule ids the static pass uses. Handles are dense trace
+ * handles rather than sids; diagnostics carry the event index as
+ * their pc, so both forms of one capture report identical
+ * diagnostics.
  */
 
 #ifndef SPARSECORE_ANALYSIS_TRACE_CHECK_HH
@@ -67,9 +69,10 @@ class StreamLifetimeChecker
     /** End of the event stream: leak check. */
     void onEnd();
 
-    /** Advance the event counter (diagnostic pc) without checking —
-     *  call once per non-stream event to keep indices aligned. */
-    void skipEvent() { ++seq_; }
+    /** Advance the event counter (diagnostic pc) by `n` events
+     *  without checking — call for non-stream events to keep
+     *  indices aligned. */
+    void skipEvent(std::uint64_t n = 1) { seq_ += n; }
 
     const VerifyReport &report() const { return report_; }
     bool hasErrors() const { return report_.hasErrors(); }
@@ -98,9 +101,10 @@ VerifyReport verifyEvents(const std::vector<trace::Event> &events,
 VerifyReport verifyTrace(const trace::Trace &trace,
                          StreamLifetimeChecker::Options options = {});
 
-/** Check a compiled bytecode program: decode back to event order and
- *  run the shared event checker, so both trace forms are verified
- *  against one contract. */
+/** Check a compiled bytecode program by walking its code in event
+ *  order with the shared checker. Fused scalar runs advance the
+ *  event index without expanding, so memory stays O(live streams)
+ *  and the diagnostics equal verifyTrace's on the source trace. */
 VerifyReport
 verifyBytecode(const trace::BytecodeProgram &program,
                StreamLifetimeChecker::Options options = {});

@@ -203,8 +203,7 @@ ArtifactStore::gpmTraceKey(gpm::GpmApp app, const graph::CsrGraph &g,
 {
     std::ostringstream os;
     os << "gpm/" << gpm::gpmAppName(app) << "/g" << std::hex
-       << g.fingerprint() << std::dec << "/s" << root_stride << "/tr"
-       << trace::traceFormatVersion;
+       << g.fingerprint() << std::dec << "/s" << root_stride;
     return os.str();
 }
 
@@ -217,8 +216,7 @@ ArtifactStore::gpmChunkTraceKey(gpm::GpmApp app,
     std::ostringstream os;
     os << "gpm/" << gpm::gpmAppName(app) << "/g" << std::hex
        << g.fingerprint() << std::dec << "/s" << root_stride << "/c"
-       << chunk << "of" << num_chunks << "/tr"
-       << trace::traceFormatVersion;
+       << chunk << "of" << num_chunks;
     return os.str();
 }
 
@@ -228,18 +226,15 @@ ArtifactStore::fsmTraceKey(const graph::LabeledGraph &g,
 {
     std::ostringstream os;
     os << "fsm/lg" << std::hex << g.fingerprint() << std::dec
-       << "/sup" << min_support << "/tr"
-       << trace::traceFormatVersion;
+       << "/sup" << min_support;
     return os.str();
 }
 
 std::string
-ArtifactStore::programKey(const std::string &trace_key, bool fused)
+ArtifactStore::programKey(const std::string &trace_key)
 {
     std::ostringstream os;
     os << trace_key << "/scbc" << trace::bytecodeFormatVersion;
-    if (fused)
-        os << "f";
     return os.str();
 }
 

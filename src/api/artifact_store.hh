@@ -8,9 +8,9 @@
  *
  * Keys are content-derived, never pointer-derived:
  *
- *   trace    gpm/<app>/g<graph fp>/s<root stride>[/c<chunk>of<n>]/tr<v>
- *            fsm/lg<labeled-graph fp>/sup<min support>/tr<v>
- *   program  <trace key>/scbc<v>[f]
+ *   trace    gpm/<app>/g<graph fp>/s<root stride>[/c<chunk>of<n>]
+ *            fsm/lg<labeled-graph fp>/sup<min support>
+ *   program  <trace key>/scbc<v>
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
  * A trace is a pure function of (workload, dataset content, root
@@ -19,7 +19,8 @@
  * serves every sweep point, substrate comparison and config ladder.
  * Compiled programs key off the trace key plus the SCBC format
  * version, so a fig07–fig16 sweep compiles each (app, dataset)
- * exactly once and replays the shared program at every point.
+ * exactly once and replays the shared program at every point. Trace
+ * keys carry no format version: traces never leave process memory.
  *
  * Cached and cold paths are bit-identical in results and simulated
  * cycles (the PR-2/PR-6 replay invariants; pinned again by
@@ -164,8 +165,7 @@ class ArtifactStore
                                         unsigned num_chunks);
     static std::string fsmTraceKey(const graph::LabeledGraph &g,
                                    std::uint64_t min_support);
-    static std::string programKey(const std::string &trace_key,
-                                  bool fused = true);
+    static std::string programKey(const std::string &trace_key);
     static std::string verdictKey(const std::string &trace_key,
                                   unsigned capacity);
     static std::string summaryKey(const std::string &trace_key,

@@ -313,13 +313,14 @@ parseArchObject(const JsonValue &obj, JobSpec &spec,
         std::uint64_t u = 0;
         bool b = false;
         if (name == "sus") {
-            if (reader.readUint(name, value, u, 1, 64))
+            if (reader.readUint(name, value, u, 1, arch::maxSus))
                 spec.numSus = static_cast<unsigned>(u);
         } else if (name == "window") {
-            if (reader.readUint(name, value, u, 1, 1024))
+            if (reader.readUint(name, value, u, 1, arch::maxSuWindow))
                 spec.suWindow = static_cast<unsigned>(u);
         } else if (name == "bandwidth") {
-            if (reader.readUint(name, value, u, 1, 65536))
+            if (reader.readUint(name, value, u, 1,
+                                arch::maxAggregateBandwidth))
                 spec.bandwidth = static_cast<unsigned>(u);
         } else if (name == "nested") {
             if (reader.readBool(name, value, b))

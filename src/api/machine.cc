@@ -3,7 +3,7 @@
 #include <chrono>
 #include <string>
 
-#include "analysis/verifying_backend.hh"
+#include "analysis/diagnostics.hh"
 #include "api/pipeline.hh"
 #include "common/logging.hh"
 #include "common/parallel_for.hh"
@@ -155,26 +155,22 @@ Machine::run(const RunRequest &request, Substrate substrate) const
 {
     validate(request);
 
-    // Unkeyed workloads execute directly on the timing backend: one
-    // functional pass instead of a capture plus a replay. The
-    // verifying wrapper forwards every call unchanged, so verified
-    // and unverified runs report the same cycles — it only adds
-    // VerifyError on contract violations.
+    // Unkeyed, unverified workloads execute directly on the timing
+    // backend: one functional pass instead of a capture plus a
+    // replay.
     const std::string key = traceKeyFor(request);
-    if (key.empty()) {
-        const auto be = makeBackend(substrate, config_);
-        if (!request.options.verify.value_or(
-                analysis::verifyByDefault()))
-            return executeOn(request, *be);
-        analysis::VerifyingBackend vbe(*be);
-        return executeOn(request, vbe);
-    }
+    const bool verify =
+        request.options.verify.value_or(analysis::verifyByDefault());
+    if (key.empty() && !verify)
+        return executeOn(request, *makeBackend(substrate, config_));
 
-    // Keyed workloads replay the store's trace: a warm run skips the
-    // functional enumeration and the compile. Replay is bit-identical
-    // to direct execution, so this only moves host wall clock.
-    const Prepared prepared =
-        prepare(key, captureOf(request), request.options.verify);
+    // Everything else replays a prepared program. Keyed workloads
+    // take the store's, so a warm run skips the functional
+    // enumeration and the compile; a verified unkeyed run captures
+    // locally, and prepare() checks that trace before any replay.
+    // Replay is bit-identical to direct execution, so the route only
+    // moves host wall clock.
+    const Prepared prepared = prepare(key, captureOf(request), verify);
     const auto t0 = std::chrono::steady_clock::now();
     const auto be = makeBackend(substrate, config_);
     const trace::ReplayResult rep =

@@ -45,11 +45,12 @@ struct RunOptions
     /** GPM/FSM: process every rootStride-th root vertex. */
     unsigned rootStride = 1;
     /**
-     * Run the stream-lifetime verifier (analysis/) over the backend
-     * event stream and throw analysis::VerifyError on violations.
-     * nullopt = analysis::verifyByDefault(): on in debug builds, off
-     * in release, overridable with SC_VERIFY=0/1. The verifier wraps
-     * the backend transparently and never changes simulated cycles.
+     * Run the stream-lifetime verifier (analysis/) over the captured
+     * trace and throw analysis::VerifyError on violations, before
+     * any replay (api::prepare). nullopt =
+     * analysis::verifyByDefault(): on in debug builds, off in
+     * release, overridable with SC_VERIFY=0/1. The check reads only
+     * the trace, so it never changes simulated cycles.
      */
     std::optional<bool> verify;
     /**

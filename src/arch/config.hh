@@ -15,6 +15,13 @@
 
 namespace sc::arch {
 
+/** Upper bounds of the arch overrides a job or tool may set (each
+ *  accepts 1 .. the bound): JobSpec's "arch" object and scverify's
+ *  --sus/--window/--bandwidth flags enforce these. */
+constexpr unsigned maxSus = 64;
+constexpr unsigned maxSuWindow = 1024;
+constexpr unsigned maxAggregateBandwidth = 65536;
+
 /** All knobs of the SparseCore extension. */
 struct SparseCoreConfig
 {

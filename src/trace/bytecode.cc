@@ -12,27 +12,50 @@ namespace {
 
 constexpr char bytecodeMagic[4] = {'S', 'C', 'B', 'C'};
 
-/** walkBytecode handler reconstructing the source event list. The
+/** Wire bytes of one nested entry: infoAddr, keyAddr, span offset
+ *  (u64 each), span length, bound (u32 each), count (u64). */
+constexpr std::size_t nestedEntryWireBytes = 40;
+
+/** [off, off+len) lies inside [0, size), without wrapping for any
+ *  64-bit `off`. */
+bool
+rangeFits(std::uint64_t off, std::uint64_t len, std::size_t size)
+{
+    return off <= size && len <= size - off;
+}
+
+/** walkBytecode handler reconstructing the source events. The
  *  per-kind field assignments mirror TraceRecorder exactly, so the
- *  decoded sequence is field-for-field the original trace. */
+ *  decoded sequence is field-for-field the original trace. Each
+ *  instruction's event reaches the sink when the next one starts
+ *  (flush() hands over the last). */
 struct EventDecoder
 {
-    std::vector<Event> out;
+    const EventSink &sink;
+    Event pending;
+    std::uint32_t repeat = 0; ///< copies of `pending` (0 = none)
 
     Event &
-    push(EventKind kind)
+    push(EventKind kind, std::uint32_t times = 1)
     {
-        Event e;
-        e.kind = kind;
-        out.push_back(e);
-        return out.back();
+        flush();
+        pending = Event{};
+        pending.kind = kind;
+        repeat = times;
+        return pending;
+    }
+    void
+    flush()
+    {
+        if (repeat != 0)
+            sink(pending, repeat);
+        repeat = 0;
     }
 
     void
-    scalarOps(std::uint64_t n, std::uint32_t repeat)
+    scalarOps(std::uint64_t n, std::uint32_t times)
     {
-        for (std::uint32_t i = 0; i < repeat; ++i)
-            push(EventKind::ScalarOps).n = n;
+        push(EventKind::ScalarOps, times).n = n;
     }
     void
     scalarBranch(std::uint64_t pc, bool taken)
@@ -189,7 +212,7 @@ struct Auditor
     void
     checkSpan(SpanRef s) const
     {
-        if (s.off + s.len > bc.arenaKeys())
+        if (!rangeFits(s.off, s.len, bc.arenaKeys()))
             panic("bytecode span [%llu, +%u) outside the arena",
                   static_cast<unsigned long long>(s.off), s.len);
     }
@@ -335,7 +358,7 @@ struct Auditor
     {
         checkHandle(a);
         checkSpan(s0);
-        if (index + n > bc.numNestedEntries())
+        if (!rangeFits(index, n, bc.numNestedEntries()))
             panic("bytecode nested group [%llu, +%u) out of range",
                   static_cast<unsigned long long>(index), n);
         count();
@@ -371,45 +394,6 @@ struct Auditor
 
 } // namespace
 
-const char *
-opName(Op op)
-{
-    switch (op) {
-      case Op::ScalarOps:
-        return "scalarOps";
-      case Op::ScalarOpsRun:
-        return "scalarOpsRun";
-      case Op::ScalarBranch:
-        return "scalarBranch";
-      case Op::ScalarLoad:
-        return "scalarLoad";
-      case Op::StreamLoad:
-        return "streamLoad";
-      case Op::StreamLoadKv:
-        return "streamLoadKv";
-      case Op::StreamFree:
-        return "streamFree";
-      case Op::SetOp:
-        return "setOp";
-      case Op::SetOpCount:
-        return "setOpCount";
-      case Op::ValueIntersect:
-        return "valueIntersect";
-      case Op::DenseValueIntersect:
-        return "denseValueIntersect";
-      case Op::ValueMerge:
-        return "valueMerge";
-      case Op::NestedGroup:
-        return "nestedGroup";
-      case Op::ConsumeStream:
-        return "consumeStream";
-      case Op::IterateStream:
-        return "iterateStream";
-      default:
-        return "unknown";
-    }
-}
-
 std::size_t
 BytecodeProgram::memoryBytes() const
 {
@@ -418,13 +402,23 @@ BytecodeProgram::memoryBytes() const
            nested_.capacity() * sizeof(NestedEntry);
 }
 
+void
+BytecodeProgram::forEachEvent(const EventSink &sink) const
+{
+    EventDecoder decoder{sink, Event{}, 0};
+    walkBytecode(*this, decoder);
+    decoder.flush();
+}
+
 std::vector<Event>
 BytecodeProgram::decodeEvents() const
 {
-    EventDecoder decoder;
-    decoder.out.reserve(numSourceEvents_);
-    walkBytecode(*this, decoder);
-    return std::move(decoder.out);
+    std::vector<Event> out;
+    out.reserve(numSourceEvents_);
+    forEachEvent([&](const Event &e, std::uint32_t repeat) {
+        out.insert(out.end(), repeat, e);
+    });
+    return out;
 }
 
 std::string
@@ -432,7 +426,8 @@ BytecodeProgram::serialize() const
 {
     std::string out;
     out.reserve(64 + arena_.size() * sizeof(Key) +
-                nested_.size() * 36 + code_.size() * sizeof(Word));
+                nested_.size() * nestedEntryWireBytes +
+                code_.size() * sizeof(Word));
     out.append(bytecodeMagic, sizeof(bytecodeMagic));
     wire::put<std::uint32_t>(out, bytecodeFormatVersion);
     wire::put<std::uint32_t>(out, handleCount_);
@@ -476,19 +471,21 @@ BytecodeProgram::deserialize(std::string_view bytes)
     bc.numInstructions_ = r.get<std::uint64_t>();
     bc.numSourceEvents_ = r.get<std::uint64_t>();
 
-    const auto arena_len = r.get<std::uint64_t>();
+    // Every count is checked against the bytes left before anything
+    // is sized from it.
+    const std::size_t arena_len = r.getCount(sizeof(Key));
     bc.arena_.resize(arena_len);
     r.getArray(bc.arena_.data(), arena_len);
 
-    const auto nested_len = r.get<std::uint64_t>();
+    const std::size_t nested_len = r.getCount(nestedEntryWireBytes);
     bc.nested_.reserve(nested_len);
-    for (std::uint64_t i = 0; i < nested_len; ++i) {
+    for (std::size_t i = 0; i < nested_len; ++i) {
         NestedEntry ne;
         ne.infoAddr = r.get<std::uint64_t>();
         ne.keyAddr = r.get<std::uint64_t>();
         ne.nested.off = r.get<std::uint64_t>();
         ne.nested.len = r.get<std::uint32_t>();
-        if (ne.nested.off + ne.nested.len > bc.arena_.size())
+        if (!rangeFits(ne.nested.off, ne.nested.len, bc.arena_.size()))
             panic("bytecode span [%llu, +%u) outside the arena",
                   static_cast<unsigned long long>(ne.nested.off),
                   ne.nested.len);
@@ -497,15 +494,16 @@ BytecodeProgram::deserialize(std::string_view bytes)
         bc.nested_.push_back(ne);
     }
 
-    const auto code_len = r.get<std::uint64_t>();
+    const std::size_t code_len = r.getCount(sizeof(Word));
     bc.code_.resize(code_len);
     r.getArray(bc.code_.data(), code_len);
     if (!r.done())
         panic("trailing bytes after the bytecode image");
 
-    // Re-walk the code once to validate every operand against the
-    // loaded tables (the compiler guarantees this for its own output;
-    // a deserialized image has to earn the unchecked replay loops).
+    // Re-walk the code once, bounds-checked, to validate every
+    // operand against the loaded tables (the compiler guarantees this
+    // for its own output; a deserialized image has to earn the
+    // unchecked replay loops).
     bc.finalize();
     return bc;
 }
@@ -514,17 +512,9 @@ void
 BytecodeProgram::finalize()
 {
     Auditor a(*this);
-    walkBytecode(*this, a);
+    walkBytecode</*BoundsChecked=*/true>(*this, a);
     a.verifyCounts();
     profile_ = a.take();
-}
-
-void
-BytecodeProgram::validate() const
-{
-    Auditor a(*this);
-    walkBytecode(*this, a);
-    a.verifyCounts();
 }
 
 void

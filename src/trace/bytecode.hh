@@ -2,7 +2,8 @@
  * @file
  * The compiled-trace bytecode: a captured Trace lowered into one flat,
  * cache-resident buffer of fixed-layout opcodes, replayed by
- * devirtualized per-backend loops (trace/replay.cc).
+ * devirtualized per-backend loops (trace/replay.cc). This is the one
+ * program form every replay runs and the one on-disk image ("SCBC").
  *
  * Why a second form? The event walker reads ~112-byte Event records
  * and pays a virtual ExecBackend call per event; for every benchmark
@@ -19,7 +20,7 @@
  * A program is self-contained: compile() copies the arena and the
  * nested-entry table out of the source trace, so one program compiled
  * per (app, dataset) replays onto any backend with no live Trace, and
- * serializes standalone ("SCBC" image, sniffed by tools/scverify).
+ * serializes standalone ("SCBC" image, read by tools/scverify).
  *
  * Instruction encoding (see walkBytecode for the decoder, which is
  * the layout's single source of truth shared with the compiler):
@@ -38,6 +39,7 @@
 #define SPARSECORE_TRACE_BYTECODE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,8 +72,6 @@ enum class Op : std::uint8_t
     IterateStream,       ///< aux=ops, [a][n]
     NumOps
 };
-
-const char *opName(Op op);
 
 using Word = std::uint32_t;
 
@@ -130,6 +130,12 @@ struct EventProfile
     std::vector<std::pair<std::uint64_t, std::uint64_t>> lengthSamples;
 };
 
+/** Receives one decoded instruction: its event, and how many
+ *  identical consecutive events it stands for (> 1 only for a fused
+ *  scalar run). */
+using EventSink =
+    std::function<void(const Event &event, std::uint32_t repeat)>;
+
 /**
  * One compiled trace: flat code + owned key arena + nested-entry
  * table. Immutable after compile()/deserialize(); concurrent replays
@@ -165,39 +171,47 @@ class BytecodeProgram
     std::size_t memoryBytes() const;
 
     /**
-     * Decode back to the event form. The decoded sequence is exactly
-     * the source trace's event list (fused runs re-expand), which the
-     * round-trip property test pins and the shared event-order
-     * checker (analysis::verifyEvents) consumes.
+     * Decode back to the event form, one sink call per instruction in
+     * event order. A fused run arrives once with its length, so
+     * memory stays O(1) however long the runs are; the shared
+     * event-order checker (analysis::verifyBytecode) walks programs
+     * this way.
+     */
+    void forEachEvent(const EventSink &sink) const;
+
+    /**
+     * The expanded event list: exactly the source trace's (fused runs
+     * re-expand), which the round-trip property tests pin.
      */
     std::vector<Event> decodeEvents() const;
 
     // ---------------- serialization ----------------
     /** Versioned standalone binary image ("SCBC", little-endian). */
     std::string serialize() const;
-    /** Parse an SCBC image; panics on malformed/mismatched input. */
+    /**
+     * Parse an SCBC image; throws SimError on malformed or mismatched
+     * input. Header counts are checked against the bytes that follow
+     * before anything is allocated, and the code is validated by a
+     * bounds-checked walk, so no image can make the loader allocate
+     * more than it holds or read outside it.
+     */
     static BytecodeProgram deserialize(std::string_view bytes);
     void saveFile(const std::string &path) const;
     static BytecodeProgram loadFile(const std::string &path);
 
+  private:
+    friend BytecodeProgram compileTrace(const Trace &trace);
+
     /**
-     * Re-walk the code and panic unless every operand is in range
-     * (handles below handleCount or sentinel, spans inside the arena,
-     * nested groups inside the entry table) and the header counts
-     * match. compileTrace() output satisfies this by construction;
-     * deserialize() calls it so the unchecked replay loops can trust
+     * One fused, bounds-checked walk that validates the code and
+     * rebuilds profile_ (derived data — the serialized image carries
+     * none of it). Panics unless every operand is in range (handles
+     * below handleCount or sentinel, spans inside the arena, nested
+     * groups inside the entry table) and the header counts match.
+     * compileTrace() output satisfies this by construction;
+     * deserialize() runs it so the unchecked replay loops can trust
      * any loaded image.
      */
-    void validate() const;
-
-  private:
-    friend BytecodeProgram compileTrace(const Trace &trace,
-                                        bool fuse_scalar_runs);
-
-    /** One fused walk validating the code AND rebuilding profile_
-     *  (derived data — the serialized image carries none of it).
-     *  Called by compileTrace() and deserialize(); subsumes
-     *  validate(). */
     void finalize();
 
     std::vector<Word> code_;
@@ -213,6 +227,10 @@ class BytecodeProgram
  * Decode the program, invoking one handler method per instruction.
  * This is the single decoder both the devirtualized replay loops and
  * decodeEvents() share, so the encoding has exactly one reader.
+ *
+ * `BoundsChecked` walks panic on an operand read past the end of the
+ * code; only validation (BytecodeProgram::finalize) needs them. Every other walk runs on a validated program, so its
+ * instantiations carry no bounds branches.
  *
  * The handler mirrors the ExecBackend surface with trace-level
  * operands (TraceStream handles, SpanRefs into program.span()):
@@ -231,7 +249,7 @@ class BytecodeProgram
  *   consumeStream(a)
  *   iterateStream(a, n, ops)
  */
-template <typename Handler>
+template <bool BoundsChecked = false, typename Handler>
 void
 walkBytecode(const BytecodeProgram &program, Handler &&handler)
 {
@@ -247,11 +265,20 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             static_cast<std::uint8_t>((hdr >> auxShift) & 0xff);
         const bool wide = (hdr & flagWide) != 0;
 
+        auto word = [&]() -> Word {
+            if constexpr (BoundsChecked) {
+                if (p == end)
+                    panic("bytecode operands run past the end of the "
+                          "%zu-word code",
+                          program.code().size());
+            }
+            return *p++;
+        };
         // u64-class operand: 1 word narrow, low/high pair wide.
         auto u64 = [&]() -> std::uint64_t {
-            std::uint64_t v = *p++;
+            std::uint64_t v = word();
             if (wide)
-                v |= std::uint64_t{*p++} << 32;
+                v |= std::uint64_t{word()} << 32;
             return v;
         };
         auto addr = [&]() -> std::uint64_t {
@@ -261,15 +288,15 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
         auto span = [&]() -> SpanRef {
             SpanRef ref;
             ref.off = u64();
-            ref.len = *p++;
+            ref.len = word();
             return ref;
         };
-        auto handle = [&]() -> TraceStream { return *p++; };
+        auto handle = [&]() -> TraceStream { return word(); };
         // Trailing result handle: implicit creation-order id unless
         // the (rare, hand-built-trace) explicit form is flagged.
         auto result = [&]() -> TraceStream {
             if (hdr & flagExplicitResult)
-                return *p++;
+                return word();
             return next_result++;
         };
 
@@ -278,7 +305,7 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             handler.scalarOps(u64(), 1);
             break;
         case Op::ScalarOpsRun: {
-            const Word count = *p++;
+            const Word count = word();
             handler.scalarOps(u64(), count);
             break;
         }
@@ -311,7 +338,7 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             const TraceStream b = handle();
             const SpanRef s0 = span();
             const SpanRef s1 = span();
-            const Key bound = *p++;
+            const Key bound = word();
             const SpanRef s2 = span();
             const std::uint64_t out_addr = addr();
             handler.setOp(result(), aux, a, b, s0, s1, bound, s2,
@@ -323,7 +350,7 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             const TraceStream b = handle();
             const SpanRef s0 = span();
             const SpanRef s1 = span();
-            const Key bound = *p++;
+            const Key bound = word();
             handler.setOpCount(aux, a, b, s0, s1, bound, u64());
             break;
         }
@@ -358,7 +385,7 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             const TraceStream a = handle();
             const SpanRef s0 = span();
             const std::uint64_t index = u64();
-            const Word count = *p++;
+            const Word count = word();
             handler.nestedGroup(a, s0, index, count);
             break;
         }
@@ -371,7 +398,9 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
             break;
         }
         case Op::NumOps:
-            panic("bytecode replay: corrupt opcode");
+        default:
+            panic("bytecode: corrupt opcode %u",
+                  static_cast<unsigned>(op));
         }
     }
 }

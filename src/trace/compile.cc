@@ -95,7 +95,7 @@ class Emitter
 } // namespace
 
 BytecodeProgram
-compileTrace(const Trace &trace, bool fuse_scalar_runs)
+compileTrace(const Trace &trace)
 {
     BytecodeProgram bc;
     const streams::KeySpan arena = trace.arenaSpan();
@@ -129,13 +129,10 @@ compileTrace(const Trace &trace, bool fuse_scalar_runs)
         switch (e.kind) {
         case EventKind::ScalarOps: {
             std::uint64_t run = 1;
-            if (fuse_scalar_runs) {
-                while (i + run < events.size() &&
-                       events[i + run].kind == EventKind::ScalarOps &&
-                       events[i + run].n == e.n &&
-                       run < 0xffffffffull)
-                    ++run;
-            }
+            while (i + run < events.size() &&
+                   events[i + run].kind == EventKind::ScalarOps &&
+                   events[i + run].n == e.n && run < 0xffffffffull)
+                ++run;
             if (run > 1) {
                 em.u32f(static_cast<std::uint32_t>(run));
                 em.u64f(e.n);

@@ -2,8 +2,7 @@
  * @file
  * compileTrace(): lower a captured Trace into the flat bytecode form
  * (trace/bytecode.hh). Compiled once per (app, dataset) and replayed
- * onto any backend by trace::replayCompiled / the bytecode mode of
- * trace::replay.
+ * onto any backend by trace::replayCompiled.
  */
 
 #ifndef SPARSECORE_TRACE_COMPILE_HH
@@ -25,14 +24,12 @@ namespace sc::trace {
  * table, so the hot replay loops index without bounds branches.
  * Malformed traces panic here, exactly like the event walker would.
  *
- * @param fuse_scalar_runs fuse runs of consecutive identical
- *        scalarOps events into one run-length instruction (replay
- *        still issues one backend call per source event, keeping the
- *        ceil(n/issueWidth) cost-model semantics bit-identical).
- *        Disable for a strictly 1:1 instruction-per-event program.
+ * Runs of consecutive identical scalarOps events fuse into one
+ * run-length instruction; replay still issues one backend call per
+ * source event, keeping the ceil(n/issueWidth) cost-model semantics
+ * bit-identical.
  */
-BytecodeProgram compileTrace(const Trace &trace,
-                             bool fuse_scalar_runs = true);
+BytecodeProgram compileTrace(const Trace &trace);
 
 } // namespace sc::trace
 

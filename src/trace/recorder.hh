@@ -2,8 +2,9 @@
  * @file
  * TraceRecorder: an ExecBackend that captures the execution-event
  * stream into a Trace instead of timing it. Timeless like
- * FunctionalBackend (finish() returns 0); the captured trace replays
- * onto any substrate via trace::replay().
+ * FunctionalBackend (finish() returns 0); the captured trace
+ * compiles (trace/compile.hh) into a program that replays onto any
+ * substrate via trace::replayCompiled().
  */
 
 #ifndef SPARSECORE_TRACE_RECORDER_HH

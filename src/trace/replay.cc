@@ -5,7 +5,6 @@
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "common/logging.hh"
-#include "trace/compile.hh"
 
 namespace sc::trace {
 
@@ -165,22 +164,6 @@ runBytecode(const BytecodeProgram &bc, B &backend)
 } // namespace
 
 ReplayResult
-replay(const Trace &trace, backend::ExecBackend &backend,
-       std::optional<bool> verify)
-{
-    if (verify.value_or(analysis::verifyByDefault())) {
-        const analysis::VerifyReport report =
-            analysis::verifyTrace(trace);
-        if (report.hasErrors())
-            throw analysis::VerifyError(report.format());
-    }
-    // Verified above (the bytecode preserves event order, so the
-    // trace-level check covers it); don't re-verify per replay.
-    return replayCompiled(compileTrace(trace), backend,
-                          /*verify=*/false);
-}
-
-ReplayResult
 replayCompiled(const BytecodeProgram &program,
                backend::ExecBackend &backend,
                std::optional<bool> verify)
@@ -201,8 +184,8 @@ replayCompiled(const BytecodeProgram &program,
     // EventProfile aggregate replaces the walk entirely (run batching
     // taken to its limit; bit-identical stats by construction since
     // every hook is additive and order-independent). Everything else
-    // (verifying wrappers, baseline accelerators) takes the generic
-    // loop, which still skips Event materialization.
+    // (baseline accelerators, bench probes) takes the generic loop,
+    // which still skips Event materialization.
     if (auto *cpu = dynamic_cast<backend::CpuBackend *>(&backend))
         runBytecode(program, *cpu);
     else if (auto *sc =

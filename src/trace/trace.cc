@@ -1,18 +1,10 @@
 #include "trace/trace.hh"
 
-#include <cstdio>
 #include <cstring>
-#include <sstream>
-
-#include "common/logging.hh"
-#include "trace/wire.hh"
 
 namespace sc::trace {
 
 namespace {
-
-using wire::put;
-using wire::Reader;
 
 /** FNV-1a over the span's raw bytes. */
 std::uint64_t
@@ -25,24 +17,6 @@ contentHash(streams::KeySpan keys)
     }
     return h;
 }
-
-void
-putSpan(std::string &out, const SpanRef &ref)
-{
-    put<std::uint64_t>(out, ref.off);
-    put<std::uint32_t>(out, ref.len);
-}
-
-SpanRef
-getSpan(Reader &r)
-{
-    SpanRef ref;
-    ref.off = r.get<std::uint64_t>();
-    ref.len = r.get<std::uint32_t>();
-    return ref;
-}
-
-constexpr char traceMagic[4] = {'S', 'C', 'T', 'R'};
 
 } // namespace
 
@@ -118,236 +92,6 @@ Trace::memoryBytes() const
     return arena_.capacity() * sizeof(Key) +
            events_.capacity() * sizeof(Event) +
            nested_.capacity() * sizeof(NestedEntry);
-}
-
-StatSet
-Trace::statSet(const std::string &name) const
-{
-    StatSet stats(name);
-    stats.counter("events") += events_.size();
-    stats.counter("arenaKeys") += arena_.size();
-    stats.counter("arenaBytes") += arenaBytes();
-    stats.counter("nestedEntries") += nested_.size();
-    stats.counter("streams") += handleCount_;
-    for (const Event &e : events_)
-        ++stats.counter(std::string("events.") + eventKindName(e.kind));
-    return stats;
-}
-
-std::string
-Trace::serialize() const
-{
-    std::string out;
-    out.reserve(64 + arena_.size() * sizeof(Key) +
-                events_.size() * 96 + nested_.size() * 36);
-    out.append(traceMagic, sizeof(traceMagic));
-    put<std::uint32_t>(out, traceFormatVersion);
-    put<std::uint32_t>(out, handleCount_);
-
-    put<std::uint64_t>(out, arena_.size());
-    wire::putArray(out, arena_.data(), arena_.size());
-
-    put<std::uint64_t>(out, nested_.size());
-    for (const NestedEntry &ne : nested_) {
-        put<std::uint64_t>(out, ne.infoAddr);
-        put<std::uint64_t>(out, ne.keyAddr);
-        putSpan(out, ne.nested);
-        put<std::uint32_t>(out, ne.bound);
-        put<std::uint64_t>(out, ne.count);
-    }
-
-    put<std::uint64_t>(out, events_.size());
-    for (const Event &e : events_) {
-        put<std::uint8_t>(out, static_cast<std::uint8_t>(e.kind));
-        put<std::uint8_t>(out, e.aux);
-        put<std::uint32_t>(out, e.aux2);
-        put<std::uint32_t>(out, e.a);
-        put<std::uint32_t>(out, e.b);
-        put<std::uint32_t>(out, e.result);
-        put<std::uint32_t>(out, e.bound);
-        put<std::uint64_t>(out, e.addr0);
-        put<std::uint64_t>(out, e.addr1);
-        put<std::uint64_t>(out, e.addr2);
-        put<std::uint64_t>(out, e.n);
-        putSpan(out, e.s0);
-        putSpan(out, e.s1);
-        putSpan(out, e.s2);
-        putSpan(out, e.s3);
-    }
-    return out;
-}
-
-Trace
-Trace::deserialize(std::string_view bytes)
-{
-    Reader r(bytes);
-    char magic[4];
-    for (char &c : magic)
-        c = static_cast<char>(r.get<std::uint8_t>());
-    if (std::memcmp(magic, traceMagic, sizeof(traceMagic)) != 0)
-        panic("not a SparseCore trace (bad magic)");
-    const auto version = r.get<std::uint32_t>();
-    if (version != traceFormatVersion)
-        panic("trace format version %u, expected %u", version,
-              traceFormatVersion);
-
-    Trace t;
-    t.handleCount_ = r.get<std::uint32_t>();
-
-    const auto arena_len = r.get<std::uint64_t>();
-    t.arena_.resize(arena_len);
-    r.getArray(t.arena_.data(), arena_len);
-
-    auto check_span = [&](const SpanRef &ref) {
-        if (ref.off + ref.len > t.arena_.size())
-            panic("trace span [%llu, +%u) outside the arena",
-                  static_cast<unsigned long long>(ref.off), ref.len);
-        return ref;
-    };
-
-    const auto nested_len = r.get<std::uint64_t>();
-    t.nested_.reserve(nested_len);
-    for (std::uint64_t i = 0; i < nested_len; ++i) {
-        NestedEntry ne;
-        ne.infoAddr = r.get<std::uint64_t>();
-        ne.keyAddr = r.get<std::uint64_t>();
-        ne.nested = check_span(getSpan(r));
-        ne.bound = r.get<std::uint32_t>();
-        ne.count = r.get<std::uint64_t>();
-        t.nested_.push_back(ne);
-    }
-
-    const auto event_len = r.get<std::uint64_t>();
-    t.events_.reserve(event_len);
-    for (std::uint64_t i = 0; i < event_len; ++i) {
-        Event e;
-        const auto kind = r.get<std::uint8_t>();
-        if (kind >= static_cast<std::uint8_t>(EventKind::NumKinds))
-            panic("unknown trace event kind %u", kind);
-        e.kind = static_cast<EventKind>(kind);
-        e.aux = r.get<std::uint8_t>();
-        e.aux2 = r.get<std::uint32_t>();
-        e.a = r.get<std::uint32_t>();
-        e.b = r.get<std::uint32_t>();
-        e.result = r.get<std::uint32_t>();
-        e.bound = r.get<std::uint32_t>();
-        e.addr0 = r.get<std::uint64_t>();
-        e.addr1 = r.get<std::uint64_t>();
-        e.addr2 = r.get<std::uint64_t>();
-        e.n = r.get<std::uint64_t>();
-        e.s0 = check_span(getSpan(r));
-        e.s1 = check_span(getSpan(r));
-        e.s2 = check_span(getSpan(r));
-        e.s3 = check_span(getSpan(r));
-        if (e.kind == EventKind::NestedGroup &&
-            e.n + e.aux2 > t.nested_.size())
-            panic("trace nested group [%llu, +%u) out of range",
-                  static_cast<unsigned long long>(e.n), e.aux2);
-        t.events_.push_back(e);
-    }
-    if (!r.done())
-        panic("trailing bytes after the trace image");
-    return t;
-}
-
-void
-Trace::saveFile(const std::string &path) const
-{
-    const std::string bytes = serialize();
-    FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        panic("cannot write trace file '%s'", path.c_str());
-    const std::size_t n =
-        std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (n != bytes.size())
-        panic("short write to trace file '%s'", path.c_str());
-}
-
-Trace
-Trace::loadFile(const std::string &path)
-{
-    // Single presized read (wire::readWholeFile) instead of the old
-    // 64K-chunk append loop — one allocation for the whole image.
-    return deserialize(wire::readWholeFile(path));
-}
-
-std::string
-Trace::dumpText(std::size_t max_events) const
-{
-    std::ostringstream os;
-    os << "trace: " << events_.size() << " events, " << handleCount_
-       << " streams, " << arena_.size() << " arena keys, "
-       << nested_.size() << " nested entries\n";
-    auto span_str = [](const SpanRef &ref) {
-        std::ostringstream s;
-        s << "[" << ref.off << "+" << ref.len << "]";
-        return s.str();
-    };
-    std::size_t shown = 0;
-    for (const Event &e : events_) {
-        if (shown++ >= max_events) {
-            os << "... (" << events_.size() - max_events
-               << " more)\n";
-            break;
-        }
-        os << shown - 1 << ": " << eventKindName(e.kind);
-        switch (e.kind) {
-          case EventKind::ScalarOps:
-            os << " n=" << e.n;
-            break;
-          case EventKind::ScalarBranch:
-            os << " pc=0x" << std::hex << e.addr0 << std::dec
-               << " taken=" << unsigned(e.aux);
-            break;
-          case EventKind::ScalarLoad:
-            os << " addr=0x" << std::hex << e.addr0 << std::dec;
-            break;
-          case EventKind::StreamLoad:
-          case EventKind::StreamLoadKv:
-            os << " -> s" << e.result << " len=" << e.n << " prio="
-               << unsigned(e.aux) << " keys=" << span_str(e.s0);
-            break;
-          case EventKind::StreamFree:
-          case EventKind::ConsumeStream:
-            os << " s" << e.a;
-            break;
-          case EventKind::SetOp:
-            os << "." << streams::setOpName(
-                             static_cast<streams::SetOpKind>(e.aux))
-               << " s" << e.a << " s" << e.b << " -> s" << e.result
-               << " a=" << span_str(e.s0) << " b=" << span_str(e.s1)
-               << " out=" << span_str(e.s2) << " bound=" << e.bound;
-            break;
-          case EventKind::SetOpCount:
-            os << "." << streams::setOpName(
-                             static_cast<streams::SetOpKind>(e.aux))
-               << " s" << e.a << " s" << e.b << " count=" << e.n
-               << " bound=" << e.bound;
-            break;
-          case EventKind::ValueIntersect:
-          case EventKind::DenseValueIntersect:
-            os << " s" << e.a << " s" << e.b << " matches="
-               << e.s2.len;
-            break;
-          case EventKind::ValueMerge:
-            os << " s" << e.a << " s" << e.b << " -> s" << e.result
-               << " len=" << e.n;
-            break;
-          case EventKind::NestedGroup:
-            os << " s" << e.a << " elems=" << e.aux2;
-            break;
-          case EventKind::IterateStream:
-            os << " s" << static_cast<std::int64_t>(
-                             static_cast<std::int32_t>(e.a))
-               << " n=" << e.n << " ops=" << unsigned(e.aux);
-            break;
-          default:
-            break;
-        }
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace sc::trace

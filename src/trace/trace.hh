@@ -7,11 +7,14 @@
  *
  * The repo's methodology runs one algorithm on many substrates; a
  * Trace decouples "what the algorithm did" (captured once by
- * TraceRecorder) from "what it costs" (measured by replaying the
- * trace onto any backend). Key data referenced by events is interned
- * into an arena the Trace owns, so events outlive the executor's
- * per-level scratch buffers and a trace can be replayed, serialized
- * and diffed long after the capture run returned.
+ * TraceRecorder) from "what it costs" (measured by compiling the
+ * trace to SCBC, trace/compile.hh, and replaying that program onto
+ * any backend). Key data referenced by events is interned into an
+ * arena the Trace owns, so events outlive the executor's per-level
+ * scratch buffers and a trace can be verified, summarized and
+ * compiled long after the capture run returned. The trace lives only
+ * in memory: the one on-disk image is the compiled program's
+ * (BytecodeProgram::serialize).
  *
  * Span payloads are deduplicated by content: a neighbor list loaded
  * at every recursion level is stored once, which keeps trace arenas
@@ -23,18 +26,13 @@
 #define SPARSECORE_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "streams/set_ops.hh"
 
 namespace sc::trace {
-
-/** Serialized-format version (bump on any layout change). */
-constexpr std::uint32_t traceFormatVersion = 1;
 
 /** Reified mirror of the ExecBackend vtable. */
 enum class EventKind : std::uint8_t
@@ -174,19 +172,6 @@ class Trace
     std::size_t arenaBytes() const { return arena_.size() * sizeof(Key); }
     /** Approximate total owned bytes (events + arena + entries). */
     std::size_t memoryBytes() const;
-    /** Event counts per kind, arena size, handle count as counters. */
-    StatSet statSet(const std::string &name = "trace") const;
-
-    // ---------------- serialization ----------------
-    /** Versioned binary image (little-endian, no padding). */
-    std::string serialize() const;
-    /** Parse a binary image; panics on malformed/mismatched input. */
-    static Trace deserialize(std::string_view bytes);
-    void saveFile(const std::string &path) const;
-    static Trace loadFile(const std::string &path);
-
-    /** Human-readable dump (one line per event) for offline diffing. */
-    std::string dumpText(std::size_t max_events = ~std::size_t{0}) const;
 
   private:
     std::vector<Key> arena_;

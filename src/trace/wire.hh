@@ -1,9 +1,8 @@
 /**
  * @file
- * Little-endian wire helpers shared by the trace ("SCTR") and
- * compiled-bytecode ("SCBC") serializers: byte-stable scalar
- * encoding across hosts, plus a bounds-checked reader with a bulk
- * path for contiguous arrays.
+ * Little-endian wire helpers for the compiled-bytecode ("SCBC")
+ * image: byte-stable scalar encoding across hosts, plus a
+ * bounds-checked reader with a bulk path for contiguous arrays.
  */
 
 #ifndef SPARSECORE_TRACE_WIRE_HH
@@ -96,6 +95,23 @@ class Reader
         return value;
     }
 
+    /**
+     * Read a u64 element count and panic unless that many elements
+     * of `elem_bytes` each fit in the bytes left, so a header can
+     * never make the caller allocate more than the image holds.
+     */
+    std::size_t
+    getCount(std::size_t elem_bytes)
+    {
+        const auto n = get<std::uint64_t>();
+        if (n > (bytes_.size() - pos_) / elem_bytes)
+            panic("image claims %llu elements of %zu bytes at byte "
+                  "%zu, but only %zu bytes follow",
+                  static_cast<unsigned long long>(n), elem_bytes,
+                  pos_, bytes_.size() - pos_);
+        return static_cast<std::size_t>(n);
+    }
+
     /** Read `n` elements into `out` (bulk memcpy on little-endian
      *  hosts — the satellite fast path for big arenas). */
     template <typename T>
@@ -106,6 +122,8 @@ class Reader
         if (n > (bytes_.size() - pos_) / sizeof(T))
             panic("truncated image at byte %zu (need %zu x %zu)",
                   pos_, n, sizeof(T));
+        if (n == 0)
+            return; // `out` may be null (an empty vector's data())
         if constexpr (std::endian::native == std::endian::little) {
             std::memcpy(out, bytes_.data() + pos_, n * sizeof(T));
             pos_ += n * sizeof(T);

@@ -2,9 +2,9 @@
  * @file
  * Tests for the stream-program static verifier (src/analysis): golden
  * diagnostics for every rule over the committed fixture programs, CFG
- * construction, the trace-level lifetime checker, the VerifyingBackend
- * decorator and the run/replay hooks, and a mutation property test
- * (breaking a known-good random program must be flagged).
+ * construction, the trace-level lifetime checker and its bytecode
+ * twin, the run/replay hooks, and a mutation property test (breaking
+ * a known-good random program must be flagged).
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "analysis/summary.hh"
 #include "analysis/trace_check.hh"
 #include "analysis/verifier.hh"
-#include "analysis/verifying_backend.hh"
 #include "api/machine.hh"
 #include "backend/functional_backend.hh"
+#include "gpm/executor.hh"
+#include "gpm/fsm.hh"
 #include "isa/assembler.hh"
+#include "kernels/spmspm.hh"
+#include "kernels/ttm.hh"
+#include "tensor/tensor_gen.hh"
 #include "test_util.hh"
+#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 
@@ -297,11 +303,12 @@ record(Fn &&fn)
 
 const std::vector<Key> someKeys{1, 2, 3};
 
-} // namespace
+// The TraceCheck fixtures: one event sequence per lifetime rule.
 
-TEST(TraceCheck, BalancedTraceIsClean)
+trace::Trace
+balancedTrace()
 {
-    const auto tr = record([&](trace::TraceRecorder &rec) {
+    return record([&](trace::TraceRecorder &rec) {
         const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
         const auto b = rec.streamLoad(0x2000, 3, 0, someKeys);
         const auto c =
@@ -311,36 +318,30 @@ TEST(TraceCheck, BalancedTraceIsClean)
         rec.streamFree(b);
         rec.streamFree(c);
     });
-    const auto report = analysis::verifyTrace(tr);
-    EXPECT_TRUE(report.clean()) << report.format();
 }
 
-TEST(TraceCheck, LeakedStreamIsFlagged)
+trace::Trace
+leakedStreamTrace()
 {
-    const auto tr = record([&](trace::TraceRecorder &rec) {
+    return record([&](trace::TraceRecorder &rec) {
         rec.streamLoad(0x1000, 3, 0, someKeys);
     });
-    const auto report = analysis::verifyTrace(tr);
-    ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
-    EXPECT_EQ(report.diagnostics[0].rule, Rule::StreamLeak);
 }
 
-TEST(TraceCheck, DoubleFreeIsFlaggedWithEventIndex)
+trace::Trace
+doubleFreeTrace()
 {
-    const auto tr = record([&](trace::TraceRecorder &rec) {
+    return record([&](trace::TraceRecorder &rec) {
         const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
         rec.streamFree(a);
         rec.streamFree(a);
     });
-    const auto report = analysis::verifyTrace(tr);
-    ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
-    EXPECT_EQ(report.diagnostics[0].rule, Rule::DoubleFree);
-    EXPECT_EQ(report.diagnostics[0].pc, 2u); // third event
 }
 
-TEST(TraceCheck, ValueOpOnKeyLoadedStreamIsFlagged)
+trace::Trace
+valueOpOnKeyStreamTrace()
 {
-    const auto tr = record([&](trace::TraceRecorder &rec) {
+    return record([&](trace::TraceRecorder &rec) {
         const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
         const auto b =
             rec.streamLoadKv(0x2000, 0x4000, 3, 0, someKeys);
@@ -349,7 +350,49 @@ TEST(TraceCheck, ValueOpOnKeyLoadedStreamIsFlagged)
         rec.streamFree(a);
         rec.streamFree(b);
     });
-    const auto report = analysis::verifyTrace(tr);
+}
+
+/** Three streams live at once: overflows a 2-stream capacity. */
+trace::Trace
+threeLiveStreamsTrace()
+{
+    return record([&](trace::TraceRecorder &rec) {
+        const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
+        const auto b = rec.streamLoad(0x2000, 3, 0, someKeys);
+        const auto c = rec.streamLoad(0x3000, 3, 0, someKeys);
+        rec.streamFree(a);
+        rec.streamFree(b);
+        rec.streamFree(c);
+    });
+}
+
+} // namespace
+
+TEST(TraceCheck, BalancedTraceIsClean)
+{
+    const auto report = analysis::verifyTrace(balancedTrace());
+    EXPECT_TRUE(report.clean()) << report.format();
+}
+
+TEST(TraceCheck, LeakedStreamIsFlagged)
+{
+    const auto report = analysis::verifyTrace(leakedStreamTrace());
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
+    EXPECT_EQ(report.diagnostics[0].rule, Rule::StreamLeak);
+}
+
+TEST(TraceCheck, DoubleFreeIsFlaggedWithEventIndex)
+{
+    const auto report = analysis::verifyTrace(doubleFreeTrace());
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
+    EXPECT_EQ(report.diagnostics[0].rule, Rule::DoubleFree);
+    EXPECT_EQ(report.diagnostics[0].pc, 2u); // third event
+}
+
+TEST(TraceCheck, ValueOpOnKeyLoadedStreamIsFlagged)
+{
+    const auto report =
+        analysis::verifyTrace(valueOpOnKeyStreamTrace());
     ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
     EXPECT_EQ(report.diagnostics[0].rule, Rule::ValueOpOnKeyStream);
 }
@@ -360,79 +403,139 @@ TEST(TraceCheck, OverflowIsAWarningNotAnError)
     // the report must carry it as a warning and stay error-free.
     analysis::StreamLifetimeChecker::Options options;
     options.maxLiveStreams = 2;
-    const auto tr = record([&](trace::TraceRecorder &rec) {
-        const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
-        const auto b = rec.streamLoad(0x2000, 3, 0, someKeys);
-        const auto c = rec.streamLoad(0x3000, 3, 0, someKeys);
-        rec.streamFree(a);
-        rec.streamFree(b);
-        rec.streamFree(c);
-    });
-    const auto report = analysis::verifyTrace(tr, options);
+    const auto report =
+        analysis::verifyTrace(threeLiveStreamsTrace(), options);
     EXPECT_FALSE(report.hasErrors()) << report.format();
     EXPECT_EQ(report.warningCount(), 1u) << report.format();
+}
+
+TEST(TraceCheck, BytecodeVerdictEqualsTraceVerdict)
+{
+    // scverify checks SCBC images with verifyBytecode, which walks the
+    // compiled code instead of the source events: it must report the
+    // same diagnostics (rule, pc, handle, text) as verifyTrace on the
+    // source trace. A 2-stream capacity makes the captures report
+    // overflow warnings deep into their event streams, past fused
+    // scalar runs, so the event-index arithmetic is pinned too.
+    std::vector<std::pair<std::string, trace::Trace>> traces;
+    traces.emplace_back("balanced", balancedTrace());
+    traces.emplace_back("leak", leakedStreamTrace());
+    traces.emplace_back("double free", doubleFreeTrace());
+    traces.emplace_back("value op on key", valueOpOnKeyStreamTrace());
+    traces.emplace_back("three live", threeLiveStreamsTrace());
+    {
+        const auto g = test::randomTestGraph(60, 400, 12);
+        trace::TraceRecorder rec;
+        gpm::PlanExecutor executor(g, rec);
+        executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::C4));
+        traces.emplace_back("gpm 4C", rec.takeTrace());
+    }
+    {
+        auto base = test::randomTestGraph(60, 360, 13);
+        std::vector<graph::Label> labels(base.numVertices());
+        for (VertexId v = 0; v < base.numVertices(); ++v)
+            labels[v] = static_cast<graph::Label>(v % 3);
+        const graph::LabeledGraph lg(std::move(base), labels);
+        trace::TraceRecorder rec;
+        gpm::runFsm(lg, rec, 2);
+        traces.emplace_back("fsm", rec.takeTrace());
+    }
+    {
+        const auto t = tensor::generateTensor(12, 10, 16, 200, 14, "T");
+        const auto m = tensor::generateMatrix(
+            8, 16, 80, tensor::MatrixStructure::Uniform, 15, "M");
+        trace::TraceRecorder rec;
+        kernels::runTtm(t, m, rec);
+        traces.emplace_back("ttm", rec.takeTrace());
+    }
+
+    analysis::StreamLifetimeChecker::Options tight;
+    tight.maxLiveStreams = 2;
+    for (const auto &[label, tr] : traces) {
+        const trace::BytecodeProgram bc = trace::compileTrace(tr);
+        for (const auto &options :
+             {analysis::StreamLifetimeChecker::Options{}, tight}) {
+            const auto want = analysis::verifyTrace(tr, options);
+            const auto got = analysis::verifyBytecode(bc, options);
+            EXPECT_EQ(analysis::jsonValue(got).dump(),
+                      analysis::jsonValue(want).dump())
+                << label << " at capacity " << options.maxLiveStreams;
+        }
+    }
 }
 
 // ---------------- the replay + Machine::run hooks ----------------
 
 TEST(VerifyHooks, ReplayRejectsBadTraceWhenVerifying)
 {
-    const auto tr = record([&](trace::TraceRecorder &rec) {
-        const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
-        rec.streamFree(a);
-        rec.streamFree(a);
-    });
+    const trace::BytecodeProgram bc =
+        trace::compileTrace(doubleFreeTrace());
     backend::FunctionalBackend be;
-    EXPECT_THROW(trace::replay(tr, be, /*verify=*/true),
+    EXPECT_THROW(trace::replayCompiled(bc, be, /*verify=*/true),
                  analysis::VerifyError);
     // Opting out must execute normally (replay tolerates the double
     // free at functional level or faults in the backend — here the
     // functional backend ignores frees of unknown handles).
     backend::FunctionalBackend be2;
-    EXPECT_NO_THROW(trace::replay(tr, be2, /*verify=*/false));
-}
-
-TEST(VerifyHooks, VerifyingBackendThrowsAtTheFaultingCall)
-{
-    backend::FunctionalBackend inner;
-    analysis::VerifyingBackend vbe(inner);
-    EXPECT_EQ(vbe.name(), "verify(functional)");
-    vbe.begin();
-    const auto a = vbe.streamLoad(0x1000, 3, 0, someKeys);
-    vbe.streamFree(a);
-    EXPECT_THROW(vbe.streamFree(a), analysis::VerifyError);
-}
-
-TEST(VerifyHooks, VerifyingBackendFlagsLeakAtFinish)
-{
-    backend::FunctionalBackend inner;
-    analysis::VerifyingBackend vbe(inner);
-    vbe.begin();
-    vbe.streamLoad(0x1000, 3, 0, someKeys);
-    EXPECT_THROW(vbe.finish(), analysis::VerifyError);
+    EXPECT_NO_THROW(trace::replayCompiled(bc, be2, /*verify=*/false));
 }
 
 TEST(VerifyHooks, MachineRunVerifiedMatchesUnverified)
 {
+    // A verified run checks its captured trace before replaying it;
+    // an unverified unkeyed run executes directly. Both routes must
+    // report the same cycles, breakdown and functional result, for
+    // keyed (GPM) and unkeyed (store off, tensor) requests alike.
     const auto g = test::randomTestGraph(60, 400, 9);
+    const auto a = tensor::generateMatrix(
+        24, 30, 160, tensor::MatrixStructure::Uniform, 16, "A");
+    const auto b = tensor::generateMatrix(
+        30, 20, 150, tensor::MatrixStructure::Uniform, 17, "B");
+    const auto t = tensor::generateTensor(12, 10, 16, 200, 18, "T");
+    const std::vector<Value> vec(16, 0.5);
+    const auto m = tensor::generateMatrix(
+        8, 16, 80, tensor::MatrixStructure::Uniform, 19, "M");
     const api::Machine machine;
 
+    const auto requests = [&](const api::RunOptions &options) {
+        api::RunOptions nostore = options;
+        nostore.artifactCache = false;
+        std::vector<std::pair<std::string, api::RunRequest>> out;
+        out.emplace_back("gpm TC",
+                         api::RunRequest::gpm(gpm::GpmApp::TC, g,
+                                              options));
+        out.emplace_back("gpm TC nostore",
+                         api::RunRequest::gpm(gpm::GpmApp::TC, g,
+                                              nostore));
+        for (const auto algorithm :
+             {kernels::SpmspmAlgorithm::Inner,
+              kernels::SpmspmAlgorithm::Outer,
+              kernels::SpmspmAlgorithm::Gustavson})
+            out.emplace_back(
+                std::string("spmspm ") +
+                    kernels::spmspmAlgorithmName(algorithm),
+                api::RunRequest::spmspm(a, b, algorithm, options));
+        out.emplace_back("ttv", api::RunRequest::ttv(t, vec, options));
+        out.emplace_back("ttm", api::RunRequest::ttm(t, m, options));
+        return out;
+    };
     api::RunOptions verified;
     verified.verify = true;
     api::RunOptions unverified;
     unverified.verify = false;
+    const auto v_requests = requests(verified);
+    const auto u_requests = requests(unverified);
 
-    for (const auto substrate :
-         {api::Substrate::Cpu, api::Substrate::SparseCore}) {
-        const auto v = machine.run(
-            api::RunRequest::gpm(gpm::GpmApp::TC, g, verified),
-            substrate);
-        const auto u = machine.run(
-            api::RunRequest::gpm(gpm::GpmApp::TC, g, unverified),
-            substrate);
-        // The wrapper must be timing-transparent.
-        EXPECT_EQ(v.cycles, u.cycles);
-        EXPECT_EQ(v.functionalResult, u.functionalResult);
+    for (std::size_t i = 0; i < v_requests.size(); ++i) {
+        const std::string &label = v_requests[i].first;
+        for (const auto substrate :
+             {api::Substrate::Cpu, api::Substrate::SparseCore}) {
+            const auto v = machine.run(v_requests[i].second, substrate);
+            const auto u = machine.run(u_requests[i].second, substrate);
+            EXPECT_EQ(v.cycles, u.cycles) << label;
+            EXPECT_EQ(v.breakdown.cycles, u.breakdown.cycles) << label;
+            EXPECT_EQ(v.functionalResult, u.functionalResult) << label;
+        }
     }
 }
 

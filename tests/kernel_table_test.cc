@@ -24,8 +24,8 @@
 #include "common/rng.hh"
 #include "streams/simd/kernel_table.hh"
 #include "test_util.hh"
+#include "trace/bytecode.hh"
 #include "trace/replay.hh"
-#include "trace/trace.hh"
 
 using namespace sc;
 using namespace sc::streams;
@@ -221,9 +221,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelProperty,
 
 TEST(KernelCycles, GoldenTraceReplayInvariantAcrossLevels)
 {
-    const std::string path =
-        std::string(SPARSECORE_TEST_DATA_DIR) + "/golden_trace.bin";
-    const trace::Trace golden = trace::Trace::loadFile(path);
+    const auto golden = trace::BytecodeProgram::loadFile(
+        SPARSECORE_TEST_DATA_DIR "/golden_trace.scbc");
     const arch::SparseCoreConfig config;
 
     Cycles cpu_ref = 0, sc_ref = 0;
@@ -232,8 +231,9 @@ TEST(KernelCycles, GoldenTraceReplayInvariantAcrossLevels)
         ScopedKernelOverride forced(level);
         backend::CpuBackend cpu(config.core, config.mem);
         backend::SparseCoreBackend sc(config);
-        const Cycles cpu_cycles = trace::replay(golden, cpu).cycles;
-        const Cycles sc_cycles = trace::replay(golden, sc).cycles;
+        const Cycles cpu_cycles =
+            trace::replayCompiled(golden, cpu).cycles;
+        const Cycles sc_cycles = trace::replayCompiled(golden, sc).cycles;
         if (first) {
             cpu_ref = cpu_cycles;
             sc_ref = sc_cycles;

@@ -30,8 +30,8 @@
 #include "streams/setindex/registry.hh"
 #include "streams/setindex/set_index.hh"
 #include "test_util.hh"
+#include "trace/bytecode.hh"
 #include "trace/replay.hh"
-#include "trace/trace.hh"
 
 using namespace sc;
 using namespace sc::streams;
@@ -481,9 +481,8 @@ TEST(SetIndexInterpreter, StreamOpsBitIdenticalAcrossPolicies)
 
 TEST(SetIndexCycles, GoldenTraceReplayInvariantAcrossPolicies)
 {
-    const std::string path =
-        std::string(SPARSECORE_TEST_DATA_DIR) + "/golden_trace.bin";
-    const trace::Trace golden = trace::Trace::loadFile(path);
+    const auto golden = trace::BytecodeProgram::loadFile(
+        SPARSECORE_TEST_DATA_DIR "/golden_trace.scbc");
     const arch::SparseCoreConfig config;
 
     Cycles cpu_ref = 0, sc_ref = 0;
@@ -492,8 +491,9 @@ TEST(SetIndexCycles, GoldenTraceReplayInvariantAcrossPolicies)
         ScopedIndexPolicyOverride forced(policy);
         backend::CpuBackend cpu(config.core, config.mem);
         backend::SparseCoreBackend sc(config);
-        const Cycles cpu_cycles = trace::replay(golden, cpu).cycles;
-        const Cycles sc_cycles = trace::replay(golden, sc).cycles;
+        const Cycles cpu_cycles =
+            trace::replayCompiled(golden, cpu).cycles;
+        const Cycles sc_cycles = trace::replayCompiled(golden, sc).cycles;
         if (first) {
             cpu_ref = cpu_cycles;
             sc_ref = sc_cycles;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,10 +22,8 @@
 #include "analysis/summary.hh"
 #include "analysis/trace_check.hh"
 #include "analysis/verifier.hh"
-#include "analysis/verifying_backend.hh"
 #include "api/parallel.hh"
 #include "arch/config.hh"
-#include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "gpm/apps.hh"
 #include "gpm/executor.hh"
@@ -38,6 +37,7 @@
 #include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
+#include "trace/wire.hh"
 
 using namespace sc;
 using analysis::Rule;
@@ -61,22 +61,20 @@ sweepConfigs()
     return configs;
 }
 
-/** The bracket property plus trace/SCBC parity for one trace: at
- *  every config, static bounds must contain the dynamic cycles and
- *  the bytecode-side summary must match the trace-side one. */
+/** The bracket property for one program: at every config, the
+ *  static bounds must contain the replayed cycles. */
 void
-expectBrackets(const trace::Trace &tr, const std::string &label)
+expectBrackets(const trace::BytecodeProgram &bc, const std::string &label)
 {
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
     for (const arch::SparseCoreConfig &config : sweepConfigs()) {
         const analysis::ProgramSummary summary =
-            analysis::summarizeTrace(tr, config);
+            analysis::summarizeBytecode(bc, config);
         ASSERT_TRUE(summary.cost.valid) << label;
         EXPECT_LE(summary.cost.lower, summary.cost.upper) << label;
 
         backend::SparseCoreBackend be(config);
         const Cycles cycles =
-            trace::replay(tr, be, /*verify=*/false).cycles;
+            trace::replayCompiled(bc, be, /*verify=*/false).cycles;
         EXPECT_TRUE(summary.cost.contains(cycles))
             << label << ": [" << summary.cost.lower << ", "
             << summary.cost.upper << "] misses " << cycles
@@ -84,13 +82,24 @@ expectBrackets(const trace::Trace &tr, const std::string &label)
             << " window=" << config.suWindow
             << " bw=" << config.aggregateBandwidth
             << " nested=" << config.nestedIntersection << ")";
-
-        const analysis::ProgramSummary from_bc =
-            analysis::summarizeBytecode(bc, config);
-        EXPECT_EQ(analysis::jsonValue(from_bc).dump(),
-                  analysis::jsonValue(summary).dump())
-            << label << ": SCBC summary diverged from the trace's";
     }
+}
+
+/** The bracket property plus trace/SCBC parity for one trace: at
+ *  every config, the trace-side summary must match the bytecode-side
+ *  one, whose bounds must contain the dynamic cycles. */
+void
+expectBrackets(const trace::Trace &tr, const std::string &label)
+{
+    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    for (const arch::SparseCoreConfig &config : sweepConfigs())
+        EXPECT_EQ(
+            analysis::jsonValue(analysis::summarizeTrace(tr, config))
+                .dump(),
+            analysis::jsonValue(analysis::summarizeBytecode(bc, config))
+                .dump())
+            << label << ": SCBC summary diverged from the trace's";
+    expectBrackets(bc, label);
 }
 
 trace::Trace
@@ -175,18 +184,17 @@ TEST(CostBounds, TensorKernelSweepBracketsDynamicCycles)
 
 TEST(CostBounds, CommittedGoldenTraceBrackets)
 {
-    const auto tr = trace::Trace::loadFile(
-        SPARSECORE_TEST_DATA_DIR "/golden_trace.bin");
-    expectBrackets(tr, "golden trace");
+    const auto bc = trace::BytecodeProgram::loadFile(
+        SPARSECORE_TEST_DATA_DIR "/golden_trace.scbc");
+    expectBrackets(bc, "golden program");
 }
 
 TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
 {
     // The mineParallel* split: chunk m of M covers roots
     // { (m + i*M) * stride }. Every chunk's trace must be
-    // verifier-clean, replay through the VerifyingBackend without a
-    // throw, and satisfy the bracket property; the chunk functional
-    // results must sum to the parallel miner's.
+    // verifier-clean and satisfy the bracket property; the chunk
+    // functional results must sum to the parallel miner's.
     const auto g = test::randomTestGraph(80, 500, 7);
     const gpm::GpmApp app = gpm::GpmApp::TC;
     const arch::SparseCoreConfig config;
@@ -211,11 +219,6 @@ TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
         EXPECT_TRUE(report.clean())
             << "chunk " << chunk << ":\n"
             << report.format();
-
-        backend::FunctionalBackend inner;
-        analysis::VerifyingBackend vbe(inner);
-        EXPECT_NO_THROW(trace::replayEvents(tr, vbe))
-            << "chunk " << chunk;
 
         expectBrackets(tr, "chunk " + std::to_string(chunk));
     }
@@ -408,6 +411,111 @@ TEST(Emitters, SummaryJsonCarriesProfileAndBounds)
 
 // ---------------- corrupt / truncated SCBC images ----------------
 
+namespace {
+
+using trace::wire::put;
+
+/** SCBC image header: magic, version, handle count, instruction and
+ *  source-event counts (everything before the arena count). */
+std::string
+scbcHeader(std::uint32_t handles, std::uint64_t instructions,
+           std::uint64_t events)
+{
+    std::string out = "SCBC";
+    put<std::uint32_t>(out, trace::bytecodeFormatVersion);
+    put<std::uint32_t>(out, handles);
+    put<std::uint64_t>(out, instructions);
+    put<std::uint64_t>(out, events);
+    return out;
+}
+
+/** The empty arena and nested-entry table, then the code count. */
+void
+putEmptyTables(std::string &out, std::uint64_t code_words)
+{
+    put<std::uint64_t>(out, 0);
+    put<std::uint64_t>(out, 0);
+    put<std::uint64_t>(out, code_words);
+}
+
+trace::Word
+opWord(trace::Op op)
+{
+    return static_cast<trace::Word>(op);
+}
+
+/**
+ * Hand-crafted images aimed at the loader's checks: counts larger
+ * than the image, operands past the end of the code, a span whose end
+ * wraps past 2^64, and one well-formed but huge fused run. They double
+ * as the scverify_malformed_inputs ctest's inputs, so each is pinned
+ * byte for byte against its committed file under
+ * tests/data/scverify_malformed/ (SPARSECORE_REGEN_GOLDEN=1 rewrites
+ * the files).
+ */
+std::string
+craftedImage(const std::string &name)
+{
+    std::string out;
+    if (name == "arena_count_2e62.scbc" ||
+        name == "arena_count_2e29.scbc") {
+        // A 36-byte image whose header claims a huge arena.
+        out = scbcHeader(0, 0, 0);
+        put<std::uint64_t>(out, name == "arena_count_2e62.scbc"
+                                    ? std::uint64_t{1} << 62
+                                    : std::uint64_t{1} << 29);
+    } else if (name == "setop_operands_truncated.scbc") {
+        // One SetOp header word and none of its operands.
+        out = scbcHeader(0, 1, 1);
+        putEmptyTables(out, 1);
+        put<trace::Word>(out, opWord(trace::Op::SetOp));
+    } else if (name == "nested_span_wraps.scbc") {
+        // A nested entry at offset 2^64-1: off + len wraps to 0.
+        out = scbcHeader(1, 3, 3);
+        put<std::uint64_t>(out, 1); // arena: one key
+        put<Key>(out, 7);
+        put<std::uint64_t>(out, 1); // one nested entry
+        put<std::uint64_t>(out, 0);                  // infoAddr
+        put<std::uint64_t>(out, 0);                  // keyAddr
+        put<std::uint64_t>(out, ~std::uint64_t{0});  // span offset
+        put<std::uint32_t>(out, 1);                  // span length
+        put<std::uint32_t>(out, noBound);            // bound
+        put<std::uint64_t>(out, 0);                  // count
+        const trace::Word code[] = {
+            // streamLoad -> s0, addr 0x1000, len 1, keys [0, +1)
+            opWord(trace::Op::StreamLoad),
+            static_cast<trace::Word>(trace::zigzagEncode(0x1000)), 1,
+            0, 1,
+            // nestedGroup over s0, keys [0, +1), entries [0, +1)
+            opWord(trace::Op::NestedGroup), 0, 0, 1, 0, 1,
+            // streamFree s0
+            opWord(trace::Op::StreamFree), 0};
+        put<std::uint64_t>(out, std::size(code));
+        for (const trace::Word w : code)
+            put<trace::Word>(out, w);
+    } else if (name == "ok_scalar_run_2e32.scbc") {
+        // Well-formed: one run of 2^32-1 scalarOps(1) events.
+        out = scbcHeader(0, 1, 0xffffffffull);
+        putEmptyTables(out, 3);
+        put<trace::Word>(out, opWord(trace::Op::ScalarOpsRun));
+        put<trace::Word>(out, 0xffffffffu);
+        put<trace::Word>(out, 1);
+    }
+    EXPECT_FALSE(out.empty()) << "no crafted image named " << name;
+
+    const std::string path =
+        std::string(SPARSECORE_TEST_DATA_DIR "/scverify_malformed/") +
+        name;
+    if (std::getenv("SPARSECORE_REGEN_GOLDEN"))
+        std::ofstream(path, std::ios::binary) << out;
+    else
+        EXPECT_EQ(readBytes(path), out)
+            << path << " differs from the image this test builds";
+    return out;
+}
+
+} // namespace
+
 TEST(ScbcRejection, TruncatedAndCorruptImagesThrow)
 {
     const std::string bytes = readBytes(
@@ -432,8 +540,35 @@ TEST(ScbcRejection, TruncatedAndCorruptImagesThrow)
     EXPECT_THROW(trace::BytecodeProgram::deserialize(bytes + "xx"),
                  SimError);
 
+    // A count larger than the image (checked before allocating),
+    // operands past the end of the code (a bounds-checked validation
+    // walk) and a span whose end wraps past 2^64 (an overflow-safe
+    // check).
+    for (const char *name :
+         {"arena_count_2e62.scbc", "arena_count_2e29.scbc",
+          "setop_operands_truncated.scbc", "nested_span_wraps.scbc"})
+        EXPECT_THROW(
+            trace::BytecodeProgram::deserialize(craftedImage(name)),
+            SimError)
+            << name;
+
     // The committed image itself still round-trips.
     EXPECT_NO_THROW(trace::BytecodeProgram::deserialize(bytes));
+}
+
+TEST(ScbcRejection, LongScalarRunVerifiesWithoutExpanding)
+{
+    // A 64-byte image whose one instruction is a run of 2^32-1
+    // scalar ops: the analyses walk the run as one instruction, never
+    // as 2^32 events.
+    const trace::BytecodeProgram bc = trace::BytecodeProgram::deserialize(
+        craftedImage("ok_scalar_run_2e32.scbc"));
+    EXPECT_EQ(bc.numSourceEvents(), 0xffffffffull);
+    EXPECT_TRUE(analysis::verifyBytecode(bc).clean());
+    const analysis::ProgramSummary summary =
+        analysis::summarizeBytecode(bc, arch::SparseCoreConfig{});
+    EXPECT_EQ(summary.points, 0xffffffffull);
+    EXPECT_EQ(summary.defines, 0u);
 }
 
 TEST(ScbcRejection, BytecodeAnalysesFlagBadLifetimes)

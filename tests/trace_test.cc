@@ -1,20 +1,14 @@
 /**
  * @file
- * Tests for the execution-event trace IR: replayed cycles and
- * breakdowns are bit-identical to direct execution for every backend
- * x app x graph x tensor-kernel combination covered here, traces
- * survive a byte-stable serialization round trip, the committed
- * golden trace stays byte-stable, and the capture-once api paths
- * (Machine::compare / compareParallelGpm) match their direct
- * equivalents.
+ * Tests for the execution-event trace IR: a captured trace, compiled
+ * and replayed, gives cycles and breakdowns bit-identical to direct
+ * execution for every backend x app x graph x tensor-kernel
+ * combination covered here, interning keeps the arena small, and the
+ * capture-once api paths (Machine::compare / compareParallelGpm)
+ * match their direct equivalents.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "api/machine.hh"
 #include "api/parallel.hh"
@@ -32,6 +26,7 @@
 #include "kernels/ttv.hh"
 #include "tensor/tensor_gen.hh"
 #include "test_util.hh"
+#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 
@@ -39,17 +34,21 @@ using namespace sc;
 
 namespace {
 
-/** Capture one GPM run's trace (and its functional result). */
+/** Capture one GPM run's trace. */
 trace::Trace
-captureGpm(const graph::CsrGraph &g, gpm::GpmApp app,
-           std::uint64_t *embeddings = nullptr)
+captureGpm(const graph::CsrGraph &g, gpm::GpmApp app)
 {
     trace::TraceRecorder recorder;
     gpm::PlanExecutor executor(g, recorder);
-    const auto run = executor.runMany(gpm::gpmAppPlans(app));
-    if (embeddings)
-        *embeddings = run.embeddings;
+    executor.runMany(gpm::gpmAppPlans(app));
     return recorder.takeTrace();
+}
+
+/** Compile the trace and replay the program onto `backend`. */
+trace::ReplayResult
+replay(const trace::Trace &tr, backend::ExecBackend &backend)
+{
+    return trace::replayCompiled(trace::compileTrace(tr), backend);
 }
 
 /**
@@ -67,7 +66,7 @@ expectReplayEquivalence(const graph::CsrGraph &g, gpm::GpmApp app,
 
     const trace::Trace tr = captureGpm(g, app);
     auto replay_be = make();
-    const auto r = trace::replay(tr, *replay_be);
+    const auto r = replay(tr, *replay_be);
 
     EXPECT_EQ(d.cycles, r.cycles)
         << label << " " << gpm::gpmAppName(app) << " on " << g.name();
@@ -172,7 +171,7 @@ TEST(TraceReplayFsm, BitIdenticalOnLabeledGraph)
                 config.core, config.mem);
         }
         const auto direct = gpm::runFsm(lg, *direct_be, 2);
-        const auto replayed = trace::replay(tr, *replay_be);
+        const auto replayed = replay(tr, *replay_be);
         EXPECT_EQ(direct.cycles, replayed.cycles);
         EXPECT_EQ(direct.totalFrequent(), functional.totalFrequent());
     }
@@ -198,14 +197,14 @@ TEST(TraceReplayTensor, SpmspmAllAlgorithms)
         backend::CpuBackend cpu_direct(config.core, config.mem);
         const auto cd = kernels::runSpmspm(a, b, algorithm, cpu_direct);
         backend::CpuBackend cpu_replay(config.core, config.mem);
-        const auto cr = trace::replay(tr, cpu_replay);
+        const auto cr = replay(tr, cpu_replay);
         EXPECT_EQ(cd.cycles, cr.cycles);
         EXPECT_EQ(cpu_direct.breakdown().cycles, cr.breakdown.cycles);
 
         backend::SparseCoreBackend sc_direct(config);
         const auto sd = kernels::runSpmspm(a, b, algorithm, sc_direct);
         backend::SparseCoreBackend sc_replay(config);
-        const auto sr = trace::replay(tr, sc_replay);
+        const auto sr = replay(tr, sc_replay);
         EXPECT_EQ(sd.cycles, sr.cycles);
         EXPECT_EQ(sc_direct.breakdown().cycles, sr.breakdown.cycles);
     }
@@ -226,11 +225,11 @@ TEST(TraceReplayTensor, TtvAndTtm)
         backend::CpuBackend direct(config.core, config.mem);
         const auto d = kernels::runTtv(t, vec, direct);
         backend::CpuBackend rep(config.core, config.mem);
-        EXPECT_EQ(d.cycles, trace::replay(tr, rep).cycles);
+        EXPECT_EQ(d.cycles, replay(tr, rep).cycles);
         backend::SparseCoreBackend sc_direct(config);
         const auto ds = kernels::runTtv(t, vec, sc_direct);
         backend::SparseCoreBackend sc_rep(config);
-        EXPECT_EQ(ds.cycles, trace::replay(tr, sc_rep).cycles);
+        EXPECT_EQ(ds.cycles, replay(tr, sc_rep).cycles);
     }
     {
         trace::TraceRecorder recorder;
@@ -239,97 +238,15 @@ TEST(TraceReplayTensor, TtvAndTtm)
         backend::CpuBackend direct(config.core, config.mem);
         const auto d = kernels::runTtm(t, b, direct);
         backend::CpuBackend rep(config.core, config.mem);
-        EXPECT_EQ(d.cycles, trace::replay(tr, rep).cycles);
+        EXPECT_EQ(d.cycles, replay(tr, rep).cycles);
         backend::SparseCoreBackend sc_direct(config);
         const auto ds = kernels::runTtm(t, b, sc_direct);
         backend::SparseCoreBackend sc_rep(config);
-        EXPECT_EQ(ds.cycles, trace::replay(tr, sc_rep).cycles);
+        EXPECT_EQ(ds.cycles, replay(tr, sc_rep).cycles);
     }
 }
 
-// ---------------- serialization ----------------
-
-TEST(TraceSerialization, RoundTripIsByteStable)
-{
-    const auto g = test::randomTestGraph(60, 400, 55);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::T);
-    ASSERT_GT(tr.numEvents(), 0u);
-
-    const std::string bytes = tr.serialize();
-    const trace::Trace back = trace::Trace::deserialize(bytes);
-    EXPECT_EQ(back.numEvents(), tr.numEvents());
-    EXPECT_EQ(back.arenaKeys(), tr.arenaKeys());
-    EXPECT_EQ(back.handleCount(), tr.handleCount());
-    EXPECT_EQ(back.serialize(), bytes);
-
-    // The deserialized trace replays identically.
-    backend::SparseCoreBackend be_a, be_b;
-    EXPECT_EQ(trace::replay(tr, be_a).cycles,
-              trace::replay(back, be_b).cycles);
-}
-
-TEST(TraceSerialization, RejectsCorruptInput)
-{
-    const auto g = test::randomTestGraph(30, 120, 56);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::TC);
-    std::string bytes = tr.serialize();
-
-    EXPECT_THROW(trace::Trace::deserialize("bogus"), SimError);
-    EXPECT_THROW(trace::Trace::deserialize(
-                     std::string_view(bytes.data(), bytes.size() / 2)),
-                 SimError);
-    std::string wrong_magic = bytes;
-    wrong_magic[0] = 'X';
-    EXPECT_THROW(trace::Trace::deserialize(wrong_magic), SimError);
-}
-
-TEST(TraceSerialization, GoldenTraceStaysByteStable)
-{
-    // The committed golden trace pins the serialized format: a layout
-    // change must bump traceFormatVersion and regenerate the file
-    // (SPARSECORE_REGEN_GOLDEN=1 ./sparsecore_tests).
-    const std::string path =
-        std::string(SPARSECORE_TEST_DATA_DIR) + "/golden_trace.bin";
-    const trace::Trace tr =
-        captureGpm(test::figureOneGraph(), gpm::GpmApp::T);
-    const std::string bytes = tr.serialize();
-
-    if (std::getenv("SPARSECORE_REGEN_GOLDEN")) {
-        tr.saveFile(path);
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing " << path;
-    std::ostringstream content;
-    content << in.rdbuf();
-    EXPECT_EQ(content.str(), bytes)
-        << "serialized trace diverged from the golden file";
-
-    const trace::Trace golden = trace::Trace::loadFile(path);
-    backend::SparseCoreBackend be_a, be_b;
-    EXPECT_EQ(trace::replay(golden, be_a).cycles,
-              trace::replay(tr, be_b).cycles);
-}
-
-// ---------------- statistics & text dump ----------------
-
-TEST(TraceStats, CountersAndDump)
-{
-    std::uint64_t embeddings = 0;
-    const auto g = test::randomTestGraph(60, 400, 57);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::T, &embeddings);
-    EXPECT_GT(embeddings, 0u);
-
-    const StatSet stats = tr.statSet();
-    EXPECT_EQ(stats.get("events"), tr.numEvents());
-    EXPECT_EQ(stats.get("arenaKeys"), tr.arenaKeys());
-    EXPECT_GT(stats.get("events.streamLoad"), 0u);
-    EXPECT_GT(tr.memoryBytes(), 0u);
-
-    const std::string dump = tr.dumpText(64);
-    EXPECT_NE(dump.find("streamLoad"), std::string::npos);
-}
+// ---------------- statistics ----------------
 
 TEST(TraceStats, InterningDeduplicatesSpans)
 {
@@ -343,6 +260,8 @@ TEST(TraceStats, InterningDeduplicatesSpans)
     ASSERT_GT(referenced, 0u);
     EXPECT_LT(tr.arenaKeys(), referenced / 2)
         << "interning should deduplicate repeated neighbor lists";
+    EXPECT_GE(tr.memoryBytes(), tr.arenaBytes() +
+                                    tr.numEvents() * sizeof(trace::Event));
 }
 
 // ---------------- api capture-once paths ----------------

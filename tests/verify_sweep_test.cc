@@ -3,7 +3,7 @@
  * The "compiler output is verifier-clean" pin: every event stream the
  * GPM planner, the FSM miner and the tensor kernels emit — captured
  * through a TraceRecorder — must pass the stream-lifetime verifier
- * with zero diagnostics, and the committed golden trace must stay
+ * with zero diagnostics, and the committed golden program must stay
  * clean too. A planner or kernel change that starts leaking streams,
  * double-freeing or misusing (key,value) ancestry fails here with the
  * rule-tagged diagnostic, not as a mystery in a timing model.
@@ -20,6 +20,7 @@
 #include "kernels/ttv.hh"
 #include "tensor/tensor_gen.hh"
 #include "test_util.hh"
+#include "trace/bytecode.hh"
 #include "trace/recorder.hh"
 
 using namespace sc;
@@ -94,7 +95,8 @@ TEST(VerifySweep, TensorKernelEmissionsAreClean)
 
 TEST(VerifySweep, CommittedGoldenTraceIsClean)
 {
-    const auto tr = trace::Trace::loadFile(
-        SPARSECORE_TEST_DATA_DIR "/golden_trace.bin");
-    expectClean(tr, "golden trace");
+    const auto bc = trace::BytecodeProgram::loadFile(
+        SPARSECORE_TEST_DATA_DIR "/golden_trace.scbc");
+    const auto report = analysis::verifyBytecode(bc);
+    EXPECT_TRUE(report.clean()) << report.format();
 }

@@ -3,26 +3,25 @@
  * scverify: command-line front end for the stream-program static
  * verifier (src/analysis).
  *
- *     scverify prog.s another.s trace.bin program.scbc
+ *     scverify prog.s another.s program.scbc
  *
- * Each input is sniffed by content: files starting with the "SCTR"
- * magic are deserialized traces, files starting with "SCBC" are
- * compiled bytecode programs decoded back to event order — both
- * checked with the shared event-order lifetime checker; everything
- * else is assembled as stream-ISA text and run through the
- * branch-aware static pass. Exits 1 when any input draws an error
- * diagnostic (or a warning under --werror), 2 on usage, I/O or parse
- * failures, 0 when everything is clean.
- *
- * --compile-bytecode <trace.bin> <out.scbc> lowers a trace to the
- * bytecode form (after verifying it) — how the golden SCBC fixture
- * is (re)generated.
+ * Each input is sniffed by content: files starting with the "SCBC"
+ * magic are compiled bytecode programs, checked by walking their code
+ * with the event-order lifetime checker; everything else is
+ * assembled as stream-ISA text and run through the branch-aware
+ * static pass. Exits 1 when any input draws an error diagnostic (or
+ * a warning under --werror), 2 on usage errors (including flag
+ * values outside their accepted range) and on unreadable, malformed
+ * or unparsable input, 0 when everything is clean.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -35,8 +34,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "isa/assembler.hh"
-#include "trace/compile.hh"
-#include "trace/trace.hh"
+#include "trace/bytecode.hh"
 
 namespace {
 
@@ -65,9 +63,8 @@ usage(std::ostream &os, int code)
     os << "usage: scverify [options] <file>...\n"
           "\n"
           "Statically verify stream-ISA assembly programs and check\n"
-          "serialized SparseCore traces (SCTR binaries) and compiled\n"
-          "bytecode programs (SCBC binaries), both sniffed by magic,\n"
-          "against the stream dataflow contract.\n"
+          "compiled bytecode programs (SCBC binaries, sniffed by\n"
+          "magic) against the stream dataflow contract.\n"
           "\n"
           "options:\n"
           "  --werror       exit nonzero on warnings too\n"
@@ -77,20 +74,24 @@ usage(std::ostream &os, int code)
        << ")\n"
           "  --summary      quantitative summary per input: peak\n"
           "                 live-stream pressure (+ profile in JSON)\n"
-          "                 and, for traces/SCBC, cost bounds\n"
+          "                 and, for SCBC, cost bounds\n"
           "  --cost-bounds  print only the [lower, upper] simulated-\n"
-          "                 cycle interval (traces/SCBC)\n"
+          "                 cycle interval (SCBC)\n"
           "  --json         one byte-stable JSON object per input on\n"
           "                 stdout (diagnostics + any summary)\n"
-          "  --sus N        arch override: stream units\n"
-          "  --window N     arch override: SU comparator window\n"
+          "  --sus N        arch override: stream units (1.."
+       << arch::maxSus
+       << ")\n"
+          "  --window N     arch override: SU comparator window (1.."
+       << arch::maxSuWindow
+       << ")\n"
           "  --bandwidth N  arch override: aggregate stream bandwidth\n"
+          "                 (1.."
+       << arch::maxAggregateBandwidth
+       << ")\n"
           "  --nested 0|1   arch override: nested intersection\n"
           "  --dump-cfg     print each program's basic-block CFG\n"
           "  --list-rules   print the rule table and exit\n"
-          "  --compile-bytecode <trace.bin> <out.scbc>\n"
-          "                 verify a trace, lower it to bytecode and\n"
-          "                 write the SCBC image, then exit\n"
           "  --help         this text\n"
           "\n"
           "exit status: 0 clean, 1 diagnostics, 2 bad input\n";
@@ -122,44 +123,27 @@ readFile(const std::string &path, std::string &out)
 }
 
 bool
-looksLikeTrace(const std::string &bytes)
-{
-    return bytes.size() >= 4 && bytes.compare(0, 4, "SCTR") == 0;
-}
-
-bool
 looksLikeBytecode(const std::string &bytes)
 {
     return bytes.size() >= 4 && bytes.compare(0, 4, "SCBC") == 0;
 }
 
-/** --compile-bytecode: verify trace.bin, lower, write out.scbc. */
-int
-compileBytecode(const Cli &cli, const std::string &trace_path,
-                const std::string &out_path)
+/** Parse `text` as the integer value of `flag`, accepted only in
+ *  [lo, hi]; reports the accepted range and returns nullopt
+ *  otherwise. */
+std::optional<unsigned>
+parseFlagValue(const std::string &flag, const char *text, unsigned lo,
+               unsigned hi)
 {
-    try {
-        const trace::Trace tr = trace::Trace::loadFile(trace_path);
-        analysis::StreamLifetimeChecker::Options options;
-        options.maxLiveStreams = cli.maxLive;
-        const auto report = analysis::verifyTrace(tr, options);
-        for (const auto &d : report.diagnostics)
-            std::cout << trace_path << ": " << d.format() << "\n";
-        if (report.hasErrors() ||
-            (cli.werror && report.warningCount() != 0))
-            return 1;
-        const trace::BytecodeProgram bc = trace::compileTrace(tr);
-        bc.saveFile(out_path);
-        if (!cli.quiet)
-            std::cout << out_path << ": " << bc.numInstructions()
-                      << " instructions, " << bc.codeBytes()
-                      << " code bytes (" << tr.numEvents()
-                      << " events)\n";
-        return 0;
-    } catch (const SimError &e) {
-        std::cerr << "scverify: " << e.what() << "\n";
-        return 2;
+    const char *const end = text + std::strlen(text);
+    unsigned long long value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+        std::cerr << "scverify: " << flag << " expects an integer in ["
+                  << lo << ", " << hi << "], got '" << text << "'\n";
+        return std::nullopt;
     }
+    return static_cast<unsigned>(value);
 }
 
 void
@@ -184,7 +168,7 @@ dumpCfg(const isa::Program &program)
 
 /** One input's analyses: the lifetime report plus, when requested,
  *  the quantitative summary (pressure always; cost bounds only for
- *  the trace forms, which carry the event stream the cost model
+ *  SCBC programs, which carry the event stream the cost model
  *  charges). */
 struct FileResult
 {
@@ -203,25 +187,16 @@ checkFile(const Cli &cli, const std::string &path)
         return std::nullopt;
     }
 
+    // Any exception out of loading or checking an input — SimError
+    // for malformed input, but also an allocation failure — is bad
+    // input (exit 2), never an abort.
     try {
         FileResult result;
-        if (looksLikeTrace(bytes)) {
-            const trace::Trace tr = trace::Trace::deserialize(bytes);
-            analysis::StreamLifetimeChecker::Options options;
-            options.maxLiveStreams = cli.maxLive;
-            result.report = analysis::verifyTrace(tr, options);
-            if (cli.wantSummary())
-                result.summary =
-                    analysis::summarizeTrace(tr, cli.arch);
-            return result;
-        }
         if (looksLikeBytecode(bytes)) {
             const trace::BytecodeProgram bc =
                 trace::BytecodeProgram::deserialize(bytes);
             analysis::StreamLifetimeChecker::Options options;
             options.maxLiveStreams = cli.maxLive;
-            // Decode back to event order; both trace forms share one
-            // checker, so coverage is identical.
             result.report = analysis::verifyBytecode(bc, options);
             if (cli.wantSummary())
                 result.summary =
@@ -240,7 +215,7 @@ checkFile(const Cli &cli, const std::string &path)
             result.summary =
                 analysis::summarizeProgram(program, options);
         return result;
-    } catch (const SimError &e) {
+    } catch (const std::exception &e) {
         std::cerr << "scverify: " << path << ": " << e.what() << "\n";
         return std::nullopt;
     }
@@ -273,19 +248,24 @@ int
 main(int argc, char **argv)
 {
     Cli cli;
-    std::vector<std::string> compile_args;
+    // Numeric flags: each takes one value in its accepted range.
+    const auto numeric = [&](int &i, unsigned lo, unsigned hi,
+                             unsigned &out) {
+        if (i + 1 >= argc)
+            return false;
+        const auto value = parseFlagValue(argv[i], argv[i + 1], lo, hi);
+        ++i;
+        if (value)
+            out = *value;
+        return value.has_value();
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h")
             return usage(std::cout, 0);
         if (arg == "--list-rules")
             return listRules();
-        if (arg == "--compile-bytecode") {
-            if (i + 2 >= argc)
-                return usage(std::cerr, 2);
-            compile_args = {argv[i + 1], argv[i + 2]};
-            i += 2;
-        } else if (arg == "--werror") {
+        if (arg == "--werror") {
             cli.werror = true;
         } else if (arg == "--quiet" || arg == "-q") {
             cli.quiet = true;
@@ -298,42 +278,30 @@ main(int argc, char **argv)
         } else if (arg == "--cost-bounds") {
             cli.costBounds = true;
         } else if (arg == "--max-live") {
-            if (i + 1 >= argc)
+            if (!numeric(i, 1, std::numeric_limits<unsigned>::max(),
+                         cli.maxLive))
                 return usage(std::cerr, 2);
-            cli.maxLive =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--sus") {
-            if (i + 1 >= argc)
+            if (!numeric(i, 1, arch::maxSus, cli.arch.numSus))
                 return usage(std::cerr, 2);
-            cli.arch.numSus =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--window") {
-            if (i + 1 >= argc)
+            if (!numeric(i, 1, arch::maxSuWindow, cli.arch.suWindow))
                 return usage(std::cerr, 2);
-            cli.arch.suWindow =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--bandwidth") {
-            if (i + 1 >= argc)
+            if (!numeric(i, 1, arch::maxAggregateBandwidth,
+                         cli.arch.aggregateBandwidth))
                 return usage(std::cerr, 2);
-            cli.arch.aggregateBandwidth =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--nested") {
-            if (i + 1 >= argc)
+            unsigned nested = 0;
+            if (!numeric(i, 0, 1, nested))
                 return usage(std::cerr, 2);
-            cli.arch.nestedIntersection =
-                std::stoul(argv[++i]) != 0;
+            cli.arch.nestedIntersection = nested != 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "scverify: unknown option " << arg << "\n";
             return usage(std::cerr, 2);
         } else {
             cli.files.push_back(arg);
         }
-    }
-    if (!compile_args.empty()) {
-        if (!cli.files.empty())
-            return usage(std::cerr, 2);
-        return compileBytecode(cli, compile_args[0],
-                               compile_args[1]);
     }
     if (cli.files.empty())
         return usage(std::cerr, 2);
