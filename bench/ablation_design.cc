@@ -5,8 +5,8 @@
  * the scratchpad, the nested-intersection translator, and the
  * software-side IEP optimization that demonstrates the architecture's
  * flexibility claim (§1). Each config ladder fetches the workload's
- * trace and compiled program from the ArtifactStore once and replays
- * them per configuration.
+ * captured program from the ArtifactStore once and replays it per
+ * configuration.
  */
 
 #include <cstdio>

@@ -81,7 +81,7 @@ autoStride(const graph::CsrGraph &g, gpm::GpmApp app,
         std::min<double>(stride + 1.0, g.numVertices() / 8.0 + 1.0));
 }
 
-trace::Trace
+trace::BytecodeProgram
 captureGpmTrace(const graph::CsrGraph &g,
                 const std::vector<gpm::MiningPlan> &plans,
                 unsigned root_stride, std::uint64_t *embeddings)
@@ -174,10 +174,6 @@ BenchReport::finish()
     store_json.set("trace_hits", JsonValue::number(store.traces.hits));
     store_json.set("trace_misses",
                    JsonValue::number(store.traces.misses));
-    store_json.set("program_hits",
-                   JsonValue::number(store.programs.hits));
-    store_json.set("program_misses",
-                   JsonValue::number(store.programs.misses));
     out.set("artifact_store", std::move(store_json));
     JsonValue tables = JsonValue::array();
     for (const auto &[title, json] : tables_) {

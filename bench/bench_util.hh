@@ -25,7 +25,7 @@
 #include "graph/datasets.hh"
 #include "gpm/apps.hh"
 #include "trace/replay.hh"
-#include "trace/trace.hh"
+#include "trace/bytecode.hh"
 
 namespace sc::bench {
 
@@ -60,24 +60,24 @@ std::string benchResultsDir();
 void emitTable(const Table &table);
 
 /**
- * Capture one (plans, graph, stride) GPM run's event trace privately,
+ * Capture one (plans, graph, stride) GPM run's program privately,
  * outside the ArtifactStore — for benches that time the replay
  * engines themselves (bench/replay_microbench.cc).
  */
-trace::Trace captureGpmTrace(const graph::CsrGraph &g,
-                             const std::vector<gpm::MiningPlan> &plans,
-                             unsigned root_stride,
-                             std::uint64_t *embeddings = nullptr);
+trace::BytecodeProgram
+captureGpmTrace(const graph::CsrGraph &g,
+                const std::vector<gpm::MiningPlan> &plans,
+                unsigned root_stride, std::uint64_t *embeddings = nullptr);
 
 /**
- * One (app, graph, stride) sweep point's trace and compiled program,
- * prepared by the same api::prepare() step Machine uses: keyed in the
- * process-wide ArtifactStore, so the capture and the compile happen
- * exactly once per (app, dataset) for the whole binary and are shared
- * with every other driver in the same process. Drivers hold the
- * result across their config ladder and replay its program per
- * configuration. With SC_ARTIFACT_CACHE=off the point captures and
- * compiles privately; cycles are bit-identical either way.
+ * One (app, graph, stride) sweep point's captured program, prepared
+ * by the same api::prepare() step Machine uses: keyed in the
+ * process-wide ArtifactStore, so the capture happens exactly once
+ * per (app, dataset) for the whole binary and is shared with every
+ * other driver in the same process. Drivers hold the result across
+ * their config ladder and replay its program per configuration. With
+ * SC_ARTIFACT_CACHE=off the point captures privately; cycles are
+ * bit-identical either way.
  */
 api::Prepared gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
                            unsigned root_stride);

@@ -2,12 +2,12 @@
  * @file
  * Figure 12: SparseCore speedup (vs the 1-SU configuration) with 1,
  * 2, 4, 8, 16 SUs, for all nine GPM apps on B, E, F, W. Each (app,
- * graph) point fetches its trace and compiled program from the
- * ArtifactStore — captured and compiled exactly once — and replays
- * them across the SU ladder independently on the host pool.
+ * graph) point fetches its captured program from the ArtifactStore —
+ * captured exactly once — and replays it across the SU ladder
+ * independently on the host pool.
  *
  * Every ladder point also self-gates the static cost-bound analysis:
- * the [lower, upper] interval summarizeTrace derives for the point's
+ * the [lower, upper] interval summarizeBytecode derives for the point's
  * config must bracket the dynamically simulated cycles (check.sh
  * greps the confirmation line).
  */
@@ -54,8 +54,8 @@ main()
                     const Cycles cyc =
                         bench::replayArtifacts(artifacts, be).cycles;
                     const analysis::ProgramSummary summary =
-                        analysis::summarizeTrace(
-                            artifacts.trace(), config);
+                        analysis::summarizeBytecode(
+                            *artifacts.program, config);
                     ladder_points.fetch_add(1);
                     if (summary.cost.valid &&
                         summary.cost.contains(cyc))

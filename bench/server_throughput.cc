@@ -53,7 +53,7 @@ struct Cell
  * The mixed multi-dataset batch: `jobs_per_dataset` jobs on each of
  * four graph-dataset lanes, dataset-major (the convoy-inducing
  * order). Jobs within a lane mix compare and run modes — different
- * work, same trace+program artifacts.
+ * work, same captured program.
  */
 std::vector<std::string>
 datasetMajorBatch(unsigned jobs_per_dataset)
@@ -83,7 +83,7 @@ runCell(api::SchedPolicy policy, unsigned workers,
         std::map<std::string, Cycles> &cycles_by_id)
 {
     // Cold store per cell: every run pays (and schedules) the same
-    // captures and compiles, so the cells are comparable.
+    // captures, so the cells are comparable.
     api::ArtifactStore::global().clear();
 
     Cell cell;
@@ -155,7 +155,7 @@ main()
                       Table::num(s.p50LatencySeconds * 1e3, 2),
                       Table::num(s.p99LatencySeconds * 1e3, 2),
                       std::to_string(s.traceMisses),
-                      std::to_string(s.traceWaits + s.programWaits),
+                      std::to_string(s.traceWaits),
                       std::to_string(s.scheduler.warmers),
                       std::to_string(s.scheduler.convoyAvoided)});
         JsonValue run = JsonValue::object();

@@ -157,10 +157,6 @@ main(int argc, char **argv)
             store.set("trace_hits", JsonValue::number(s.traces.hits));
             store.set("trace_misses",
                       JsonValue::number(s.traces.misses));
-            store.set("program_hits",
-                      JsonValue::number(s.programs.hits));
-            store.set("program_misses",
-                      JsonValue::number(s.programs.misses));
             JsonValue as = JsonValue::object();
             as.set("artifact_store", std::move(store));
             stats_value = std::move(as);

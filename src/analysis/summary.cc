@@ -15,8 +15,6 @@ namespace {
 
 using streams::KeySpan;
 using streams::SetOpKind;
-using trace::Event;
-using trace::EventKind;
 
 constexpr std::uint64_t
 ceilDiv(std::uint64_t a, std::uint64_t b)
@@ -24,8 +22,8 @@ ceilDiv(std::uint64_t a, std::uint64_t b)
     return b == 0 ? a : (a + b - 1) / b;
 }
 
-/** Resolved nested element — the adapters flatten both trace forms
- *  (Trace::nestedEntry, BytecodeProgram::nestedEntry) to this. */
+/** Resolved nested element — the walk flattens
+ *  BytecodeProgram::nestedEntry to this. */
 struct NestedRef
 {
     Addr keyAddr = 0;
@@ -34,8 +32,8 @@ struct NestedRef
 };
 
 /**
- * The shared pressure + cost accumulator both adapters drive, one
- * call per source event in replay order.
+ * The pressure + cost accumulator the program walk drives, one call
+ * per captured event in replay order.
  *
  * Pressure is the concrete live count of the event walk, counted
  * exactly as StreamLifetimeChecker does (sentinel handles ignored,
@@ -78,7 +76,7 @@ class SummaryAccum
                           cfg.core.missStallFraction));
     }
 
-    // ---------------- one call per source event ----------------
+    // ---------------- one call per captured event ----------------
 
     void
     scalarOps(std::uint64_t n, std::uint32_t repeat)
@@ -519,78 +517,6 @@ struct BytecodeSummarizer
 };
 
 } // namespace
-
-ProgramSummary
-summarizeTrace(const trace::Trace &trace,
-               const arch::SparseCoreConfig &config)
-{
-    SummaryAccum acc(config);
-    std::vector<NestedRef> elems;
-    for (const Event &e : trace.events()) {
-        switch (e.kind) {
-          case EventKind::ScalarOps:
-            acc.scalarOps(e.n, 1);
-            break;
-          case EventKind::ScalarBranch:
-            acc.scalarBranch();
-            break;
-          case EventKind::ScalarLoad:
-            acc.scalarLoad();
-            break;
-          case EventKind::StreamLoad:
-            acc.streamLoad(e.result, e.addr0, e.n, /*kv=*/false);
-            break;
-          case EventKind::StreamLoadKv:
-            acc.streamLoad(e.result, e.addr0, e.n, /*kv=*/true);
-            break;
-          case EventKind::StreamFree:
-            acc.streamFree(e.a);
-            break;
-          case EventKind::SetOp:
-            acc.setOp(e.result, static_cast<SetOpKind>(e.aux),
-                      trace.span(e.s0), trace.span(e.s1), e.bound,
-                      e.s2.len);
-            break;
-          case EventKind::SetOpCount:
-            acc.setOpCount(static_cast<SetOpKind>(e.aux),
-                           trace.span(e.s0), trace.span(e.s1),
-                           e.bound);
-            break;
-          case EventKind::ValueIntersect:
-          case EventKind::DenseValueIntersect:
-            acc.valueIntersect(trace.span(e.s0), trace.span(e.s1),
-                               e.s2.len);
-            break;
-          case EventKind::ValueMerge:
-            acc.valueMerge(e.result, trace.span(e.s0),
-                           trace.span(e.s1), e.addr0 != 0,
-                           e.addr1 != 0, e.n);
-            break;
-          case EventKind::NestedGroup: {
-            elems.clear();
-            elems.reserve(e.aux2);
-            for (std::uint32_t i = 0; i < e.aux2; ++i) {
-                const trace::NestedEntry &entry =
-                    trace.nestedEntry(e.n + i);
-                elems.push_back({entry.keyAddr,
-                                 trace.span(entry.nested),
-                                 entry.bound});
-            }
-            acc.nestedGroup(trace.span(e.s0), elems);
-            break;
-          }
-          case EventKind::ConsumeStream:
-            acc.consumeStream();
-            break;
-          case EventKind::IterateStream:
-            acc.iterateStream(e.n, e.aux);
-            break;
-          case EventKind::NumKinds:
-            panic("trace summary: corrupt event kind");
-        }
-    }
-    return std::move(acc).finish();
-}
 
 ProgramSummary
 summarizeBytecode(const trace::BytecodeProgram &program,

@@ -8,13 +8,13 @@
  *  - **Pressure**: the maximum live-stream count per program point.
  *    For ISA programs it rides the verifier's branch-aware fixpoint
  *    (per-pc live counts from the block in-states, exact whenever the
- *    constant lattice kept every sid); for traces and compiled SCBC
- *    images it is the concrete running live count of the event walk.
+ *    constant lattice kept every sid); for captured SCBC programs it
+ *    is the concrete running live count of the event walk.
  *    Pressure against the job's real `ArchConfig` — not the hardcoded
  *    16 — is what admission control (api/job_queue.hh) checks.
  *
  *  - **Cost bounds**: a [lower, upper] simulated-cycle interval for a
- *    SparseCore replay of a trace/SCBC image, derived from the same
+ *    SparseCore replay of an SCBC program, derived from the same
  *    streams::suCost model the engine charges. The lower bound is the
  *    max of four independently-sound resource bounds (deterministic
  *    scalar issue cycles, SU occupancy, aggregate stream bandwidth,
@@ -25,9 +25,9 @@
  *    (app, dataset) in the fig07/11/12/13 smoke sweeps; see
  *    DESIGN.md §17 for the soundness argument.
  *
- * Both run over all three program forms (ISA program, captured trace,
- * compiled bytecode), and the JSON emitters here are the one output
- * path shared by `scverify --json`, the verdict cache and the tests.
+ * Both run over the two program forms (ISA program, captured SCBC
+ * program), and the JSON emitters here are the one output path shared
+ * by `scverify --json`, the verdict cache and the tests.
  */
 
 #ifndef SPARSECORE_ANALYSIS_SUMMARY_HH
@@ -40,7 +40,6 @@
 #include "analysis/verifier.hh"
 #include "common/json.hh"
 #include "isa/stream_inst.hh"
-#include "trace/trace.hh"
 
 namespace sc::arch {
 struct SparseCoreConfig;
@@ -90,16 +89,16 @@ struct ProgramSummary
     std::uint64_t maxPressurePc = 0;
     /**
      * True when the pressure numbers are exact: always for the
-     * concrete trace/bytecode walk; for ISA programs only while the
+     * concrete program walk; for ISA programs only while the
      * verifier's lattice kept every sid (no sidsUnknown, no stream
      * merged to Top).
      */
     bool pressureExact = true;
     /**
      * Pressure profile. ISA programs record one point per executed
-     * pc (program order); traces record the watermark envelope — the
-     * event index of each new live-count maximum — so the profile
-     * stays O(maxPressure) for million-event traces.
+     * pc (program order); captured programs record the watermark
+     * envelope — the event index of each new live-count maximum — so
+     * the profile stays O(maxPressure) for million-event captures.
      */
     std::vector<PressurePoint> profile;
 
@@ -115,14 +114,9 @@ struct ProgramSummary
 ProgramSummary summarizeProgram(const isa::Program &program,
                                 const VerifyOptions &options = {});
 
-/** Summarize a captured trace: concrete pressure + cost bounds for a
- *  SparseCore replay under `config`. */
-ProgramSummary summarizeTrace(const trace::Trace &trace,
-                              const arch::SparseCoreConfig &config);
-
-/** Summarize a compiled SCBC image — decodes nothing: walks the
- *  bytecode directly, so it doubles as a structural check and yields
- *  numbers identical to summarizeTrace on the source trace. */
+/** Summarize a captured SCBC program: concrete pressure + cost
+ *  bounds for a SparseCore replay under `config`. Walks the code
+ *  directly, so it doubles as a structural check. */
 ProgramSummary summarizeBytecode(const trace::BytecodeProgram &program,
                                  const arch::SparseCoreConfig &config);
 

@@ -15,9 +15,6 @@ StreamLifetimeChecker::Options::forArch(
     return options;
 }
 
-using trace::Event;
-using trace::EventKind;
-
 bool
 StreamLifetimeChecker::ignored(std::uint64_t handle)
 {
@@ -145,89 +142,96 @@ StreamLifetimeChecker::reset()
 
 namespace {
 
-/** One event's checker calls — the shared core of the event-list and
- *  bytecode walks, so both forms check one contract. */
-void
-checkEvent(StreamLifetimeChecker &chk, const Event &e)
+/** walkBytecode handler making one instruction's checker calls. The
+ *  `what` names are the ExecBackend hooks, so diagnostics read in
+ *  the algorithm's own terms. */
+struct LifetimeWalk
 {
-    const char *what = eventKindName(e.kind);
-    switch (e.kind) {
-      case EventKind::StreamLoad:
-        chk.onDefine(e.result, /*kv=*/false, what);
-        break;
-      case EventKind::StreamLoadKv:
-        chk.onDefine(e.result, /*kv=*/true, what);
-        break;
-      case EventKind::StreamFree:
-        chk.onFree(e.a, what);
-        break;
-      case EventKind::SetOp:
-        chk.onUse(e.a, false, what);
-        chk.onUse(e.b, false, what);
-        chk.onDefine(e.result, /*kv=*/false, what);
-        break;
-      case EventKind::SetOpCount:
-        chk.onUse(e.a, false, what);
-        chk.onUse(e.b, false, what);
-        chk.skipEvent();
-        break;
-      case EventKind::ValueIntersect:
-      case EventKind::DenseValueIntersect:
-        chk.onUse(e.a, true, what);
-        chk.onUse(e.b, true, what);
-        chk.skipEvent();
-        break;
-      case EventKind::ValueMerge:
-        chk.onUse(e.a, true, what);
-        chk.onUse(e.b, true, what);
-        chk.onDefine(e.result, /*kv=*/true, what);
-        break;
-      case EventKind::NestedGroup:
-      case EventKind::ConsumeStream:
-      case EventKind::IterateStream:
-        chk.onUse(e.a, false, what);
-        chk.skipEvent();
-        break;
-      case EventKind::ScalarOps:
-      case EventKind::ScalarBranch:
-      case EventKind::ScalarLoad:
-      case EventKind::NumKinds:
-        chk.skipEvent();
-        break;
+    StreamLifetimeChecker &chk;
+
+    void scalarOps(std::uint64_t, std::uint32_t n) { chk.skipEvent(n); }
+    void scalarBranch(std::uint64_t, bool) { chk.skipEvent(); }
+    void scalarLoad(Addr) { chk.skipEvent(); }
+    void
+    streamLoad(trace::TraceStream res, Addr, std::uint64_t,
+               std::uint8_t, trace::SpanRef)
+    {
+        chk.onDefine(res, /*kv=*/false, "streamLoad");
     }
-}
+    void
+    streamLoadKv(trace::TraceStream res, Addr, Addr, std::uint64_t,
+                 std::uint8_t, trace::SpanRef)
+    {
+        chk.onDefine(res, /*kv=*/true, "streamLoadKv");
+    }
+    void streamFree(trace::TraceStream a) { chk.onFree(a, "streamFree"); }
+    void
+    setOp(trace::TraceStream res, std::uint8_t, trace::TraceStream a,
+          trace::TraceStream b, trace::SpanRef, trace::SpanRef, Key,
+          trace::SpanRef, Addr)
+    {
+        chk.onUse(a, false, "setOp");
+        chk.onUse(b, false, "setOp");
+        chk.onDefine(res, /*kv=*/false, "setOp");
+    }
+    void
+    setOpCount(std::uint8_t, trace::TraceStream a, trace::TraceStream b,
+               trace::SpanRef, trace::SpanRef, Key, std::uint64_t)
+    {
+        chk.onUse(a, false, "setOpCount");
+        chk.onUse(b, false, "setOpCount");
+        chk.skipEvent();
+    }
+    void
+    valueIntersect(bool dense, trace::TraceStream a, trace::TraceStream b,
+                   trace::SpanRef, trace::SpanRef, Addr, Addr,
+                   trace::SpanRef, trace::SpanRef)
+    {
+        const char *what =
+            dense ? "denseValueIntersect" : "valueIntersect";
+        chk.onUse(a, true, what);
+        chk.onUse(b, true, what);
+        chk.skipEvent();
+    }
+    void
+    valueMerge(trace::TraceStream res, trace::TraceStream a,
+               trace::TraceStream b, trace::SpanRef, trace::SpanRef,
+               Addr, Addr, std::uint64_t, Addr)
+    {
+        chk.onUse(a, true, "valueMerge");
+        chk.onUse(b, true, "valueMerge");
+        chk.onDefine(res, /*kv=*/true, "valueMerge");
+    }
+    void
+    nestedGroup(trace::TraceStream a, trace::SpanRef, std::uint64_t,
+                std::uint32_t)
+    {
+        chk.onUse(a, false, "nestedGroup");
+        chk.skipEvent();
+    }
+    void
+    consumeStream(trace::TraceStream a)
+    {
+        chk.onUse(a, false, "consumeStream");
+        chk.skipEvent();
+    }
+    void
+    iterateStream(trace::TraceStream a, std::uint64_t, std::uint8_t)
+    {
+        chk.onUse(a, false, "iterateStream");
+        chk.skipEvent();
+    }
+};
 
 } // namespace
-
-VerifyReport
-verifyEvents(const std::vector<Event> &events,
-             StreamLifetimeChecker::Options options)
-{
-    StreamLifetimeChecker chk(options);
-    for (const Event &e : events)
-        checkEvent(chk, e);
-    chk.onEnd();
-    return chk.report();
-}
-
-VerifyReport
-verifyTrace(const trace::Trace &trace,
-            StreamLifetimeChecker::Options options)
-{
-    return verifyEvents(trace.events(), options);
-}
 
 VerifyReport
 verifyBytecode(const trace::BytecodeProgram &program,
                StreamLifetimeChecker::Options options)
 {
     StreamLifetimeChecker chk(options);
-    program.forEachEvent([&](const Event &e, std::uint32_t repeat) {
-        // Only fused scalar runs repeat, and those check nothing:
-        // advance the event index past the rest of the run.
-        checkEvent(chk, e);
-        chk.skipEvent(repeat - 1);
-    });
+    LifetimeWalk walk{chk};
+    trace::walkBytecode(program, walk);
     chk.onEnd();
     return chk.report();
 }

@@ -1,19 +1,18 @@
 /**
  * @file
- * Stream-lifetime checking for execution-event sequences: the same
- * contract the static verifier (analysis/verifier.hh) enforces on
- * stream-ISA programs, applied to the dynamic event stream an
- * algorithm reports to an ExecBackend — over a captured trace::Trace
- * (verifyTrace, what api::prepare runs before any replay) or over its
- * compiled SCBC program (verifyBytecode, what scverify runs on an
- * image).
+ * Stream-lifetime checking for captured programs: the same contract
+ * the static verifier (analysis/verifier.hh) enforces on stream-ISA
+ * programs, applied to the dynamic call sequence an algorithm
+ * reported to an ExecBackend, as its SCBC program holds it
+ * (verifyBytecode — what api::prepare runs before any replay and
+ * scverify runs on an image).
  *
- * Event sequences are branch-free, so no lattice is needed: the
+ * Captured sequences are branch-free, so no lattice is needed: the
  * checker walks the concrete define/use/free order and reports the
- * same rule ids the static pass uses. Handles are dense trace
- * handles rather than sids; diagnostics carry the event index as
- * their pc, so both forms of one capture report identical
- * diagnostics.
+ * same rule ids the static pass uses. Handles are dense program
+ * handles rather than sids; diagnostics carry the event index (the
+ * captured call's position, a fused scalar run counting each call)
+ * as their pc.
  */
 
 #ifndef SPARSECORE_ANALYSIS_TRACE_CHECK_HH
@@ -25,7 +24,6 @@
 
 #include "analysis/diagnostics.hh"
 #include "isa/stream_inst.hh"
-#include "trace/trace.hh"
 
 namespace sc::trace {
 class BytecodeProgram;
@@ -92,19 +90,9 @@ class StreamLifetimeChecker
     VerifyReport report_;
 };
 
-/** Check an event sequence against the stream-lifetime contract —
- *  the shared core of verifyTrace/verifyBytecode and scverify. */
-VerifyReport verifyEvents(const std::vector<trace::Event> &events,
-                          StreamLifetimeChecker::Options options = {});
-
-/** Check a captured trace against the stream-lifetime contract. */
-VerifyReport verifyTrace(const trace::Trace &trace,
-                         StreamLifetimeChecker::Options options = {});
-
-/** Check a compiled bytecode program by walking its code in event
- *  order with the shared checker. Fused scalar runs advance the
- *  event index without expanding, so memory stays O(live streams)
- *  and the diagnostics equal verifyTrace's on the source trace. */
+/** Check a program by walking its code in event order. Fused scalar
+ *  runs advance the event index without expanding, so memory stays
+ *  O(live streams). */
 VerifyReport
 verifyBytecode(const trace::BytecodeProgram &program,
                StreamLifetimeChecker::Options options = {});

@@ -20,12 +20,6 @@ cachedTraceBytes(const ArtifactStore::CachedTrace &cached)
 }
 
 std::size_t
-programBytes(const trace::BytecodeProgram &program)
-{
-    return program.memoryBytes();
-}
-
-std::size_t
 verdictBytes(const analysis::VerifyReport &report)
 {
     std::size_t bytes = sizeof(report);
@@ -62,19 +56,16 @@ ArtifactStoreStats::str() const
     os << " | ";
     appendCounters(os, "traces", traces);
     os << " | ";
-    appendCounters(os, "programs", programs);
-    os << " | ";
     appendCounters(os, "verdicts", verdicts);
     os << " | resident "
        << (graphs.bytes + labeledGraphs.bytes + traces.bytes +
-           programs.bytes + verdicts.bytes)
+           verdicts.bytes)
        << " bytes";
     return os.str();
 }
 
 ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
     : traces_(capacity_bytes, cachedTraceBytes),
-      programs_(capacity_bytes, programBytes),
       verdicts_(capacity_bytes, verdictBytes),
       summaries_(capacity_bytes, summaryBytes)
 {
@@ -121,39 +112,38 @@ ArtifactStore::trace(const std::string &key, const CaptureFn &capture)
 
 std::shared_ptr<const trace::BytecodeProgram>
 ArtifactStore::program(const std::string &trace_key,
-                       const trace::Trace &tr, bool *compiled)
+                       const trace::BytecodeProgram &tr, bool *compiled)
 {
-    bool built = false;
-    auto program = programs_.getOrBuild(programKey(trace_key), [&] {
-        built = true;
-        return std::make_shared<const trace::BytecodeProgram>(
-            trace::compileTrace(tr));
-    });
+    const auto cached = traces_.peek(trace_key);
+    const bool resident = cached && &cached->trace == &tr;
     if (compiled)
-        *compiled = built;
-    return program;
+        *compiled = !resident;
+    if (resident)
+        return {cached, &cached->trace};
+    return std::make_shared<const trace::BytecodeProgram>(tr);
 }
 
 std::shared_ptr<const analysis::VerifyReport>
 ArtifactStore::verdict(const std::string &trace_key,
-                       const trace::Trace &tr, unsigned capacity)
+                       const trace::BytecodeProgram &program,
+                       unsigned capacity)
 {
     return verdicts_.getOrBuild(verdictKey(trace_key, capacity), [&] {
         analysis::StreamLifetimeChecker::Options options;
         options.maxLiveStreams = capacity;
         return std::make_shared<const analysis::VerifyReport>(
-            analysis::verifyTrace(tr, options));
+            analysis::verifyBytecode(program, options));
     });
 }
 
 std::shared_ptr<const analysis::ProgramSummary>
 ArtifactStore::summary(const std::string &trace_key,
-                       const trace::Trace &tr,
+                       const trace::BytecodeProgram &program,
                        const arch::SparseCoreConfig &config)
 {
     return summaries_.getOrBuild(summaryKey(trace_key, config), [&] {
         return std::make_shared<const analysis::ProgramSummary>(
-            analysis::summarizeTrace(tr, config));
+            analysis::summarizeBytecode(program, config));
     });
 }
 
@@ -183,7 +173,6 @@ ArtifactStore::stats() const
     stats.graphs = graph::graphCacheStats();
     stats.labeledGraphs = graph::labeledGraphCacheStats();
     stats.traces = traces_.stats();
-    stats.programs = programs_.stats();
     stats.verdicts = verdicts_.stats();
     return stats;
 }
@@ -192,7 +181,6 @@ void
 ArtifactStore::clear()
 {
     traces_.clear();
-    programs_.clear();
     verdicts_.clear();
     summaries_.clear();
 }
@@ -227,14 +215,6 @@ ArtifactStore::fsmTraceKey(const graph::LabeledGraph &g,
     std::ostringstream os;
     os << "fsm/lg" << std::hex << g.fingerprint() << std::dec
        << "/sup" << min_support;
-    return os.str();
-}
-
-std::string
-ArtifactStore::programKey(const std::string &trace_key)
-{
-    std::ostringstream os;
-    os << trace_key << "/scbc" << trace::bytecodeFormatVersion;
     return os.str();
 }
 

@@ -1,26 +1,26 @@
 /**
  * @file
  * api::ArtifactStore — one shared, content-keyed lifecycle for the
- * expensive artifacts the system builds: captured execution Traces
- * (with their functional result) and compiled SCBC BytecodePrograms,
- * alongside the dataset-registry graph caches (graph/datasets.hh,
- * built on the same common/cache.hh primitive).
+ * expensive artifacts the system builds: captured SCBC programs (with
+ * their functional result), alongside the dataset-registry graph
+ * caches (graph/datasets.hh, built on the same common/cache.hh
+ * primitive).
  *
  * Keys are content-derived, never pointer-derived:
  *
  *   trace    gpm/<app>/g<graph fp>/s<root stride>[/c<chunk>of<n>]
  *            fsm/lg<labeled-graph fp>/sup<min support>
- *   program  <trace key>/scbc<v>
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
- * A trace is a pure function of (workload, dataset content, root
+ * A capture is a pure function of (workload, dataset content, root
  * sampling) — the substrate, SparseCoreConfig, SIMD kernel level and
- * set-index policy all act at *replay* time — so one cached capture
- * serves every sweep point, substrate comparison and config ladder.
- * Compiled programs key off the trace key plus the SCBC format
- * version, so a fig07–fig16 sweep compiles each (app, dataset)
- * exactly once and replays the shared program at every point. Trace
- * keys carry no format version: traces never leave process memory.
+ * set-index policy all act at *replay* time — so one cached program
+ * serves every sweep point, substrate comparison and config ladder:
+ * a fig07–fig16 sweep captures each (app, dataset) exactly once and
+ * replays the shared program at every point. One key holds one
+ * entry, the program plus its functional result; the verdict and
+ * summary caches hold small derived reports. Keys carry no format
+ * version: a cached program never leaves process memory.
  *
  * Cached and cold paths are bit-identical in results and simulated
  * cycles (the PR-2/PR-6 replay invariants; pinned again by
@@ -28,8 +28,9 @@
  * wall-clock. SC_ARTIFACT_CACHE=off|on is the process-wide escape
  * hatch; RunOptions::artifactCache / HostOptions::artifactCache
  * override per call. SC_ARTIFACT_CACHE_BYTES bounds the resident
- * bytes per cache (traces and programs; default 1 GiB each) — LRU
- * eviction with in-use artifacts pinned by their shared_ptr.
+ * bytes per cache (programs, verdicts, summaries; default 1 GiB
+ * each) — LRU eviction with in-use artifacts pinned by their
+ * shared_ptr.
  */
 
 #ifndef SPARSECORE_API_ARTIFACT_STORE_HH
@@ -46,7 +47,6 @@
 #include "common/cache.hh"
 #include "gpm/apps.hh"
 #include "graph/datasets.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 
 namespace sc::api {
@@ -56,7 +56,9 @@ struct ArtifactStoreStats
 {
     CacheStats graphs;        ///< dataset registry (graph/datasets)
     CacheStats labeledGraphs; ///< labeled dataset registry
-    CacheStats traces;
+    CacheStats traces; ///< captured programs (one entry per key)
+    /** Reads zero: programs live in the trace entries. bench/pipeline
+     *  compiles against this field. */
     CacheStats programs;
     CacheStats verdicts; ///< verified-bit cache (verdict())
 
@@ -67,12 +69,12 @@ struct ArtifactStoreStats
 class ArtifactStore
 {
   public:
-    /** A captured trace plus the functional result of its capture
+    /** A captured program plus the functional result of its capture
      *  run (embeddings / frequent patterns), so cache hits skip the
      *  functional enumeration entirely. */
     struct CachedTrace
     {
-        trace::Trace trace;
+        trace::BytecodeProgram trace;
         std::uint64_t functionalResult = 0;
     };
 
@@ -95,48 +97,48 @@ class ArtifactStore
     /** SC_ARTIFACT_CACHE_BYTES (default 1 GiB per cache). */
     static std::size_t defaultCapacityBytes();
 
-    /** Get-or-capture the trace for `key`. The capture runs at most
-     *  once per resident lifetime of the key; concurrent requests
-     *  share the first capture. */
+    /** Get-or-capture the program for `key`. The capture runs at
+     *  most once per resident lifetime of the key; concurrent
+     *  requests share the first capture. Capturing does not verify:
+     *  api::prepare() checks the verdict() on every call, hit or
+     *  miss. */
     std::shared_ptr<const CachedTrace>
     trace(const std::string &key, const CaptureFn &capture);
 
     /**
-     * Get-or-compile the bytecode program for a trace. Compiling does
-     * not verify: api::prepare() checks the trace's verdict() on every
-     * call, hit or miss. When `compiled` is non-null it is set to
-     * whether *this call* ran the compile (i.e. the request was a
-     * store miss) — the race-free way to report per-call cache hits,
-     * unlike sampling the aggregate miss counters around the call.
+     * bench/pipeline compiles against this: the resident entry's
+     * program, shared without a copy when that entry holds `tr`, else
+     * a private copy of `tr`. `compiled` reports whether it copied.
      */
     std::shared_ptr<const trace::BytecodeProgram>
-    program(const std::string &trace_key, const trace::Trace &tr,
-            bool *compiled = nullptr);
+    program(const std::string &trace_key,
+            const trace::BytecodeProgram &tr, bool *compiled = nullptr);
 
     /**
-     * Get-or-verify the stream-lifetime report for a trace at
+     * Get-or-verify the stream-lifetime report for a program at
      * `capacity` live streams — the verified bit. The checker runs
      * at most once per resident (trace_key, capacity); warm replays
      * and repeat job admissions reuse the verdict instead of
-     * re-running the trace checker. The verdict is a pure function
-     * of the (content-keyed) trace, so caching it never changes
-     * results or cycles — replay verification happens entirely
-     * before the timing backend starts.
+     * re-running the checker. The verdict is a pure function of the
+     * (content-keyed) program, so caching it never changes results
+     * or cycles — replay verification happens entirely before the
+     * timing backend starts.
      */
     std::shared_ptr<const analysis::VerifyReport>
-    verdict(const std::string &trace_key, const trace::Trace &tr,
-            unsigned capacity);
+    verdict(const std::string &trace_key,
+            const trace::BytecodeProgram &program, unsigned capacity);
 
     /** Get-or-compute the quantitative summary (pressure profile +
-     *  cost bounds) of a trace under `config` — at most once per
+     *  cost bounds) of a program under `config` — at most once per
      *  resident (trace_key, arch point). Admission control reads
      *  maxPressure from here; scverify and the sweep tests share the
      *  same cached numbers. */
     std::shared_ptr<const analysis::ProgramSummary>
-    summary(const std::string &trace_key, const trace::Trace &tr,
+    summary(const std::string &trace_key,
+            const trace::BytecodeProgram &program,
             const arch::SparseCoreConfig &config);
 
-    /** Resident-trace peek for admission-time checks: never captures,
+    /** Resident-entry peek for admission-time checks: never captures,
      *  never counts a hit or miss (the smoke legs pin those). */
     std::shared_ptr<const CachedTrace>
     peekTrace(const std::string &key);
@@ -149,7 +151,8 @@ class ArtifactStore
                  std::uint32_t num_labels = 8) const;
 
     ArtifactStoreStats stats() const;
-    /** Drop resident traces/programs (graph registry untouched). */
+    /** Drop resident programs and their reports (graph registry
+     *  untouched). */
     void clear();
 
     // ---------------- key scheme ----------------
@@ -165,7 +168,6 @@ class ArtifactStore
                                         unsigned num_chunks);
     static std::string fsmTraceKey(const graph::LabeledGraph &g,
                                    std::uint64_t min_support);
-    static std::string programKey(const std::string &trace_key);
     static std::string verdictKey(const std::string &trace_key,
                                   unsigned capacity);
     static std::string summaryKey(const std::string &trace_key,
@@ -173,7 +175,6 @@ class ArtifactStore
 
   private:
     LruCache<std::string, CachedTrace> traces_;
-    LruCache<std::string, trace::BytecodeProgram> programs_;
     LruCache<std::string, analysis::VerifyReport> verdicts_;
     LruCache<std::string, analysis::ProgramSummary> summaries_;
 };

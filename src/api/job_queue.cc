@@ -125,16 +125,14 @@ JobQueueStats::str() const
     os << " | latency p50 " << p50LatencySeconds * 1e3 << " ms, p99 "
        << p99LatencySeconds * 1e3 << " ms";
     os << " | store: traces " << traceHits << " hits / "
-       << traceMisses << " misses, programs " << programHits
-       << " hits / " << programMisses << " misses";
+       << traceMisses << " misses";
     os << " | verify: " << verifyChecked << " checked, "
        << verifyRejected << " program / " << pressureRejected
        << " pressure rejects, " << verdictHits
        << " re-checks skipped";
     os << " | sched " << schedPolicyName(scheduler.policy) << ": "
        << scheduler.warmers << " warmers, " << scheduler.convoyAvoided
-       << " convoys avoided, " << traceWaits + programWaits
-       << " store waits";
+       << " convoys avoided, " << traceWaits << " store waits";
     return os.str();
 }
 
@@ -156,10 +154,7 @@ JobQueueStats::toJsonValue() const
     JsonValue store = JsonValue::object();
     store.set("trace_hits", JsonValue::number(traceHits));
     store.set("trace_misses", JsonValue::number(traceMisses));
-    store.set("program_hits", JsonValue::number(programHits));
-    store.set("program_misses", JsonValue::number(programMisses));
     store.set("trace_waits", JsonValue::number(traceWaits));
-    store.set("program_waits", JsonValue::number(programWaits));
     store.set("verdict_hits", JsonValue::number(verdictHits));
     store.set("verdict_misses", JsonValue::number(verdictMisses));
     out.set("artifact_store", std::move(store));
@@ -252,13 +247,13 @@ JobQueue::submit(JobSpec spec)
         return reject(std::move(report));
     }
 
-    // Admission-time verification, for jobs whose trace is already
+    // Admission-time verification, for jobs whose program is already
     // resident in the store (a warm dataset): the cached verdict and
     // pressure summary are cheap to consult here, so a program that
     // breaks the stream-lifetime contract — or exceeds the arch
     // limits the job itself declared — is rejected with structured
     // JobDiags before it costs a scheduler slot. Cold jobs verify at
-    // execution exactly as before (the trace does not exist yet), and
+    // execution exactly as before (the program does not exist yet), and
     // jobs that declare no arch limits are never pressure-rejected.
     if (!resolved.job->affinityKey.empty()) {
         ArtifactStore &store = ArtifactStore::global();
@@ -490,13 +485,8 @@ JobQueue::stats() const
     const ArtifactStoreStats now = ArtifactStore::global().stats();
     out.traceHits = now.traces.hits - store_before_.traces.hits;
     out.traceMisses = now.traces.misses - store_before_.traces.misses;
-    out.programHits = now.programs.hits - store_before_.programs.hits;
-    out.programMisses =
-        now.programs.misses - store_before_.programs.misses;
     out.traceWaits = now.traces.inflightWaits -
                      store_before_.traces.inflightWaits;
-    out.programWaits = now.programs.inflightWaits -
-                       store_before_.programs.inflightWaits;
     out.verdictHits = now.verdicts.hits - store_before_.verdicts.hits;
     out.verdictMisses =
         now.verdicts.misses - store_before_.verdicts.misses;

@@ -7,8 +7,8 @@
  * std::futures of per-job JobReports back; execution is asynchronous
  * on the existing work-stealing ThreadPool. Every job routes through
  * the process-wide ArtifactStore, so a batch of jobs naming one
- * dataset captures the trace and compiles the bytecode exactly once
- * — the rest of the batch replays warm artifacts (the queue-level
+ * dataset captures its program exactly once — the rest of the batch
+ * replays warm artifacts (the queue-level
  * stats expose the hit counts).
  *
  * Dispatch order is decided by a pluggable JobScheduler
@@ -134,12 +134,12 @@ struct JobQueueStats
     /** ArtifactStore counter deltas over the queue's lifetime. */
     std::uint64_t traceHits = 0;
     std::uint64_t traceMisses = 0;
-    std::uint64_t programHits = 0;
-    std::uint64_t programMisses = 0;
     /** Store in-flight dedup waits: a pool worker blocked on a build
      *  another thread was already running — exactly the convoy the
      *  affinity policy exists to avoid (it parks instead). */
     std::uint64_t traceWaits = 0;
+    /** Reads zero: there is no program build to wait on.
+     *  bench/pipeline compiles against this field. */
     std::uint64_t programWaits = 0;
     /** Verified-bit cache deltas: verdictHits = re-checks skipped. */
     std::uint64_t verdictHits = 0;

@@ -21,8 +21,8 @@
  *
  * Resolution goes through the process-wide registries
  * (graph::datasets, tensor::tensor_datasets) and the ArtifactStore,
- * so a thousand jobs naming one dataset share a single loaded graph,
- * captured trace and compiled program. RunRequest survives as the
+ * so a thousand jobs naming one dataset share a single loaded graph
+ * and captured program. RunRequest survives as the
  * resolved, in-memory form every execution path still consumes.
  *
  * Option precedence: a field set in the JobSpec's "options" object

@@ -166,8 +166,8 @@ Machine::run(const RunRequest &request, Substrate substrate) const
 
     // Everything else replays a prepared program. Keyed workloads
     // take the store's, so a warm run skips the functional
-    // enumeration and the compile; a verified unkeyed run captures
-    // locally, and prepare() checks that trace before any replay.
+    // enumeration; a verified unkeyed run captures locally, and
+    // prepare() checks that program before any replay.
     // Replay is bit-identical to direct execution, so the route only
     // moves host wall clock.
     const Prepared prepared = prepare(key, captureOf(request), verify);

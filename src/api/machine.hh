@@ -8,14 +8,13 @@
  * benchmarks use; lower layers (backends, engine, plans) remain
  * public for advanced use.
  *
- * Traces are prepared through api::prepare() (api/pipeline.hh);
+ * Programs are prepared through api::prepare() (api/pipeline.hh);
  * run() executes unkeyed (tensor) requests directly on the timing
  * backend instead, unless the run verifies. GPM and FSM requests
- * keep their captured traces and compiled bytecode in the
- * content-keyed ArtifactStore (api/artifact_store.hh), so repeated
- * runs of one (app, dataset) across substrates, configs or sweep
- * points pay the functional enumeration and the trace->bytecode
- * compile once. Cached and cold paths are bit-identical (results
+ * keep their captured programs in the content-keyed ArtifactStore
+ * (api/artifact_store.hh), so repeated runs of one (app, dataset)
+ * across substrates, configs or sweep points pay the functional
+ * enumeration once. Cached and cold paths are bit-identical (results
  * and cycles); SC_ARTIFACT_CACHE or RunOptions::artifactCache opt
  * out.
  *

@@ -64,10 +64,10 @@ struct HostOptions
      */
     unsigned chunksPerCore = 4;
     /**
-     * Share per-chunk traces and compiled bytecode across runs
-     * through the content-keyed ArtifactStore (same contract as
+     * Share per-chunk captured programs across runs through the
+     * content-keyed ArtifactStore (same contract as
      * RunOptions::artifactCache): a warm mining or comparison call
-     * skips every chunk's functional capture and compile. nullopt =
+     * skips every chunk's functional capture. nullopt =
      * SC_ARTIFACT_CACHE (default on); cached and cold runs are
      * bit-identical in results and cycles.
      */

@@ -5,18 +5,10 @@
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/sparsecore_backend.hh"
-#include "trace/compile.hh"
 
 namespace sc::api {
 
 namespace {
-
-double
-secondsBetween(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to)
-{
-    return std::chrono::duration<double>(to - from).count();
-}
 
 void
 throwOnErrors(const analysis::VerifyReport &report)
@@ -33,48 +25,41 @@ prepare(const std::string &key, const ArtifactStore::CaptureFn &capture,
 {
     const bool check = verify.value_or(analysis::verifyByDefault());
     Prepared out;
-    // A local call always captures and compiles. A keyed call's hit
-    // flags come from whether *this call* ran the store's builder,
-    // which is race-free under concurrent callers (the store runs
-    // each builder at most once), unlike sampling its counters.
+    // A local call always captures. A keyed call's hit flag comes from
+    // whether *this call* ran the store's builder, which is race-free
+    // under concurrent callers (the store runs each builder at most
+    // once), unlike sampling its counters.
     bool captured = key.empty();
-    bool compiled = key.empty();
     const auto t0 = std::chrono::steady_clock::now();
-    auto t1 = t0;
     if (!key.empty()) {
-        ArtifactStore &store = ArtifactStore::global();
-        out.cached = store.trace(key, [&](trace::TraceRecorder &rec) {
-            captured = true;
-            return capture(rec);
-        });
-        t1 = std::chrono::steady_clock::now();
-        if (check)
-            throwOnErrors(
-                *store.verdict(key, out.trace(), isa::numStreamRegs));
-        out.program = store.program(key, out.trace(), &compiled);
+        out.cached = ArtifactStore::global().trace(
+            key, [&](trace::TraceRecorder &rec) {
+                captured = true;
+                return capture(rec);
+            });
     } else {
         auto local = std::make_shared<ArtifactStore::CachedTrace>();
         trace::TraceRecorder recorder;
         local->functionalResult = capture(recorder);
         local->trace = recorder.takeTrace();
         out.cached = std::move(local);
-        t1 = std::chrono::steady_clock::now();
-        if (check)
-            throwOnErrors(analysis::verifyTrace(out.trace()));
-        out.program = std::make_shared<const trace::BytecodeProgram>(
-            trace::compileTrace(out.trace()));
     }
-    const auto t2 = std::chrono::steady_clock::now();
+    const auto t1 = std::chrono::steady_clock::now();
+    out.program = {out.cached, &out.cached->trace};
+    if (check && key.empty())
+        throwOnErrors(analysis::verifyBytecode(*out.program));
+    else if (check)
+        throwOnErrors(*ArtifactStore::global().verdict(
+            key, *out.program, isa::numStreamRegs));
 
     TraceStats &stats = out.stats;
-    stats.events = out.trace().numEvents();
-    stats.arenaBytes = out.trace().arenaBytes();
+    stats.events = out.program->numEvents();
+    stats.arenaBytes = out.program->arenaBytes();
     stats.bytecodeBytes = out.program->codeBytes();
     stats.replayMode = "bytecode";
     stats.traceCacheHit = !captured;
-    stats.bytecodeCacheHit = !compiled;
-    stats.captureSeconds = captured ? secondsBetween(t0, t1) : 0;
-    stats.compileSeconds = compiled ? secondsBetween(t1, t2) : 0;
+    stats.captureSeconds =
+        captured ? std::chrono::duration<double>(t1 - t0).count() : 0;
     return out;
 }
 

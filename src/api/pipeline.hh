@@ -2,8 +2,8 @@
  * @file
  * The one execution pipeline every trace-driven path shares.
  *
- *   prepare()      obtain the trace (ArtifactStore under a content
- *                  key, or a local capture), verify it once, compile
+ *   prepare()      obtain the captured program (ArtifactStore under a
+ *                  content key, or a local capture), verify it once
  *   makeBackend()  the timing backend for a substrate
  *   replayCompiled the devirtualized bytecode replay (trace/replay.hh)
  *
@@ -27,16 +27,16 @@
 
 namespace sc::api {
 
-/** A trace ready to replay, with the stats of getting it there
+/** A program ready to replay, with the stats of getting it there
  *  (TraceStats::replaySeconds is the caller's to fill). */
 struct Prepared
 {
-    /** The trace and the functional result of its capture run. */
+    /** The program and the functional result of its capture run. */
     std::shared_ptr<const ArtifactStore::CachedTrace> cached;
+    /** cached->trace, sharing the entry's ownership. */
     std::shared_ptr<const trace::BytecodeProgram> program;
     TraceStats stats;
 
-    const trace::Trace &trace() const { return cached->trace; }
     std::uint64_t functionalResult() const
     {
         return cached->functionalResult;
@@ -44,19 +44,18 @@ struct Prepared
 };
 
 /**
- * Obtain, verify and compile one workload's trace.
+ * Obtain and verify one workload's captured program.
  *
- * With a non-empty `key` the trace and its program come out of
+ * With a non-empty `key` the program comes out of
  * ArtifactStore::global(): `capture` runs only on a store miss, and
- * concurrent callers share one capture and one compile. With an empty
- * key `capture` runs against a local recorder and the program is
- * compiled privately.
+ * concurrent callers share one capture. With an empty key `capture`
+ * runs against a local recorder and the program is private.
  *
  * When `verify` resolves true (nullopt = analysis::verifyByDefault())
- * the trace is checked against the stream-lifetime contract on every
- * call — a keyed call recalls the store's cached verdict, so a
+ * the program is checked against the stream-lifetime contract on
+ * every call — a keyed call recalls the store's cached verdict, so a
  * resident program never skips the check — and analysis::VerifyError
- * is thrown before anything is compiled or replayed.
+ * is thrown before anything is replayed.
  */
 Prepared prepare(const std::string &key,
                  const ArtifactStore::CaptureFn &capture,

@@ -70,10 +70,7 @@ jsonValue(const TraceStats &trace)
             JsonValue::number(std::uint64_t{trace.bytecodeBytes}));
     out.set("replay_mode", JsonValue::str(trace.replayMode));
     out.set("trace_cache_hit", JsonValue::boolean(trace.traceCacheHit));
-    out.set("bytecode_cache_hit",
-            JsonValue::boolean(trace.bytecodeCacheHit));
     out.set("capture_seconds", JsonValue::number(trace.captureSeconds));
-    out.set("compile_seconds", JsonValue::number(trace.compileSeconds));
     out.set("replay_seconds", JsonValue::number(trace.replaySeconds));
     return out;
 }
@@ -127,7 +124,8 @@ Comparison::str() const
     os << "speedup: " << Table::speedup(speedup()) << "\n";
     if (trace.events) {
         os << "trace: " << trace.events << " events, "
-           << trace.arenaBytes << " arena bytes, ";
+           << trace.arenaBytes << " arena bytes, "
+           << trace.bytecodeBytes << " code bytes, ";
         if (trace.traceCacheHit)
             os << "capture skipped (store hit)";
         else
@@ -138,15 +136,6 @@ Comparison::str() const
         if (!trace.replayMode.empty())
             os << " (" << trace.replayMode << ")";
         os << "\n";
-        if (trace.bytecodeBytes) {
-            os << "bytecode: " << trace.bytecodeBytes << " bytes, ";
-            if (trace.bytecodeCacheHit)
-                os << "compile skipped (store hit)\n";
-            else
-                os << "compile "
-                   << Table::num(trace.compileSeconds * 1e3, 1)
-                   << " ms\n";
-        }
     }
     return os.str();
 }

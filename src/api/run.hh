@@ -160,28 +160,22 @@ struct RunRequest
 
 /**
  * Capture/replay statistics of a trace-driven execution: the
- * workload ran functionally once (capture) and the substrate(s) were
- * timed by replaying the shared trace.
+ * workload ran functionally once (capture, which encodes the SCBC
+ * program) and the substrate(s) were timed by replaying it.
  */
 struct TraceStats
 {
     std::size_t events = 0;     ///< captured events
     std::size_t arenaBytes = 0; ///< interned key-arena bytes
-    /** Compiled bytecode program bytes. */
+    /** SCBC code bytes of the captured program. */
     std::size_t bytecodeBytes = 0;
     /** "bytecode" on every trace-driven path; empty on direct
      *  execution (report emission keys off it). */
     std::string replayMode;
-    /** The trace came out of the ArtifactStore warm: the functional
-     *  capture run was skipped entirely. */
+    /** The program came out of the ArtifactStore warm: the
+     *  functional capture run was skipped entirely. */
     bool traceCacheHit = false;
-    /** The compiled program came out of the store warm: the
-     *  trace->bytecode compile was skipped. */
-    bool bytecodeCacheHit = false;
     double captureSeconds = 0;  ///< host wall-clock of the capture run
-    /** Host wall-clock of the trace -> bytecode compile; paid once,
-     *  amortized over every replay. */
-    double compileSeconds = 0;
     double replaySeconds = 0;   ///< host wall-clock of the replay(s)
 };
 

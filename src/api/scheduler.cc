@@ -34,8 +34,8 @@ JobScheduler::dispatchLocked(const Held &held)
         Lane &lane = lanes_[held.lane];
         if (lane.temp == Lane::Temp::Cold) {
             // First job of a cold lane: it becomes the designated
-            // warmer — the one job allowed to pay the capture +
-            // compile cost for this dataset.
+            // warmer — the one job allowed to pay the capture cost
+            // for this dataset.
             lane.temp = Lane::Temp::Warming;
             lane.warmer = held.seq;
             ++warmers_;

@@ -71,7 +71,7 @@ class FunctionalBackend final : public ExecBackend
                          const std::vector<NestedItem> &elems) override;
 
     /**
-     * Apply a compiled program's aggregate profile in one shot —
+     * Apply a captured program's aggregate profile in one shot —
      * exactly the state every hook of a per-event replay would leave
      * (this backend is stateless across events: each hook is counter
      * bumps plus order-independent histogram samples), at

@@ -6,10 +6,10 @@
  * evict counters.
  *
  * Every expensive artifact the system builds — generated graphs with
- * their stream set index, captured execution traces, compiled SCBC
- * programs — shares one lifecycle: built at most once per content key
- * (concurrent requests for the same key wait on the first builder
- * instead of duplicating work), held by shared_ptr so eviction can
+ * their stream set index, captured SCBC programs and the reports
+ * derived from them — shares one lifecycle: built at most once per
+ * content key (concurrent requests for the same key wait on the first
+ * builder instead of duplicating work), held by shared_ptr so eviction can
  * never invalidate an artifact a caller is still using, and evicted
  * least-recently-used when the byte budget is exceeded. An entry
  * whose value is externally referenced (use_count > the cache's own
@@ -17,9 +17,9 @@
  * skipped by eviction, so in-use artifacts survive arbitrary cache
  * pressure.
  *
- * The api::ArtifactStore composes three of these (graphs, traces,
- * bytecode); graph/datasets.cc uses one directly for the Table-4
- * dataset registry. tests/cache_test.cc pins the semantics.
+ * The api::ArtifactStore composes these for captured programs,
+ * verdicts and summaries; graph/datasets.cc uses one directly for the
+ * Table-4 dataset registry. tests/cache_test.cc pins the semantics.
  */
 
 #ifndef SPARSECORE_COMMON_CACHE_HH

@@ -36,7 +36,7 @@ CsrGraph::CsrGraph(std::vector<std::uint64_t> offsets,
 
     // Content fingerprint (FNV-1a over both CSR arrays): the
     // artifact store keys traces by it, so structurally identical
-    // graphs share captured/compiled artifacts regardless of name.
+    // graphs share captured programs regardless of name.
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
         for (unsigned byte = 0; byte < 8; ++byte) {

@@ -109,8 +109,9 @@ loadMatrixMarket(std::istream &in, std::string name)
     if (rows == 0 || cols == 0)
         fatal("missing MatrixMarket size line in '%s'", name.c_str());
 
+    // The size line is untrusted: the vector grows with the entries
+    // actually read, and a short file fails the count check below.
     std::vector<Triplet> triplets;
-    triplets.reserve(nnz * (symmetric ? 2 : 1));
     std::uint64_t seen = 0;
     while (seen < nnz && std::getline(in, line)) {
         const auto first = line.find_first_not_of(" \t\r");

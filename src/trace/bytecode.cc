@@ -1,5 +1,6 @@
 #include "trace/bytecode.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -24,160 +25,15 @@ rangeFits(std::uint64_t off, std::uint64_t len, std::size_t size)
     return off <= size && len <= size - off;
 }
 
-/** walkBytecode handler reconstructing the source events. The
- *  per-kind field assignments mirror TraceRecorder exactly, so the
- *  decoded sequence is field-for-field the original trace. Each
- *  instruction's event reaches the sink when the next one starts
- *  (flush() hands over the last). */
-struct EventDecoder
-{
-    const EventSink &sink;
-    Event pending;
-    std::uint32_t repeat = 0; ///< copies of `pending` (0 = none)
-
-    Event &
-    push(EventKind kind, std::uint32_t times = 1)
-    {
-        flush();
-        pending = Event{};
-        pending.kind = kind;
-        repeat = times;
-        return pending;
-    }
-    void
-    flush()
-    {
-        if (repeat != 0)
-            sink(pending, repeat);
-        repeat = 0;
-    }
-
-    void
-    scalarOps(std::uint64_t n, std::uint32_t times)
-    {
-        push(EventKind::ScalarOps, times).n = n;
-    }
-    void
-    scalarBranch(std::uint64_t pc, bool taken)
-    {
-        Event &e = push(EventKind::ScalarBranch);
-        e.addr0 = pc;
-        e.aux = taken ? 1 : 0;
-    }
-    void scalarLoad(Addr addr) { push(EventKind::ScalarLoad).addr0 = addr; }
-    void
-    streamLoad(TraceStream res, Addr addr, std::uint64_t len,
-               std::uint8_t prio, SpanRef s0)
-    {
-        Event &e = push(EventKind::StreamLoad);
-        e.addr0 = addr;
-        e.n = len;
-        e.aux = prio;
-        e.s0 = s0;
-        e.result = res;
-    }
-    void
-    streamLoadKv(TraceStream res, Addr key_addr, Addr val_addr,
-                 std::uint64_t len, std::uint8_t prio, SpanRef s0)
-    {
-        Event &e = push(EventKind::StreamLoadKv);
-        e.addr0 = key_addr;
-        e.addr1 = val_addr;
-        e.n = len;
-        e.aux = prio;
-        e.s0 = s0;
-        e.result = res;
-    }
-    void streamFree(TraceStream a) { push(EventKind::StreamFree).a = a; }
-    void
-    setOp(TraceStream res, std::uint8_t kind, TraceStream a,
-          TraceStream b, SpanRef s0, SpanRef s1, Key bound, SpanRef s2,
-          Addr out_addr)
-    {
-        Event &e = push(EventKind::SetOp);
-        e.aux = kind;
-        e.a = a;
-        e.b = b;
-        e.s0 = s0;
-        e.s1 = s1;
-        e.bound = bound;
-        e.s2 = s2;
-        e.addr0 = out_addr;
-        e.result = res;
-    }
-    void
-    setOpCount(std::uint8_t kind, TraceStream a, TraceStream b,
-               SpanRef s0, SpanRef s1, Key bound, std::uint64_t count)
-    {
-        Event &e = push(EventKind::SetOpCount);
-        e.aux = kind;
-        e.a = a;
-        e.b = b;
-        e.s0 = s0;
-        e.s1 = s1;
-        e.bound = bound;
-        e.n = count;
-    }
-    void
-    valueIntersect(bool dense, TraceStream a, TraceStream b, SpanRef s0,
-                   SpanRef s1, Addr a_val, Addr b_val, SpanRef s2,
-                   SpanRef s3)
-    {
-        Event &e = push(dense ? EventKind::DenseValueIntersect
-                              : EventKind::ValueIntersect);
-        e.a = a;
-        e.b = b;
-        e.s0 = s0;
-        e.s1 = s1;
-        e.addr0 = a_val;
-        e.addr1 = b_val;
-        e.s2 = s2;
-        e.s3 = s3;
-    }
-    void
-    valueMerge(TraceStream res, TraceStream a, TraceStream b, SpanRef s0,
-               SpanRef s1, Addr a_val, Addr b_val, std::uint64_t n,
-               Addr out_addr)
-    {
-        Event &e = push(EventKind::ValueMerge);
-        e.a = a;
-        e.b = b;
-        e.s0 = s0;
-        e.s1 = s1;
-        e.addr0 = a_val;
-        e.addr1 = b_val;
-        e.n = n;
-        e.addr2 = out_addr;
-        e.result = res;
-    }
-    void
-    nestedGroup(TraceStream a, SpanRef s0, std::uint64_t entry_index,
-                std::uint32_t entry_count)
-    {
-        Event &e = push(EventKind::NestedGroup);
-        e.a = a;
-        e.s0 = s0;
-        e.n = entry_index;
-        e.aux2 = entry_count;
-    }
-    void consumeStream(TraceStream a) { push(EventKind::ConsumeStream).a = a; }
-    void
-    iterateStream(TraceStream a, std::uint64_t n, std::uint8_t ops)
-    {
-        Event &e = push(EventKind::IterateStream);
-        e.a = a;
-        e.n = n;
-        e.aux = ops;
-    }
-};
-
 /**
  * walkBytecode handler doing validation and profile accumulation in
- * one pass (finalize() runs it once per compile/deserialize).
+ * one pass (finalize() runs it once per capture or load).
  *
  * Validation: every operand in range — handles below handleCount or
  * sentinel, spans inside the arena, nested groups inside the entry
- * table, set-op kinds in range — so the replay loops index unchecked.
+ * table, set-op kinds in range — so the replay loops index unchecked;
+ * and no handle count past the handles the code uses, so an image
+ * cannot make a replay size its handle map from a forged header.
  *
  * Profile: the EventProfile mirrors the cost-model updates
  * FunctionalBackend's hooks perform per event
@@ -198,16 +54,21 @@ struct Auditor
     const BytecodeProgram &bc;
     std::size_t instructions = 0;
     std::size_t events = 0;
+    /** One past the largest non-sentinel handle seen. */
+    std::uint64_t handlesUsed = 0;
     EventProfile p;
     std::vector<std::uint64_t> dense;
     std::map<std::uint64_t, std::uint64_t> sparse;
 
     void
-    checkHandle(TraceStream h) const
+    checkHandle(TraceStream h)
     {
-        if (h != noTraceStream && h >= bc.handleCount())
+        if (h == noTraceStream)
+            return;
+        if (h >= bc.handleCount())
             panic("bytecode handle %u out of range (%u created)", h,
                   bc.handleCount());
+        handlesUsed = std::max<std::uint64_t>(handlesUsed, h + 1ull);
     }
     void
     checkSpan(SpanRef s) const
@@ -233,11 +94,16 @@ struct Auditor
     verifyCounts() const
     {
         if (instructions != bc.numInstructions() ||
-            events != bc.numSourceEvents())
+            events != bc.numEvents())
             panic("bytecode counts disagree with header: %zu/%zu "
                   "instructions, %zu/%zu events",
                   instructions, bc.numInstructions(), events,
-                  bc.numSourceEvents());
+                  bc.numEvents());
+        if (bc.handleCount() > handlesUsed)
+            panic("bytecode header claims %u handles, its code uses "
+                  "%llu",
+                  bc.handleCount(),
+                  static_cast<unsigned long long>(handlesUsed));
     }
 
     void
@@ -402,25 +268,6 @@ BytecodeProgram::memoryBytes() const
            nested_.capacity() * sizeof(NestedEntry);
 }
 
-void
-BytecodeProgram::forEachEvent(const EventSink &sink) const
-{
-    EventDecoder decoder{sink, Event{}, 0};
-    walkBytecode(*this, decoder);
-    decoder.flush();
-}
-
-std::vector<Event>
-BytecodeProgram::decodeEvents() const
-{
-    std::vector<Event> out;
-    out.reserve(numSourceEvents_);
-    forEachEvent([&](const Event &e, std::uint32_t repeat) {
-        out.insert(out.end(), repeat, e);
-    });
-    return out;
-}
-
 std::string
 BytecodeProgram::serialize() const
 {
@@ -432,7 +279,7 @@ BytecodeProgram::serialize() const
     wire::put<std::uint32_t>(out, bytecodeFormatVersion);
     wire::put<std::uint32_t>(out, handleCount_);
     wire::put<std::uint64_t>(out, numInstructions_);
-    wire::put<std::uint64_t>(out, numSourceEvents_);
+    wire::put<std::uint64_t>(out, numEvents_);
 
     wire::put<std::uint64_t>(out, arena_.size());
     wire::putArray(out, arena_.data(), arena_.size());
@@ -469,7 +316,7 @@ BytecodeProgram::deserialize(std::string_view bytes)
     BytecodeProgram bc;
     bc.handleCount_ = r.get<std::uint32_t>();
     bc.numInstructions_ = r.get<std::uint64_t>();
-    bc.numSourceEvents_ = r.get<std::uint64_t>();
+    bc.numEvents_ = r.get<std::uint64_t>();
 
     // Every count is checked against the bytes left before anything
     // is sized from it.
@@ -501,7 +348,7 @@ BytecodeProgram::deserialize(std::string_view bytes)
         panic("trailing bytes after the bytecode image");
 
     // Re-walk the code once, bounds-checked, to validate every
-    // operand against the loaded tables (the compiler guarantees this
+    // operand against the loaded tables (the recorder guarantees this
     // for its own output; a deserialized image has to earn the
     // unchecked replay loops).
     bc.finalize();

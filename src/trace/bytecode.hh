@@ -1,34 +1,37 @@
 /**
  * @file
- * The compiled-trace bytecode: a captured Trace lowered into one flat,
- * cache-resident buffer of fixed-layout opcodes, replayed by
- * devirtualized per-backend loops (trace/replay.cc). This is the one
- * program form every replay runs and the one on-disk image ("SCBC").
+ * SCBC, the one program form: the call sequence an algorithm issues
+ * to an ExecBackend, held as one flat, cache-resident buffer of
+ * fixed-layout opcodes. TraceRecorder (trace/recorder.hh) encodes it
+ * while the capture runs; the devirtualized replay loops
+ * (trace/replay.cc), the lifetime checker and the cost summaries
+ * walk it; serialize() writes it as the one on-disk image, read back
+ * by tools/scverify.
  *
- * Why a second form? The event walker reads ~112-byte Event records
- * and pays a virtual ExecBackend call per event; for every benchmark
- * sweep and DSE run, that walk IS the hot loop. The bytecode packs
- * the same call sequence into 32-bit words — delta-encoded addresses
- * (zigzag against a running register), implicit creation-order stream
- * ids, inlined key-span references into an owned arena — so replay
- * touches a fraction of the memory and decodes with one predictable
- * switch per instruction. Runs of identical consecutive scalarOps
- * events fuse into a single run-length instruction whose replay loop
- * re-issues each call, keeping per-call cost-model semantics (and
- * therefore cycles) bit-identical to the event walker.
+ * The code packs each backend call into 32-bit words: delta-encoded
+ * addresses (zigzag against a running register), implicit
+ * creation-order stream ids, and key-span references into an owned
+ * arena whose payloads are interned by content, so a neighbor list
+ * loaded at every recursion level is stored once. Replay touches a
+ * fraction of the memory a per-call record would and decodes with
+ * one predictable switch per instruction. Runs of identical
+ * consecutive scalarOps calls fuse into a single run-length
+ * instruction whose replay re-issues each call, keeping per-call
+ * cost-model semantics (and therefore cycles) bit-identical to
+ * direct execution.
  *
- * A program is self-contained: compile() copies the arena and the
- * nested-entry table out of the source trace, so one program compiled
- * per (app, dataset) replays onto any backend with no live Trace, and
- * serializes standalone ("SCBC" image, read by tools/scverify).
+ * A program is self-contained: it owns its arena and nested-entry
+ * table, so one capture per (app, dataset) replays onto any backend
+ * and serializes standalone ("SCBC" image).
  *
  * Instruction encoding (see walkBytecode for the decoder, which is
- * the layout's single source of truth shared with the compiler):
+ * the layout's single source of truth shared with the recorder):
  *
  *   header word: op(8) | aux(8) | flags(8) | reserved(8)
  *     flagWide           every u64-class operand takes 2 words
  *     flagExplicitResult result handle follows as a trailing word
- *                        (otherwise: next creation-order id)
+ *                        (otherwise: next creation-order id; the
+ *                        recorder never sets it, images may)
  *   operand classes:
  *     u64-class  zigzag address deltas, lengths/counts, span offsets
  *                (1 word narrow, 2 words wide)
@@ -39,20 +42,42 @@
 #define SPARSECORE_TRACE_BYTECODE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
-#include "trace/trace.hh"
+#include "common/types.hh"
+#include "streams/set_ops.hh"
 
 namespace sc::trace {
+
+/** Reference to interned key data: [off, off+len) in the arena. */
+struct SpanRef
+{
+    std::uint64_t off = 0;
+    std::uint32_t len = 0;
+};
+
+/** One nested-intersection element, with its functional count. */
+struct NestedEntry
+{
+    Addr infoAddr = 0; ///< CSR vertex-array entry address
+    Addr keyAddr = 0;  ///< nested edge list base address
+    SpanRef nested;    ///< nested edge list keys
+    Key bound = noBound;
+    std::uint64_t count = 0; ///< functional intersection count
+};
+
+/** Program-local stream handle (dense, assigned in creation order). */
+using TraceStream = std::uint32_t;
+constexpr TraceStream noTraceStream = ~TraceStream{0};
 
 /** Serialized SCBC format version (bump on any layout change). */
 constexpr std::uint32_t bytecodeFormatVersion = 1;
 
-/** Bytecode opcodes: EventKind plus the fused scalar-ops run. */
+/** Bytecode opcodes: one per ExecBackend hook, plus the fused
+ *  scalar-ops run. */
 enum class Op : std::uint8_t
 {
     ScalarOps,           ///< [n]
@@ -99,12 +124,13 @@ zigzagDecode(std::uint64_t code)
  * work, and the full multiset of stream-length histogram samples.
  *
  * This is the limit case of run batching: for a stateless substrate
- * whose end state is a pure function of the trace (FunctionalBackend
+ * whose end state is a pure function of the program (FunctionalBackend
  * — every hook is a counter bump and/or an order-independent
  * histogram sample), the whole program collapses into one profile
- * application, so a compiled replay costs O(distinct lengths) instead
- * of O(events). Derived at compile/deserialize time from the code
- * itself; never serialized (the SCBC image stays at format v1).
+ * application, so its replay costs O(distinct lengths) instead
+ * of O(events). Derived when a capture finishes or an image loads,
+ * from the code itself; never serialized (the SCBC image stays at
+ * format v1).
  */
 struct EventProfile
 {
@@ -125,21 +151,16 @@ struct EventProfile
     std::uint64_t streamsCreated = 0;
     /** Creations minus frees — the end-of-replay live count. */
     std::int64_t liveStreamDelta = 0;
-    /** Every stream-length histogram sample the event walk would
-     *  make, aggregated to (length, occurrences), sorted by length. */
+    /** Every stream-length histogram sample a call-by-call replay
+     *  would make, aggregated to (length, occurrences), sorted by
+     *  length. */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> lengthSamples;
 };
 
-/** Receives one decoded instruction: its event, and how many
- *  identical consecutive events it stands for (> 1 only for a fused
- *  scalar run). */
-using EventSink =
-    std::function<void(const Event &event, std::uint32_t repeat)>;
-
 /**
- * One compiled trace: flat code + owned key arena + nested-entry
- * table. Immutable after compile()/deserialize(); concurrent replays
- * of one program are safe.
+ * One captured program: flat code + owned key arena + nested-entry
+ * table. Immutable once TraceRecorder::takeTrace() or deserialize()
+ * returns it; concurrent replays of one program are safe.
  */
 class BytecodeProgram
 {
@@ -163,27 +184,13 @@ class BytecodeProgram
 
     // ---------------- statistics ----------------
     std::size_t numInstructions() const { return numInstructions_; }
-    /** Events of the source trace (fused runs count each event). */
-    std::size_t numSourceEvents() const { return numSourceEvents_; }
+    /** Backend calls captured (a fused run counts each call). */
+    std::size_t numEvents() const { return numEvents_; }
     std::size_t codeBytes() const { return code_.size() * sizeof(Word); }
     std::size_t arenaKeys() const { return arena_.size(); }
+    std::size_t arenaBytes() const { return arena_.size() * sizeof(Key); }
     /** Total owned bytes (code + arena + nested entries). */
     std::size_t memoryBytes() const;
-
-    /**
-     * Decode back to the event form, one sink call per instruction in
-     * event order. A fused run arrives once with its length, so
-     * memory stays O(1) however long the runs are; the shared
-     * event-order checker (analysis::verifyBytecode) walks programs
-     * this way.
-     */
-    void forEachEvent(const EventSink &sink) const;
-
-    /**
-     * The expanded event list: exactly the source trace's (fused runs
-     * re-expand), which the round-trip property tests pin.
-     */
-    std::vector<Event> decodeEvents() const;
 
     // ---------------- serialization ----------------
     /** Versioned standalone binary image ("SCBC", little-endian). */
@@ -193,24 +200,26 @@ class BytecodeProgram
      * input. Header counts are checked against the bytes that follow
      * before anything is allocated, and the code is validated by a
      * bounds-checked walk, so no image can make the loader allocate
-     * more than it holds or read outside it.
+     * more than it holds or read outside it, nor make a replay size
+     * its handle map past the handles the code uses.
      */
     static BytecodeProgram deserialize(std::string_view bytes);
     void saveFile(const std::string &path) const;
     static BytecodeProgram loadFile(const std::string &path);
 
   private:
-    friend BytecodeProgram compileTrace(const Trace &trace);
+    friend class TraceRecorder;
 
     /**
      * One fused, bounds-checked walk that validates the code and
      * rebuilds profile_ (derived data — the serialized image carries
      * none of it). Panics unless every operand is in range (handles
      * below handleCount or sentinel, spans inside the arena, nested
-     * groups inside the entry table) and the header counts match.
-     * compileTrace() output satisfies this by construction;
-     * deserialize() runs it so the unchecked replay loops can trust
-     * any loaded image.
+     * groups inside the entry table), the header counts match, and
+     * handleCount is at most one past the largest handle the code
+     * defines or names. Recorder output satisfies this by
+     * construction; deserialize() runs it so the unchecked replay
+     * loops can trust any loaded image.
      */
     void finalize();
 
@@ -219,20 +228,22 @@ class BytecodeProgram
     std::vector<NestedEntry> nested_;
     TraceStream handleCount_ = 0;
     std::size_t numInstructions_ = 0;
-    std::size_t numSourceEvents_ = 0;
+    std::size_t numEvents_ = 0;
     EventProfile profile_;
 };
 
 /**
  * Decode the program, invoking one handler method per instruction.
- * This is the single decoder both the devirtualized replay loops and
- * decodeEvents() share, so the encoding has exactly one reader.
+ * This is the single decoder the replay loops, the validator, the
+ * lifetime checker and the cost summary share, so the encoding has
+ * exactly one reader.
  *
  * `BoundsChecked` walks panic on an operand read past the end of the
- * code; only validation (BytecodeProgram::finalize) needs them. Every other walk runs on a validated program, so its
- * instantiations carry no bounds branches.
+ * code; only validation (BytecodeProgram::finalize) needs them. Every
+ * other walk runs on a validated program, so its instantiations carry
+ * no bounds branches.
  *
- * The handler mirrors the ExecBackend surface with trace-level
+ * The handler mirrors the ExecBackend surface with program-level
  * operands (TraceStream handles, SpanRefs into program.span()):
  *
  *   scalarOps(n, repeat)           repeat identical scalarOps(n) calls
@@ -293,7 +304,7 @@ walkBytecode(const BytecodeProgram &program, Handler &&handler)
         };
         auto handle = [&]() -> TraceStream { return word(); };
         // Trailing result handle: implicit creation-order id unless
-        // the (rare, hand-built-trace) explicit form is flagged.
+        // the explicit form is flagged (never by the recorder).
         auto result = [&]() -> TraceStream {
             if (hdr & flagExplicitResult)
                 return word();

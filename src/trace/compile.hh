@@ -1,8 +1,8 @@
 /**
  * @file
- * compileTrace(): lower a captured Trace into the flat bytecode form
- * (trace/bytecode.hh). Compiled once per (app, dataset) and replayed
- * onto any backend by trace::replayCompiled.
+ * Forwarders for bench/pipeline, which compiles against these names.
+ * TraceRecorder encodes SCBC as it captures, so a capture already is
+ * its program and there is no compile step behind them.
  */
 
 #ifndef SPARSECORE_TRACE_COMPILE_HH
@@ -12,24 +12,15 @@
 
 namespace sc::trace {
 
-/**
- * Lower a captured trace into bytecode. A pure function of the trace
- * (deterministic output; the committed golden SCBC image pins it).
- * The trace is only read; the returned program owns copies of the
- * arena and nested-entry table, so it outlives the trace.
- *
- * Compile-time validation replaces replay-time checks: every stream
- * handle is either the sentinel or below handleCount(), every span
- * lies inside the arena and every nested group inside the entry
- * table, so the hot replay loops index without bounds branches.
- * Malformed traces panic here, exactly like the event walker would.
- *
- * Runs of consecutive identical scalarOps events fuse into one
- * run-length instruction; replay still issues one backend call per
- * source event, keeping the ceil(n/issueWidth) cost-model semantics
- * bit-identical.
- */
-BytecodeProgram compileTrace(const Trace &trace);
+/** bench/pipeline compiles against this name for a captured program. */
+using Trace = BytecodeProgram;
+
+/** bench/pipeline compiles against this: a copy of the program. */
+inline BytecodeProgram
+compileTrace(const Trace &trace)
+{
+    return trace;
+}
 
 } // namespace sc::trace
 

@@ -1,73 +1,162 @@
 #include "trace/recorder.hh"
 
+#include <cstring>
+
 namespace sc::trace {
 
 using backend::BackendStream;
 
+namespace {
+
+/** FNV-1a over the span's keys. */
+std::uint64_t
+contentHash(streams::KeySpan keys)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Key k : keys) {
+        h ^= k;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Longest fused scalar run (the run count is one u32 word). */
+constexpr std::uint32_t maxScalarRun = 0xffffffffu;
+
+} // namespace
+
 void
 TraceRecorder::begin()
 {
-    trace_.clear();
+    program_ = BytecodeProgram{};
+    interned_.clear();
+    nfields_ = 0;
+    lastAddr_ = 0;
+    runCount_ = 0;
     next_ = 0;
 }
 
-Cycles
-TraceRecorder::finish()
-{
-    trace_.setHandleCount(next_);
-    return 0;
-}
-
-Trace
+BytecodeProgram
 TraceRecorder::takeTrace()
 {
-    trace_.setHandleCount(next_);
-    Trace out = std::move(trace_);
-    trace_.clear();
-    next_ = 0;
+    flushRun();
+    program_.handleCount_ = next_;
+    program_.code_.shrink_to_fit();
+    program_.arena_.shrink_to_fit();
+    program_.nested_.shrink_to_fit();
+    // The audit re-decodes the code with the shared walker, so it
+    // also proves encoder and decoder agree on this program's layout,
+    // and it aggregates the EventProfile stateless substrates apply.
+    program_.finalize();
+    BytecodeProgram out = std::move(program_);
+    begin();
     return out;
 }
 
-Event &
-TraceRecorder::push(EventKind kind)
+SpanRef
+TraceRecorder::intern(streams::KeySpan keys)
 {
-    Event e;
-    e.kind = kind;
-    // Valid until the next append; callers fill fields immediately.
-    return trace_.append(e);
+    if (keys.empty())
+        return SpanRef{};
+    std::vector<Key> &arena = program_.arena_;
+    auto &bucket = interned_[contentHash(keys)];
+    for (const SpanRef &ref : bucket) {
+        if (ref.len == keys.size() &&
+            std::memcmp(arena.data() + ref.off, keys.data(),
+                        keys.size() * sizeof(Key)) == 0)
+            return ref;
+    }
+    SpanRef ref{arena.size(), static_cast<std::uint32_t>(keys.size())};
+    arena.insert(arena.end(), keys.begin(), keys.end());
+    bucket.push_back(ref);
+    return ref;
+}
+
+void
+TraceRecorder::emit(Op op, std::uint8_t aux)
+{
+    bool wide = false;
+    for (unsigned i = 0; i < nfields_; ++i)
+        if (fields_[i].u64Class && fields_[i].value > 0xffffffffull) {
+            wide = true;
+            break;
+        }
+    std::vector<Word> &code = program_.code_;
+    code.push_back(static_cast<Word>(op) | (Word{aux} << auxShift) |
+                   (wide ? flagWide : 0));
+    for (unsigned i = 0; i < nfields_; ++i) {
+        const Operand &f = fields_[i];
+        code.push_back(static_cast<Word>(f.value));
+        if (f.u64Class && wide)
+            code.push_back(static_cast<Word>(f.value >> 32));
+    }
+    nfields_ = 0;
+    ++program_.numInstructions_;
+    ++program_.numEvents_;
+}
+
+BackendStream
+TraceRecorder::emitCreating(Op op, std::uint8_t aux)
+{
+    emit(op, aux);
+    return next_++;
+}
+
+void
+TraceRecorder::flushRun()
+{
+    if (runCount_ == 0)
+        return;
+    if (runCount_ == 1) {
+        u64f(runN_);
+        emit(Op::ScalarOps);
+    } else {
+        u32f(runCount_);
+        u64f(runN_);
+        emit(Op::ScalarOpsRun);
+        program_.numEvents_ += runCount_ - 1;
+    }
+    runCount_ = 0;
 }
 
 void
 TraceRecorder::scalarOps(std::uint64_t n)
 {
-    push(EventKind::ScalarOps).n = n;
+    if (runCount_ != 0 && runN_ == n && runCount_ < maxScalarRun) {
+        ++runCount_;
+        return;
+    }
+    flushRun();
+    runN_ = n;
+    runCount_ = 1;
 }
 
 void
 TraceRecorder::scalarBranch(std::uint64_t pc, bool taken)
 {
-    Event &e = push(EventKind::ScalarBranch);
-    e.addr0 = pc;
-    e.aux = taken ? 1 : 0;
+    flushRun();
+    addrf(pc);
+    emit(Op::ScalarBranch, taken ? 1 : 0);
 }
 
 void
 TraceRecorder::scalarLoad(Addr addr)
 {
-    push(EventKind::ScalarLoad).addr0 = addr;
+    flushRun();
+    addrf(addr);
+    emit(Op::ScalarLoad);
 }
 
 BackendStream
 TraceRecorder::streamLoad(Addr key_addr, std::uint32_t length,
                           unsigned priority, streams::KeySpan keys)
 {
-    Event &e = push(EventKind::StreamLoad);
-    e.addr0 = key_addr;
-    e.n = length;
-    e.aux = static_cast<std::uint8_t>(priority);
-    e.s0 = trace_.intern(keys);
-    e.result = nextHandle();
-    return e.result;
+    flushRun();
+    addrf(key_addr);
+    u64f(length);
+    spanf(keys);
+    return emitCreating(Op::StreamLoad,
+                        static_cast<std::uint8_t>(priority));
 }
 
 BackendStream
@@ -75,20 +164,21 @@ TraceRecorder::streamLoadKv(Addr key_addr, Addr val_addr,
                             std::uint32_t length, unsigned priority,
                             streams::KeySpan keys)
 {
-    Event &e = push(EventKind::StreamLoadKv);
-    e.addr0 = key_addr;
-    e.addr1 = val_addr;
-    e.n = length;
-    e.aux = static_cast<std::uint8_t>(priority);
-    e.s0 = trace_.intern(keys);
-    e.result = nextHandle();
-    return e.result;
+    flushRun();
+    addrf(key_addr);
+    addrf(val_addr);
+    u64f(length);
+    spanf(keys);
+    return emitCreating(Op::StreamLoadKv,
+                        static_cast<std::uint8_t>(priority));
 }
 
 void
 TraceRecorder::streamFree(BackendStream handle)
 {
-    push(EventKind::StreamFree).a = handle;
+    flushRun();
+    u32f(handle);
+    emit(Op::StreamFree);
 }
 
 BackendStream
@@ -97,17 +187,15 @@ TraceRecorder::setOp(streams::SetOpKind kind, BackendStream a,
                      streams::KeySpan bk, Key bound,
                      streams::KeySpan result, Addr out_addr)
 {
-    Event &e = push(EventKind::SetOp);
-    e.aux = static_cast<std::uint8_t>(kind);
-    e.a = a;
-    e.b = b;
-    e.s0 = trace_.intern(ak);
-    e.s1 = trace_.intern(bk);
-    e.bound = bound;
-    e.s2 = trace_.intern(result);
-    e.addr0 = out_addr;
-    e.result = nextHandle();
-    return e.result;
+    flushRun();
+    u32f(a);
+    u32f(b);
+    spanf(ak);
+    spanf(bk);
+    u32f(bound);
+    spanf(result);
+    addrf(out_addr);
+    return emitCreating(Op::SetOp, static_cast<std::uint8_t>(kind));
 }
 
 void
@@ -116,32 +204,33 @@ TraceRecorder::setOpCount(streams::SetOpKind kind, BackendStream a,
                           streams::KeySpan bk, Key bound,
                           std::uint64_t count)
 {
-    Event &e = push(EventKind::SetOpCount);
-    e.aux = static_cast<std::uint8_t>(kind);
-    e.a = a;
-    e.b = b;
-    e.s0 = trace_.intern(ak);
-    e.s1 = trace_.intern(bk);
-    e.bound = bound;
-    e.n = count;
+    flushRun();
+    u32f(a);
+    u32f(b);
+    spanf(ak);
+    spanf(bk);
+    u32f(bound);
+    u64f(count);
+    emit(Op::SetOpCount, static_cast<std::uint8_t>(kind));
 }
 
 void
 TraceRecorder::recordValueIntersect(
-    EventKind kind, BackendStream a, BackendStream b,
-    streams::KeySpan ak, streams::KeySpan bk, Addr a_val_base,
-    Addr b_val_base, std::span<const std::uint32_t> match_a,
+    Op op, BackendStream a, BackendStream b, streams::KeySpan ak,
+    streams::KeySpan bk, Addr a_val_base, Addr b_val_base,
+    std::span<const std::uint32_t> match_a,
     std::span<const std::uint32_t> match_b)
 {
-    Event &e = push(kind);
-    e.a = a;
-    e.b = b;
-    e.s0 = trace_.intern(ak);
-    e.s1 = trace_.intern(bk);
-    e.addr0 = a_val_base;
-    e.addr1 = b_val_base;
-    e.s2 = trace_.intern({match_a.data(), match_a.size()});
-    e.s3 = trace_.intern({match_b.data(), match_b.size()});
+    flushRun();
+    u32f(a);
+    u32f(b);
+    spanf(ak);
+    spanf(bk);
+    addrf(a_val_base);
+    addrf(b_val_base);
+    spanf({match_a.data(), match_a.size()});
+    spanf({match_b.data(), match_b.size()});
+    emit(op);
 }
 
 void
@@ -151,8 +240,8 @@ TraceRecorder::valueIntersect(BackendStream a, BackendStream b,
                               std::span<const std::uint32_t> match_a,
                               std::span<const std::uint32_t> match_b)
 {
-    recordValueIntersect(EventKind::ValueIntersect, a, b, ak, bk,
-                         a_val_base, b_val_base, match_a, match_b);
+    recordValueIntersect(Op::ValueIntersect, a, b, ak, bk, a_val_base,
+                         b_val_base, match_a, match_b);
 }
 
 void
@@ -162,7 +251,7 @@ TraceRecorder::denseValueIntersect(
     std::span<const std::uint32_t> match_a,
     std::span<const std::uint32_t> match_b)
 {
-    recordValueIntersect(EventKind::DenseValueIntersect, a, b, ak, bk,
+    recordValueIntersect(Op::DenseValueIntersect, a, b, ak, bk,
                          a_val_base, b_val_base, match_a, match_b);
 }
 
@@ -172,17 +261,16 @@ TraceRecorder::valueMerge(BackendStream a, BackendStream b,
                           Addr a_val_base, Addr b_val_base,
                           std::uint64_t result_len, Addr out_addr)
 {
-    Event &e = push(EventKind::ValueMerge);
-    e.a = a;
-    e.b = b;
-    e.s0 = trace_.intern(ak);
-    e.s1 = trace_.intern(bk);
-    e.addr0 = a_val_base;
-    e.addr1 = b_val_base;
-    e.n = result_len;
-    e.addr2 = out_addr;
-    e.result = nextHandle();
-    return e.result;
+    flushRun();
+    u32f(a);
+    u32f(b);
+    spanf(ak);
+    spanf(bk);
+    addrf(a_val_base);
+    addrf(b_val_base);
+    u64f(result_len);
+    addrf(out_addr);
+    return emitCreating(Op::ValueMerge, 0);
 }
 
 void
@@ -190,34 +278,37 @@ TraceRecorder::nestedIntersect(
     BackendStream s, streams::KeySpan s_keys,
     const std::vector<backend::NestedItem> &elems)
 {
-    std::vector<NestedEntry> entries;
-    entries.reserve(elems.size());
+    flushRun();
+    // The entries' spans are interned before the set's, which fixes
+    // the arena layout the golden image pins.
+    const std::uint64_t index = program_.nested_.size();
     for (const auto &elem : elems)
-        entries.push_back({elem.infoAddr, elem.keyAddr,
-                           trace_.intern(elem.nested), elem.bound,
-                           elem.count});
-    const std::uint32_t off = trace_.appendNested(entries);
-    Event &e = push(EventKind::NestedGroup);
-    e.a = s;
-    e.s0 = trace_.intern(s_keys);
-    e.n = off;
-    e.aux2 = static_cast<std::uint32_t>(entries.size());
+        program_.nested_.push_back({elem.infoAddr, elem.keyAddr,
+                                    intern(elem.nested), elem.bound,
+                                    elem.count});
+    u32f(s);
+    spanf(s_keys);
+    u64f(index);
+    u32f(static_cast<std::uint32_t>(elems.size()));
+    emit(Op::NestedGroup);
 }
 
 void
 TraceRecorder::consumeStream(BackendStream handle)
 {
-    push(EventKind::ConsumeStream).a = handle;
+    flushRun();
+    u32f(handle);
+    emit(Op::ConsumeStream);
 }
 
 void
 TraceRecorder::iterateStream(BackendStream handle, std::uint64_t n,
                              unsigned ops_per_element)
 {
-    Event &e = push(EventKind::IterateStream);
-    e.a = handle;
-    e.n = n;
-    e.aux = static_cast<std::uint8_t>(ops_per_element);
+    flushRun();
+    u32f(handle);
+    u64f(n);
+    emit(Op::IterateStream, static_cast<std::uint8_t>(ops_per_element));
 }
 
 } // namespace sc::trace

@@ -4,7 +4,6 @@
 #include "backend/cpu_backend.hh"
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
-#include "common/logging.hh"
 
 namespace sc::trace {
 
@@ -12,27 +11,15 @@ using backend::BackendStream;
 
 namespace {
 
-/** Translate a trace handle through the replay map. */
-BackendStream
-mapHandle(const std::vector<BackendStream> &map, TraceStream h)
-{
-    if (h == noTraceStream)
-        return backend::noStream;
-    if (h >= map.size())
-        panic("trace replay: handle %u out of range (%zu created)",
-              h, map.size());
-    return map[h];
-}
-
 /**
  * walkBytecode handler issuing backend calls. Instantiated once per
  * concrete backend type (B = CpuBackend etc.), so every call below is
  * direct and inlinable; B = ExecBackend is the generic fallback. The
- * issued call sequence is identical to replayEvents — a ScalarOpsRun
- * re-issues one scalarOps(n) per source event, preserving the
- * per-call ceil(n/issueWidth) cost-model semantics.
+ * issued call sequence is the captured one — a ScalarOpsRun re-issues
+ * one scalarOps(n) per captured call, preserving the per-call
+ * ceil(n/issueWidth) cost-model semantics.
  *
- * compileTrace/deserialize validated every handle, span and nested
+ * BytecodeProgram::finalize validated every handle, span and nested
  * group, so the hot path maps handles without bounds branches.
  */
 template <typename B>
@@ -180,12 +167,11 @@ replayCompiled(const BytecodeProgram &program,
     // One devirtualized loop instantiation per concrete backend: the
     // concrete classes are final, so B's calls resolve statically and
     // inline into the decode switch. The functional substrate goes
-    // further — it is stateless across events, so the compile-time
-    // EventProfile aggregate replaces the walk entirely (run batching
-    // taken to its limit; bit-identical stats by construction since
-    // every hook is additive and order-independent). Everything else
-    // (baseline accelerators, bench probes) takes the generic loop,
-    // which still skips Event materialization.
+    // further — it is stateless across events, so the EventProfile
+    // aggregate replaces the walk entirely (run batching taken to its
+    // limit; bit-identical stats by construction since every hook is
+    // additive and order-independent). Everything else (baseline
+    // accelerators, bench probes) takes the generic loop.
     if (auto *cpu = dynamic_cast<backend::CpuBackend *>(&backend))
         runBytecode(program, *cpu);
     else if (auto *sc =
@@ -196,104 +182,6 @@ replayCompiled(const BytecodeProgram &program,
         fn->applyProfile(program.profile());
     else
         runBytecode(program, backend);
-
-    ReplayResult out;
-    out.cycles = backend.finish();
-    out.breakdown = backend.breakdown();
-    return out;
-}
-
-ReplayResult
-replayEvents(const Trace &trace, backend::ExecBackend &backend)
-{
-    backend.begin();
-
-    // Trace handles are dense and assigned in creation order; the map
-    // fills in the same order during replay, so backend-side handle
-    // numbering matches the original capture run exactly.
-    std::vector<BackendStream> map(trace.handleCount(),
-                                   backend::noStream);
-
-    for (const Event &e : trace.events()) {
-        switch (e.kind) {
-        case EventKind::ScalarOps:
-            backend.scalarOps(e.n);
-            break;
-        case EventKind::ScalarBranch:
-            backend.scalarBranch(e.addr0, e.aux != 0);
-            break;
-        case EventKind::ScalarLoad:
-            backend.scalarLoad(e.addr0);
-            break;
-        case EventKind::StreamLoad:
-            map[e.result] = backend.streamLoad(
-                e.addr0, static_cast<std::uint32_t>(e.n), e.aux,
-                trace.span(e.s0));
-            break;
-        case EventKind::StreamLoadKv:
-            map[e.result] = backend.streamLoadKv(
-                e.addr0, e.addr1, static_cast<std::uint32_t>(e.n),
-                e.aux, trace.span(e.s0));
-            break;
-        case EventKind::StreamFree:
-            backend.streamFree(mapHandle(map, e.a));
-            break;
-        case EventKind::SetOp:
-            map[e.result] = backend.setOp(
-                static_cast<streams::SetOpKind>(e.aux),
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.bound,
-                trace.span(e.s2), e.addr0);
-            break;
-        case EventKind::SetOpCount:
-            backend.setOpCount(static_cast<streams::SetOpKind>(e.aux),
-                               mapHandle(map, e.a), mapHandle(map, e.b),
-                               trace.span(e.s0), trace.span(e.s1),
-                               e.bound, e.n);
-            break;
-        case EventKind::ValueIntersect:
-            backend.valueIntersect(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                trace.span(e.s2), trace.span(e.s3));
-            break;
-        case EventKind::DenseValueIntersect:
-            backend.denseValueIntersect(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                trace.span(e.s2), trace.span(e.s3));
-            break;
-        case EventKind::ValueMerge:
-            map[e.result] = backend.valueMerge(
-                mapHandle(map, e.a), mapHandle(map, e.b),
-                trace.span(e.s0), trace.span(e.s1), e.addr0, e.addr1,
-                e.n, e.addr2);
-            break;
-        case EventKind::NestedGroup: {
-            std::vector<backend::NestedItem> items;
-            items.reserve(e.aux2);
-            for (std::uint32_t i = 0; i < e.aux2; ++i) {
-                const NestedEntry &entry = trace.nestedEntry(e.n + i);
-                items.push_back({entry.infoAddr, entry.keyAddr,
-                                 trace.span(entry.nested), entry.bound,
-                                 entry.count});
-            }
-            // Virtual dispatch lowers the group to the explicit loop
-            // on substrates without S_NESTINTER.
-            backend.nestedIntersect(mapHandle(map, e.a),
-                                    trace.span(e.s0), items);
-            break;
-        }
-        case EventKind::ConsumeStream:
-            backend.consumeStream(mapHandle(map, e.a));
-            break;
-        case EventKind::IterateStream:
-            backend.iterateStream(mapHandle(map, e.a), e.n, e.aux);
-            break;
-        case EventKind::NumKinds:
-            panic("trace replay: corrupt event kind");
-        }
-    }
 
     ReplayResult out;
     out.cycles = backend.finish();

@@ -1,25 +1,19 @@
 /**
  * @file
- * Replay: drive any ExecBackend with a captured workload. The replay
+ * Replay: drive any ExecBackend with a captured program. The replay
  * issues exactly the call sequence the capture run issued — stream
  * handles are remapped through a dense table in creation order, so
  * backends that key costs off handle values (e.g. the CPU baseline's
  * per-site branch pcs) see identical numbering — making replayed
  * cycles and breakdowns bit-identical to direct execution.
  *
- * The engine: a captured trace is lowered once (trace/compile.hh)
- * into the flat bytecode form (trace/bytecode.hh) and driven by a
- * template-specialized loop instantiated per concrete backend, so
- * every backend call devirtualizes and inlines. The compiled program
- * is reusable across backends and replays — the intended shape is
- * compile once, replayCompiled() many times (api/pipeline.hh does
- * exactly that for every api path, verifying the captured trace
- * before the first replay).
- *
- * replayEvents() keeps the original per-event walker, one virtual
- * ExecBackend call per captured Event. It issues the identical call
- * sequence and is the reference the bytecode loop is tested against;
- * no api path uses it.
+ * The engine: the program (trace/bytecode.hh, encoded by
+ * TraceRecorder while it captures) is driven by a template-specialized
+ * loop instantiated per concrete backend, so every backend call
+ * devirtualizes and inlines. A program is reusable across backends
+ * and replays — the intended shape is capture once, replayCompiled()
+ * many times (api/pipeline.hh does exactly that for every api path,
+ * verifying the program before the first replay).
  */
 
 #ifndef SPARSECORE_TRACE_REPLAY_HH
@@ -29,7 +23,6 @@
 
 #include "backend/exec_backend.hh"
 #include "trace/bytecode.hh"
-#include "trace/trace.hh"
 
 namespace sc::trace {
 
@@ -41,14 +34,14 @@ struct ReplayResult
 };
 
 /**
- * Replay a compiled program onto a backend (begin() .. finish());
- * compile once per (app, dataset), replay onto any backend. Nested
+ * Replay a program onto a backend (begin() .. finish()); capture
+ * once per (app, dataset), replay onto any backend. Nested
  * groups re-dispatch through the backend's nestedIntersect, which
  * lowers to the explicit loop on substrates without S_NESTINTER —
  * one program serves both classes of hardware. Dispatch
  * devirtualizes for the concrete backend types (CpuBackend,
  * SparseCoreBackend, FunctionalBackend); other ExecBackends run
- * through a generic loop that still skips the Event materialization.
+ * through the generic loop, one virtual call per captured call.
  *
  * When `verify` resolves to true (nullopt = analysis::verifyByDefault,
  * i.e. debug builds or SC_VERIFY=1) the program is checked against
@@ -62,15 +55,6 @@ struct ReplayResult
 ReplayResult replayCompiled(const BytecodeProgram &program,
                             backend::ExecBackend &backend,
                             std::optional<bool> verify = std::nullopt);
-
-/**
- * The reference walker: replay the captured Event records directly,
- * one virtual backend call per event (no verification, no compile).
- * Bit-identical to replayCompiled() by construction; tests and
- * bench/replay_microbench compare the two.
- */
-ReplayResult replayEvents(const Trace &trace,
-                          backend::ExecBackend &backend);
 
 } // namespace sc::trace
 

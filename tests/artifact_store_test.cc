@@ -3,9 +3,10 @@
  * The ArtifactStore's contract: cached and cold paths are
  * bit-identical in functional results and simulated cycles (run(),
  * compare(), the host-parallel miners), artifacts are content-keyed
- * (two structurally identical graph objects share one trace), the
- * byte budget evicts LRU entries while pinned in-use artifacts
- * survive, and concurrent requests build each artifact exactly once.
+ * (two structurally identical graph objects share one trace), each
+ * key holds one entry sized by its program, the byte budget evicts
+ * LRU entries while pinned in-use artifacts survive, and concurrent
+ * requests build each artifact exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,9 @@
 #include "api/artifact_store.hh"
 #include "api/machine.hh"
 #include "api/parallel.hh"
+#include "api/pipeline.hh"
 #include "gpm/executor.hh"
+#include "gpm/fsm.hh"
 #include "graph/generators.hh"
 
 using namespace sc;
@@ -169,8 +172,9 @@ TEST(ArtifactStore, ParallelMiningColdWarmBitIdentical)
 TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
 {
     // Stats-level proof of the build-once contract: the second
-    // compare() of one (app, dataset) adds a trace hit and a program
-    // hit, and no new misses.
+    // compare() of one (app, dataset) adds one trace hit and no new
+    // miss. The captured program is the entry, so there is no
+    // program build to count.
     Machine machine;
     const auto g = testGraph(106);
     const RunOptions options = withCache(true);
@@ -180,9 +184,60 @@ TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
     machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g, options));
     const auto after = ArtifactStore::global().stats();
     EXPECT_EQ(after.traces.misses, before.traces.misses);
-    EXPECT_EQ(after.programs.misses, before.programs.misses);
     EXPECT_EQ(after.traces.hits, before.traces.hits + 1);
-    EXPECT_EQ(after.programs.hits, before.programs.hits + 1);
+    EXPECT_EQ(after.traces.entries, before.traces.entries);
+    EXPECT_EQ(after.programs.hits + after.programs.misses, 0u);
+}
+
+TEST(ArtifactStore, OneEntryPerKeySizedByItsProgram)
+{
+    // A keyed prepare() leaves one entry per key: the captured
+    // program plus its functional result, charged at the program's
+    // own bytes, and the program the caller replays is that entry.
+    ArtifactStore &store = ArtifactStore::global();
+    store.clear();
+    const auto g = testGraph(111);
+    auto base = testGraph(112);
+    std::vector<graph::Label> labels(base.numVertices());
+    for (VertexId v = 0; v < base.numVertices(); ++v)
+        labels[v] = static_cast<graph::Label>(v % 4);
+    const graph::LabeledGraph lg(std::move(base), labels);
+
+    const std::string gpm_key =
+        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
+    const std::string fsm_key = ArtifactStore::fsmTraceKey(lg, 300);
+    const Prepared gpm_run =
+        prepare(gpm_key, gpmCapture(g, gpm::GpmApp::T), false);
+    const Prepared fsm_run =
+        prepare(fsm_key,
+                [&](trace::TraceRecorder &recorder) {
+                    return gpm::runFsm(lg, recorder, 300).totalFrequent();
+                },
+                false);
+
+    const ArtifactStoreStats stats = store.stats();
+    EXPECT_EQ(stats.traces.entries, 2u);
+    std::size_t want = 0;
+    for (const Prepared *p : {&gpm_run, &fsm_run}) {
+        EXPECT_EQ(p->program.get(), &p->cached->trace);
+        want += p->program->memoryBytes() + sizeof(std::uint64_t);
+    }
+    EXPECT_EQ(stats.traces.bytes, want);
+    EXPECT_EQ(store.peekTrace(gpm_key), gpm_run.cached);
+    EXPECT_EQ(store.peekTrace(fsm_key), fsm_run.cached);
+    EXPECT_EQ(stats.programs.hits + stats.programs.misses, 0u);
+    EXPECT_EQ(stats.programs.entries, 0u);
+    EXPECT_EQ(stats.programs.bytes, 0u);
+
+    // The program() forwarder shares the resident entry and copies
+    // anything else.
+    bool copied = true;
+    EXPECT_EQ(store.program(gpm_key, gpm_run.cached->trace, &copied),
+              gpm_run.program);
+    EXPECT_FALSE(copied);
+    const trace::BytecodeProgram other = gpm_run.cached->trace;
+    EXPECT_NE(store.program(gpm_key, other, &copied), gpm_run.program);
+    EXPECT_TRUE(copied);
 }
 
 TEST(ArtifactStore, EvictionBoundsBytesButPinsInUseArtifacts)
@@ -229,8 +284,8 @@ TEST(ArtifactStore, ConcurrentRequestsCaptureOnce)
         threads.emplace_back([&, t] {
             const auto cached =
                 store.trace("shared", gpmCapture(g, gpm::GpmApp::T));
-            const auto bc = store.program("shared", cached->trace);
-            results[t] = cached->functionalResult + bc->codeBytes();
+            results[t] =
+                cached->functionalResult + cached->trace.codeBytes();
         });
     }
     for (auto &th : threads)
@@ -239,7 +294,7 @@ TEST(ArtifactStore, ConcurrentRequestsCaptureOnce)
         EXPECT_EQ(results[t], results[0]);
     const auto stats = store.stats();
     EXPECT_EQ(stats.traces.misses, 1u);
-    EXPECT_EQ(stats.programs.misses, 1u);
+    EXPECT_EQ(stats.traces.entries, 1u);
     EXPECT_EQ(stats.traces.hits,
               static_cast<std::uint64_t>(kThreads) - 1);
 }
@@ -267,6 +322,13 @@ TEST(ArtifactStore, KeysEncodeContentAndVersions)
                                               0, 8),
               ArtifactStore::gpmChunkTraceKey(gpm::GpmApp::T, g1, 1,
                                               1, 8));
-    // Program keys derive from the trace key + bytecode version.
-    EXPECT_NE(ArtifactStore::programKey(k1), k1);
+    // Verdict and summary keys derive from the trace key plus the
+    // capacity or arch point they were computed at.
+    EXPECT_NE(ArtifactStore::verdictKey(k1, 16), k1);
+    EXPECT_NE(ArtifactStore::verdictKey(k1, 16),
+              ArtifactStore::verdictKey(k1, 8));
+    arch::SparseCoreConfig narrow;
+    narrow.numSus = 1;
+    EXPECT_NE(ArtifactStore::summaryKey(k1, arch::SparseCoreConfig{}),
+              ArtifactStore::summaryKey(k1, narrow));
 }

@@ -114,6 +114,12 @@ TEST(MatrixMarketIo, RejectsBadInput)
         "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
         "1 1 1.0\n");
     EXPECT_THROW(tensor::loadMatrixMarket(truncated), SimError);
+    // A size line claiming 2^62 entries must not size an allocation:
+    // the loader reads what is there and reports the short file.
+    std::istringstream huge_nnz(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 4611686018427387904\n1 1 1.0\n");
+    EXPECT_THROW(tensor::loadMatrixMarket(huge_nnz), SimError);
 }
 
 TEST(MatrixMarketIo, RoundTrip)

@@ -161,7 +161,7 @@ TEST(JobQueue, SingleWorkerRunsInSubmissionOrder)
 TEST(JobQueue, StatsExposeArtifactSharing)
 {
     // Two identical compare jobs: the second replays the first's
-    // captured trace and compiled program.
+    // captured program.
     JobQueue queue(1);
     const std::string job =
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
@@ -170,13 +170,13 @@ TEST(JobQueue, StatsExposeArtifactSharing)
     const api::JobQueueStats stats = queue.stats();
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_GE(stats.traceHits, 1u);
-    EXPECT_GE(stats.programHits, 1u);
     EXPECT_GT(stats.jobsPerSecond, 0.0);
     EXPECT_GE(stats.p99LatencySeconds, stats.p50LatencySeconds);
     // The JSON form carries the same counters.
     const std::string dumped = stats.toJsonValue().dump();
     EXPECT_NE(dumped.find("\"jobs_per_second\""), std::string::npos);
     EXPECT_NE(dumped.find("\"artifact_store\""), std::string::npos);
+    EXPECT_NE(dumped.find("\"trace_hits\""), std::string::npos);
 }
 
 TEST(JobQueue, ConcurrentSubmittersSoak)

@@ -3,9 +3,10 @@
  * Tests for the shared execution pipeline (api/pipeline.hh): prepare()
  * verifies on every call — including when the program is already
  * resident in the store — keyed and local preparation produce the
- * same program and result, and TraceStats report hits and misses
- * per call. (makeBackend()'s config plumbing is pinned by the
- * non-default arch point of tests/cycles_golden_test.cc.)
+ * same program and result, a keyed program is the store entry itself,
+ * and TraceStats report hits and misses per call. (makeBackend()'s
+ * config plumbing is pinned by the non-default arch point of
+ * tests/cycles_golden_test.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -47,16 +48,16 @@ captureTriangles(const graph::CsrGraph &g)
 
 TEST(Pipeline, VerifyRunsOnWarmProgramHits)
 {
-    // A program compiled unverified into the store must not let a
+    // A program captured unverified into the store must not let a
     // verify=true request skip the check: run and compare both reject
-    // the poisoned trace before any backend sees it.
+    // the poisoned program before any backend sees it.
     ArtifactStore &store = ArtifactStore::global();
     store.clear();
     const graph::CsrGraph g = test::randomTestGraph(30, 120, 58);
     const std::string key =
         ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
-    const auto cached = store.trace(key, doubleFree);
-    store.program(key, cached->trace);
+    store.trace(key, doubleFree);
+    const ArtifactStoreStats planted = store.stats();
 
     RunOptions options;
     options.verify = true;
@@ -65,6 +66,9 @@ TEST(Pipeline, VerifyRunsOnWarmProgramHits)
     const auto req = RunRequest::gpm(gpm::GpmApp::T, g, options);
     EXPECT_THROW(machine.run(req, Substrate::Cpu), analysis::VerifyError);
     EXPECT_THROW(machine.compare(req), analysis::VerifyError);
+    // Both rejections came from the resident entry, not a recapture.
+    EXPECT_EQ(store.stats().traces.misses, planted.traces.misses);
+    EXPECT_EQ(store.stats().traces.hits, planted.traces.hits + 2);
 
     // Drop the poisoned trace so later tests rebuild the real one.
     store.clear();
@@ -74,7 +78,7 @@ TEST(Pipeline, LocalCaptureVerifiesWhenAsked)
 {
     EXPECT_THROW(prepare("", doubleFree, true), analysis::VerifyError);
     const Prepared unchecked = prepare("", doubleFree, false);
-    EXPECT_GT(unchecked.trace().numEvents(), 0u);
+    EXPECT_GT(unchecked.program->numEvents(), 0u);
     EXPECT_GT(unchecked.program->codeBytes(), 0u);
 }
 
@@ -85,6 +89,7 @@ TEST(Pipeline, KeyedAndLocalPrepareAgree)
     const std::string key =
         ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
 
+    const ArtifactStoreStats before = ArtifactStore::global().stats();
     const Prepared local = prepare("", captureTriangles(g), false);
     const Prepared cold = prepare(key, captureTriangles(g), false);
     const Prepared warm = prepare(key, captureTriangles(g), false);
@@ -92,17 +97,20 @@ TEST(Pipeline, KeyedAndLocalPrepareAgree)
     EXPECT_EQ(local.functionalResult(), cold.functionalResult());
     EXPECT_EQ(local.program->code(), cold.program->code());
     EXPECT_EQ(cold.program, warm.program); // the shared store entry
+    EXPECT_EQ(warm.program.get(),
+              &ArtifactStore::global().peekTrace(key)->trace);
 
     for (const Prepared *p : {&local, &cold}) {
         EXPECT_FALSE(p->stats.traceCacheHit);
-        EXPECT_FALSE(p->stats.bytecodeCacheHit);
         EXPECT_EQ(p->stats.replayMode, "bytecode");
-        EXPECT_EQ(p->stats.events, p->trace().numEvents());
+        EXPECT_EQ(p->stats.events, p->program->numEvents());
+        EXPECT_EQ(p->stats.arenaBytes, p->program->arenaBytes());
         EXPECT_EQ(p->stats.bytecodeBytes, p->program->codeBytes());
     }
     EXPECT_TRUE(warm.stats.traceCacheHit);
-    EXPECT_TRUE(warm.stats.bytecodeCacheHit);
     EXPECT_EQ(warm.stats.captureSeconds, 0.0);
-    EXPECT_EQ(warm.stats.compileSeconds, 0.0);
+    const ArtifactStoreStats stats = ArtifactStore::global().stats();
+    EXPECT_EQ(stats.traces.misses, before.traces.misses + 1);
+    EXPECT_EQ(stats.traces.hits, before.traces.hits + 1);
     ArtifactStore::global().clear();
 }

@@ -34,7 +34,6 @@
 #include "kernels/ttv.hh"
 #include "tensor/tensor_gen.hh"
 #include "test_util.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 #include "trace/wire.hh"
@@ -62,13 +61,21 @@ sweepConfigs()
 }
 
 /** The bracket property for one program: at every config, the
- *  static bounds must contain the replayed cycles. */
+ *  static bounds must contain the replayed cycles, and the program's
+ *  SCBC image, reloaded, must summarize identically. */
 void
 expectBrackets(const trace::BytecodeProgram &bc, const std::string &label)
 {
+    const trace::BytecodeProgram image =
+        trace::BytecodeProgram::deserialize(bc.serialize());
     for (const arch::SparseCoreConfig &config : sweepConfigs()) {
         const analysis::ProgramSummary summary =
             analysis::summarizeBytecode(bc, config);
+        EXPECT_EQ(analysis::jsonValue(summary).dump(),
+                  analysis::jsonValue(
+                      analysis::summarizeBytecode(image, config))
+                      .dump())
+            << label << ": the reloaded image summarizes differently";
         ASSERT_TRUE(summary.cost.valid) << label;
         EXPECT_LE(summary.cost.lower, summary.cost.upper) << label;
 
@@ -85,24 +92,7 @@ expectBrackets(const trace::BytecodeProgram &bc, const std::string &label)
     }
 }
 
-/** The bracket property plus trace/SCBC parity for one trace: at
- *  every config, the trace-side summary must match the bytecode-side
- *  one, whose bounds must contain the dynamic cycles. */
-void
-expectBrackets(const trace::Trace &tr, const std::string &label)
-{
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
-    for (const arch::SparseCoreConfig &config : sweepConfigs())
-        EXPECT_EQ(
-            analysis::jsonValue(analysis::summarizeTrace(tr, config))
-                .dump(),
-            analysis::jsonValue(analysis::summarizeBytecode(bc, config))
-                .dump())
-            << label << ": SCBC summary diverged from the trace's";
-    expectBrackets(bc, label);
-}
-
-trace::Trace
+trace::BytecodeProgram
 record(const std::function<void(trace::TraceRecorder &)> &fn)
 {
     trace::TraceRecorder rec;
@@ -213,14 +203,14 @@ TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
         executor.setRootRange(chunk, kChunks);
         chunk_total +=
             executor.runMany(gpm::gpmAppPlans(app)).embeddings;
-        const trace::Trace tr = rec.takeTrace();
+        const trace::BytecodeProgram bc = rec.takeTrace();
 
-        const auto report = analysis::verifyTrace(tr);
+        const auto report = analysis::verifyBytecode(bc);
         EXPECT_TRUE(report.clean())
             << "chunk " << chunk << ":\n"
             << report.format();
 
-        expectBrackets(tr, "chunk " + std::to_string(chunk));
+        expectBrackets(bc, "chunk " + std::to_string(chunk));
     }
     EXPECT_EQ(chunk_total, parallel.embeddings);
 }
@@ -283,16 +273,24 @@ TEST(Pressure, TraceWatermarkProfileMatchesChecker)
     });
     const arch::SparseCoreConfig config;
     const analysis::ProgramSummary summary =
-        analysis::summarizeTrace(tr, config);
+        analysis::summarizeBytecode(tr, config);
     EXPECT_TRUE(summary.pressureExact);
     EXPECT_EQ(summary.defines, 3u);
     EXPECT_EQ(summary.frees, 3u);
     EXPECT_EQ(summary.maxPressure, 3u);
     EXPECT_EQ(summary.maxPressurePc, 2u); // the setOp define
-    // Trace profiles are watermark envelopes: one point per running-
-    // max increase, not one per event.
+    // Captured-program profiles are watermark envelopes: one point
+    // per running-max increase, not one per event.
     ASSERT_EQ(summary.profile.size(), 3u);
     EXPECT_EQ(summary.profile.back().live, 3u);
+    // The checker sees the same peak: at capacity 2 it flags the
+    // setOp define, the event the watermark names.
+    analysis::StreamLifetimeChecker::Options tight;
+    tight.maxLiveStreams = 2;
+    const auto report = analysis::verifyBytecode(tr, tight);
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.format();
+    EXPECT_EQ(report.diagnostics[0].rule, Rule::StreamOverflow);
+    EXPECT_EQ(report.diagnostics[0].pc, summary.maxPressurePc);
 }
 
 // ---------------- ArchConfig-derived capacity ----------------
@@ -328,8 +326,9 @@ TEST(ArchCapacity, OverflowCapacityAndSeverityBoundary)
                     analysis::VerifyOptions::forArch(exact))
                     .clean());
 
-    // Trace side: the SMT virtualizes overflow by spilling (§4.1),
-    // so the same shape downgrades to a warning — never an error.
+    // Captured-program side: the SMT virtualizes overflow by
+    // spilling (§4.1), so the same shape downgrades to a warning —
+    // never an error.
     const auto checker_options =
         analysis::StreamLifetimeChecker::Options::forArch(small);
     EXPECT_EQ(checker_options.maxLiveStreams, 2u);
@@ -342,7 +341,7 @@ TEST(ArchCapacity, OverflowCapacityAndSeverityBoundary)
         rec.streamFree(c);
     });
     const auto trace_report =
-        analysis::verifyTrace(tr, checker_options);
+        analysis::verifyBytecode(tr, checker_options);
     EXPECT_FALSE(trace_report.hasErrors()) << trace_report.format();
     EXPECT_EQ(trace_report.warningCount(), 1u)
         << trace_report.format();
@@ -362,7 +361,7 @@ TEST(Emitters, DiagnosticsSortedByPcSidRuleAndByteStable)
         rec.streamFree(a);
         rec.streamFree(a);
     });
-    const auto report = analysis::verifyTrace(tr);
+    const auto report = analysis::verifyBytecode(tr);
     ASSERT_GE(report.diagnostics.size(), 3u) << report.format();
     for (std::size_t i = 1; i < report.diagnostics.size(); ++i) {
         const auto &p = report.diagnostics[i - 1];
@@ -382,7 +381,7 @@ TEST(Emitters, DiagnosticsSortedByPcSidRuleAndByteStable)
     // Byte stability: re-running the analysis and re-emitting must
     // reproduce the dump exactly (what the check.sh golden diff and
     // the --json consumers rely on).
-    const auto again = analysis::verifyTrace(tr);
+    const auto again = analysis::verifyBytecode(tr);
     EXPECT_EQ(analysis::jsonValue(report).dump(),
               analysis::jsonValue(again).dump());
     const JsonValue value = analysis::jsonValue(report);
@@ -397,7 +396,7 @@ TEST(Emitters, SummaryJsonCarriesProfileAndBounds)
     });
     const arch::SparseCoreConfig config;
     const analysis::ProgramSummary summary =
-        analysis::summarizeTrace(tr, config);
+        analysis::summarizeBytecode(tr, config);
     const std::string dumped = analysis::jsonValue(summary).dump();
     EXPECT_NE(dumped.find("\"max_pressure\":1"), std::string::npos)
         << dumped;
@@ -416,7 +415,7 @@ namespace {
 using trace::wire::put;
 
 /** SCBC image header: magic, version, handle count, instruction and
- *  source-event counts (everything before the arena count). */
+ *  event counts (everything before the arena count). */
 std::string
 scbcHeader(std::uint32_t handles, std::uint64_t instructions,
            std::uint64_t events)
@@ -447,7 +446,8 @@ opWord(trace::Op op)
 /**
  * Hand-crafted images aimed at the loader's checks: counts larger
  * than the image, operands past the end of the code, a span whose end
- * wraps past 2^64, and one well-formed but huge fused run. They double
+ * wraps past 2^64, a handle count no code backs, and one well-formed
+ * but huge fused run. They double
  * as the scverify_malformed_inputs ctest's inputs, so each is pinned
  * byte for byte against its committed file under
  * tests/data/scverify_malformed/ (SPARSECORE_REGEN_GOLDEN=1 rewrites
@@ -464,6 +464,11 @@ craftedImage(const std::string &name)
         put<std::uint64_t>(out, name == "arena_count_2e62.scbc"
                                     ? std::uint64_t{1} << 62
                                     : std::uint64_t{1} << 29);
+    } else if (name == "handle_count_2e32.scbc") {
+        // A 52-byte image claiming 2^32-1 handles for empty code: a
+        // replay would size a 32 GiB handle map from it.
+        out = scbcHeader(0xffffffffu, 0, 0);
+        putEmptyTables(out, 0);
     } else if (name == "setop_operands_truncated.scbc") {
         // One SetOp header word and none of its operands.
         out = scbcHeader(0, 1, 1);
@@ -542,11 +547,12 @@ TEST(ScbcRejection, TruncatedAndCorruptImagesThrow)
 
     // A count larger than the image (checked before allocating),
     // operands past the end of the code (a bounds-checked validation
-    // walk) and a span whose end wraps past 2^64 (an overflow-safe
-    // check).
+    // walk), a span whose end wraps past 2^64 (an overflow-safe
+    // check) and a handle count past the handles the code uses.
     for (const char *name :
          {"arena_count_2e62.scbc", "arena_count_2e29.scbc",
-          "setop_operands_truncated.scbc", "nested_span_wraps.scbc"})
+          "setop_operands_truncated.scbc", "nested_span_wraps.scbc",
+          "handle_count_2e32.scbc"})
         EXPECT_THROW(
             trace::BytecodeProgram::deserialize(craftedImage(name)),
             SimError)
@@ -563,7 +569,7 @@ TEST(ScbcRejection, LongScalarRunVerifiesWithoutExpanding)
     // as 2^32 events.
     const trace::BytecodeProgram bc = trace::BytecodeProgram::deserialize(
         craftedImage("ok_scalar_run_2e32.scbc"));
-    EXPECT_EQ(bc.numSourceEvents(), 0xffffffffull);
+    EXPECT_EQ(bc.numEvents(), 0xffffffffull);
     EXPECT_TRUE(analysis::verifyBytecode(bc).clean());
     const analysis::ProgramSummary summary =
         analysis::summarizeBytecode(bc, arch::SparseCoreConfig{});
@@ -577,12 +583,12 @@ TEST(ScbcRejection, BytecodeAnalysesFlagBadLifetimes)
     // lifetime rules: deserialization accepts it (spans and handles
     // are in range), but the bytecode-side analyses must still flag
     // it and the summary must stay total.
-    const auto tr = record([&](trace::TraceRecorder &rec) {
-        const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
-        rec.streamFree(a);
-        rec.streamFree(a);
-    });
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    const trace::BytecodeProgram bc =
+        record([&](trace::TraceRecorder &rec) {
+            const auto a = rec.streamLoad(0x1000, 3, 0, someKeys);
+            rec.streamFree(a);
+            rec.streamFree(a);
+        });
     const std::string wire = bc.serialize();
     const trace::BytecodeProgram reloaded =
         trace::BytecodeProgram::deserialize(wire);

@@ -1,24 +1,27 @@
 /**
  * @file
- * Tests for the compiled-trace bytecode: compile/decode is an exact
- * round trip (including randomized traces that force wide operands,
- * sentinel handles and explicit result ids), replayed cycles are
- * bit-identical between the event walker and the bytecode loops for
- * every GPM app and tensor kernel on both timing substrates, the SCBC
- * image is byte-stable and validated on load, and Machine::compare
- * agrees with the reference event walker.
+ * Tests for the captured SCBC program: the recorder's program replays
+ * the exact call sequence it captured (including randomized sequences
+ * that force wide operands and sentinel handles, and a crafted image
+ * with explicit result ids), replayed cycles and breakdowns equal
+ * direct execution for every GPM app, FSM and tensor kernel on both
+ * timing substrates, the SCBC image is byte-stable and validated on
+ * load, and Machine::compare agrees with direct runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <vector>
 
+#include "api/jobspec.hh"
 #include "api/machine.hh"
-#include "backend/cpu_backend.hh"
+#include "api/pipeline.hh"
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "gpm/executor.hh"
@@ -29,15 +32,16 @@
 #include "tensor/tensor_gen.hh"
 #include "test_util.hh"
 #include "trace/bytecode.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
+#include "trace/wire.hh"
 
 using namespace sc;
+using backend::BackendStream;
 
 namespace {
 
-trace::Trace
+trace::BytecodeProgram
 captureGpm(const graph::CsrGraph &g, gpm::GpmApp app)
 {
     trace::TraceRecorder recorder;
@@ -46,94 +50,261 @@ captureGpm(const graph::CsrGraph &g, gpm::GpmApp app)
     return recorder.takeTrace();
 }
 
-bool
-sameSpan(const trace::SpanRef &a, const trace::SpanRef &b)
+/**
+ * Test-only ExecBackend that logs every call it receives, operands
+ * and span contents included, one line per call. Handles it returns
+ * start at 1000, so a replay that forgot to map program handles onto
+ * the backend's own would log different operands.
+ */
+class CallLog final : public backend::ExecBackend
 {
-    return a.off == b.off && a.len == b.len;
+  public:
+    std::vector<std::string> calls;
+
+    std::string name() const override { return "call-log"; }
+    void
+    begin() override
+    {
+        calls.clear();
+        next_ = 1000;
+    }
+    Cycles finish() override { return 0; }
+    sim::CycleBreakdown breakdown() const override { return {}; }
+    Caps
+    caps() const override
+    {
+        Caps c;
+        c.nested = true;
+        return c;
+    }
+
+    void scalarOps(std::uint64_t n) override { log("ops", n); }
+    void
+    scalarBranch(std::uint64_t pc, bool taken) override
+    {
+        log("branch", pc, taken);
+    }
+    void scalarLoad(Addr addr) override { log("load", addr); }
+    BackendStream
+    streamLoad(Addr key_addr, std::uint32_t length, unsigned priority,
+               streams::KeySpan keys) override
+    {
+        return logCreate("streamLoad", key_addr, length, priority,
+                         keys);
+    }
+    BackendStream
+    streamLoadKv(Addr key_addr, Addr val_addr, std::uint32_t length,
+                 unsigned priority, streams::KeySpan keys) override
+    {
+        return logCreate("streamLoadKv", key_addr, val_addr, length,
+                         priority, keys);
+    }
+    void streamFree(BackendStream h) override { log("free", h); }
+    BackendStream
+    setOp(streams::SetOpKind kind, BackendStream a, BackendStream b,
+          streams::KeySpan ak, streams::KeySpan bk, Key bound,
+          streams::KeySpan result, Addr out_addr) override
+    {
+        return logCreate("setOp", static_cast<int>(kind), a, b, ak, bk,
+                         bound, result, out_addr);
+    }
+    void
+    setOpCount(streams::SetOpKind kind, BackendStream a, BackendStream b,
+               streams::KeySpan ak, streams::KeySpan bk, Key bound,
+               std::uint64_t count) override
+    {
+        log("setOpCount", static_cast<int>(kind), a, b, ak, bk, bound,
+            count);
+    }
+    void
+    valueIntersect(BackendStream a, BackendStream b, streams::KeySpan ak,
+                   streams::KeySpan bk, Addr a_val, Addr b_val,
+                   std::span<const std::uint32_t> match_a,
+                   std::span<const std::uint32_t> match_b) override
+    {
+        log("valueIntersect", a, b, ak, bk, a_val, b_val, match_a,
+            match_b);
+    }
+    void
+    denseValueIntersect(BackendStream a, BackendStream b,
+                        streams::KeySpan ak, streams::KeySpan bk,
+                        Addr a_val, Addr b_val,
+                        std::span<const std::uint32_t> match_a,
+                        std::span<const std::uint32_t> match_b) override
+    {
+        log("denseValueIntersect", a, b, ak, bk, a_val, b_val, match_a,
+            match_b);
+    }
+    BackendStream
+    valueMerge(BackendStream a, BackendStream b, streams::KeySpan ak,
+               streams::KeySpan bk, Addr a_val, Addr b_val,
+               std::uint64_t result_len, Addr out_addr) override
+    {
+        return logCreate("valueMerge", a, b, ak, bk, a_val, b_val,
+                         result_len, out_addr);
+    }
+    void
+    nestedIntersect(BackendStream s, streams::KeySpan s_keys,
+                    const std::vector<backend::NestedItem> &elems) override
+    {
+        std::ostringstream os;
+        os << "nested " << s << ' ' << str(s_keys);
+        for (const backend::NestedItem &e : elems)
+            os << " {" << e.infoAddr << ' ' << e.keyAddr << ' '
+               << str(e.nested) << ' ' << e.bound << ' ' << e.count
+               << '}';
+        calls.push_back(os.str());
+    }
+    void consumeStream(BackendStream h) override { log("consume", h); }
+    void
+    iterateStream(BackendStream h, std::uint64_t n, unsigned ops) override
+    {
+        log("iterate", h, n, ops);
+    }
+
+  private:
+    static std::string
+    str(std::span<const Key> keys)
+    {
+        std::string out = "[";
+        for (const Key k : keys)
+            out += std::to_string(k) + ",";
+        return out + "]";
+    }
+    template <typename T>
+    static std::string
+    str(const T &value)
+    {
+        return std::to_string(value);
+    }
+    template <typename... Args>
+    void
+    log(const char *what, const Args &...args)
+    {
+        std::string line = what;
+        ((line += ' ' + str(args)), ...);
+        calls.push_back(std::move(line));
+    }
+    template <typename... Args>
+    BackendStream
+    logCreate(const char *what, const Args &...args)
+    {
+        log(what, args...);
+        calls.back() += " -> " + std::to_string(next_);
+        return next_++;
+    }
+
+    BackendStream next_ = 1000;
+};
+
+/** The calls a replay of `bc` issues. */
+std::vector<std::string>
+replayedCalls(const trace::BytecodeProgram &bc)
+{
+    CallLog log;
+    trace::replayCompiled(bc, log, /*verify=*/false);
+    return log.calls;
 }
 
-/** Field-by-field event equality (spans by arena reference). */
-void
-expectSameEvents(const std::vector<trace::Event> &decoded,
-                 const std::vector<trace::Event> &source,
-                 const char *label)
+/** Options for direct execution through Machine::run: no store and
+ *  no verification, so run() calls executeOn on the timing backend. */
+api::RunOptions
+directOptions()
 {
-    ASSERT_EQ(decoded.size(), source.size()) << label;
-    for (std::size_t i = 0; i < source.size(); ++i) {
-        const trace::Event &d = decoded[i];
-        const trace::Event &s = source[i];
-        EXPECT_EQ(d.kind, s.kind) << label << " event " << i;
-        EXPECT_EQ(d.aux, s.aux) << label << " event " << i;
-        EXPECT_EQ(d.aux2, s.aux2) << label << " event " << i;
-        EXPECT_EQ(d.a, s.a) << label << " event " << i;
-        EXPECT_EQ(d.b, s.b) << label << " event " << i;
-        EXPECT_EQ(d.result, s.result) << label << " event " << i;
-        EXPECT_EQ(d.bound, s.bound) << label << " event " << i;
-        EXPECT_EQ(d.addr0, s.addr0) << label << " event " << i;
-        EXPECT_EQ(d.addr1, s.addr1) << label << " event " << i;
-        EXPECT_EQ(d.addr2, s.addr2) << label << " event " << i;
-        EXPECT_EQ(d.n, s.n) << label << " event " << i;
-        EXPECT_TRUE(sameSpan(d.s0, s.s0)) << label << " event " << i;
-        EXPECT_TRUE(sameSpan(d.s1, s.s1)) << label << " event " << i;
-        EXPECT_TRUE(sameSpan(d.s2, s.s2)) << label << " event " << i;
-        EXPECT_TRUE(sameSpan(d.s3, s.s3)) << label << " event " << i;
-        if (::testing::Test::HasFailure())
-            return;
+    api::RunOptions options;
+    options.artifactCache = false;
+    options.verify = false;
+    return options;
+}
+
+/** Replaying `bc` on each timing substrate gives the cycles and the
+ *  4-class breakdown of direct execution of `req` (which must carry
+ *  directOptions()). */
+void
+expectReplayMatchesDirect(const trace::BytecodeProgram &bc,
+                          const api::RunRequest &req,
+                          const std::string &label)
+{
+    const arch::SparseCoreConfig config;
+    const api::Machine machine(config);
+    for (const api::Substrate sub :
+         {api::Substrate::Cpu, api::Substrate::SparseCore}) {
+        const api::RunResult direct = machine.run(req, sub);
+        ASSERT_TRUE(direct.trace.replayMode.empty())
+            << label << ": expected a direct run";
+        const auto be = api::makeBackend(sub, config);
+        const trace::ReplayResult replayed =
+            trace::replayCompiled(bc, *be, /*verify=*/false);
+        EXPECT_EQ(direct.cycles, replayed.cycles)
+            << label << " on " << api::substrateName(sub);
+        EXPECT_EQ(direct.breakdown.cycles, replayed.breakdown.cycles)
+            << label << " on " << api::substrateName(sub);
     }
 }
 
-void
-expectRoundTrip(const trace::Trace &tr, const char *label)
+graph::LabeledGraph
+labeledTestGraph(std::uint64_t seed)
 {
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
-    EXPECT_EQ(bc.numSourceEvents(), tr.numEvents()) << label;
-    EXPECT_EQ(bc.handleCount(), tr.handleCount()) << label;
-    EXPECT_EQ(bc.arenaKeys(), tr.arenaKeys()) << label;
-    expectSameEvents(bc.decodeEvents(), tr.events(), label);
-    EXPECT_LE(bc.numInstructions(), tr.numEvents()) << label;
+    auto base = test::randomTestGraph(70, 420, seed);
+    std::vector<graph::Label> labels(base.numVertices());
+    for (VertexId v = 0; v < base.numVertices(); ++v)
+        labels[v] = static_cast<graph::Label>(v % 3);
+    return graph::LabeledGraph(std::move(base), labels);
 }
 
 } // namespace
 
-// ---------------- compile/decode round trip ----------------
+// ---------------- capture/replay round trip ----------------
 
 TEST(BytecodeRoundTrip, CapturedGpmTracesDecodeExactly)
 {
+    // Replaying a captured program issues exactly the calls direct
+    // execution issues, operand for operand.
     const auto g = test::randomTestGraph(80, 600, 91);
     for (const gpm::GpmApp app :
          {gpm::GpmApp::T, gpm::GpmApp::TC, gpm::GpmApp::C4}) {
-        const trace::Trace tr = captureGpm(g, app);
-        ASSERT_GT(tr.numEvents(), 0u);
-        expectRoundTrip(tr, gpm::gpmAppName(app));
+        const trace::BytecodeProgram bc = captureGpm(g, app);
+        ASSERT_GT(bc.numEvents(), 0u);
+        EXPECT_LE(bc.numInstructions(), bc.numEvents());
+
+        CallLog direct;
+        direct.begin();
+        gpm::PlanExecutor executor(g, direct);
+        executor.runMany(gpm::gpmAppPlans(app));
+        EXPECT_EQ(replayedCalls(bc), direct.calls)
+            << gpm::gpmAppName(app);
     }
 }
 
 TEST(BytecodeRoundTrip, FusionShrinksScalarRuns)
 {
-    // The fused program must be strictly smaller whenever the trace
-    // contains a run of identical consecutive scalarOps events.
+    // Identical consecutive scalarOps calls fuse into one run
+    // instruction, and the replay re-issues every call.
     trace::TraceRecorder recorder;
     for (int i = 0; i < 100; ++i)
         recorder.scalarOps(3);
     recorder.scalarOps(4);
     for (int i = 0; i < 50; ++i)
         recorder.scalarOps(3);
-    const trace::Trace tr = recorder.takeTrace();
+    const trace::BytecodeProgram bc = recorder.takeTrace();
 
-    const auto fused = trace::compileTrace(tr);
-    EXPECT_EQ(fused.numInstructions(), 3u);
-    // Unfused, every event would take a header and an operand word.
-    EXPECT_LT(fused.codeBytes(),
-              tr.numEvents() * 2 * sizeof(trace::Word));
-    expectSameEvents(fused.decodeEvents(), tr.events(), "fused");
+    EXPECT_EQ(bc.numInstructions(), 3u);
+    EXPECT_EQ(bc.numEvents(), 151u);
+    // Unfused, every call would take a header and an operand word.
+    EXPECT_LT(bc.codeBytes(), bc.numEvents() * 2 * sizeof(trace::Word));
+    std::vector<std::string> want(100, "ops 3");
+    want.push_back("ops 4");
+    want.insert(want.end(), 50, "ops 3");
+    EXPECT_EQ(replayedCalls(bc), want);
 }
 
 TEST(BytecodeRoundTrip, RandomizedRecorderTraces)
 {
-    // Property test: arbitrary valid recorder call sequences survive
-    // compile -> decode exactly. Large 64-bit addresses force the
-    // wide operand form; the generator also exercises sentinel
-    // handles and every event kind.
+    // Property test: one random call sequence goes both into the
+    // recorder and into a call log; replaying the program onto a
+    // second log must reproduce the first exactly. Large 64-bit
+    // addresses force the wide operand form; the generator also
+    // exercises sentinel handles and every hook.
     std::mt19937_64 rng(20260807);
     std::vector<Key> pool(256);
     for (std::size_t i = 0; i < pool.size(); ++i)
@@ -152,75 +323,131 @@ TEST(BytecodeRoundTrip, RandomizedRecorderTraces)
     };
 
     trace::TraceRecorder recorder;
-    std::vector<backend::BackendStream> live;
-    auto pick = [&]() -> backend::BackendStream {
+    CallLog log;
+    log.begin();
+    // Each live stream as (recorder handle, log handle).
+    using Handles = std::pair<BackendStream, BackendStream>;
+    std::vector<Handles> live;
+    auto pick = [&]() -> Handles {
         if (live.empty() || rng() % 8 == 0)
-            return backend::noStream;
+            return {backend::noStream, backend::noStream};
         return live[rng() % live.size()];
+    };
+    // Feed one call to both backends.
+    auto both = [&](auto &&call) { call(recorder, 0); call(log, 1); };
+    auto create = [&](auto &&call) {
+        live.emplace_back(call(recorder, 0), call(log, 1));
+    };
+    auto h = [](const Handles &hs, int side) {
+        return side == 0 ? hs.first : hs.second;
     };
 
     for (int step = 0; step < 4000; ++step) {
         switch (rng() % 12) {
-        case 0:
-            recorder.scalarOps((rng() & 1)
-                                   ? rng() % 64
-                                   : rng()); // forces wide n
+        case 0: {
+            const std::uint64_t n =
+                (rng() & 1) ? rng() % 64 : rng(); // forces wide n
+            both([&](backend::ExecBackend &be, int) { be.scalarOps(n); });
             break;
-        case 1:
-            recorder.scalarBranch(addr(), rng() & 1);
+        }
+        case 1: {
+            const Addr pc = addr();
+            const bool taken = rng() & 1;
+            both([&](backend::ExecBackend &be, int) {
+                be.scalarBranch(pc, taken);
+            });
             break;
-        case 2:
-            recorder.scalarLoad(addr());
+        }
+        case 2: {
+            const Addr a = addr();
+            both([&](backend::ExecBackend &be, int) { be.scalarLoad(a); });
             break;
-        case 3:
-            live.push_back(recorder.streamLoad(
-                addr(), static_cast<std::uint32_t>(rng()),
-                rng() % 4, keys(32)));
+        }
+        case 3: {
+            const Addr a = addr();
+            const auto len = static_cast<std::uint32_t>(rng());
+            const unsigned prio = rng() % 4;
+            const auto k = keys(32);
+            create([&](backend::ExecBackend &be, int) {
+                return be.streamLoad(a, len, prio, k);
+            });
             break;
-        case 4:
-            live.push_back(recorder.streamLoadKv(
-                addr(), addr(), static_cast<std::uint32_t>(rng()),
-                rng() % 4, keys(32)));
+        }
+        case 4: {
+            const Addr ka = addr(), va = addr();
+            const auto len = static_cast<std::uint32_t>(rng());
+            const unsigned prio = rng() % 4;
+            const auto k = keys(32);
+            create([&](backend::ExecBackend &be, int) {
+                return be.streamLoadKv(ka, va, len, prio, k);
+            });
             break;
+        }
         case 5:
             if (!live.empty()) {
                 const std::size_t i = rng() % live.size();
-                recorder.streamFree(live[i]);
+                const Handles hs = live[i];
+                both([&](backend::ExecBackend &be, int side) {
+                    be.streamFree(h(hs, side));
+                });
                 live.erase(live.begin() + i);
             }
             break;
-        case 6:
-            live.push_back(recorder.setOp(
-                static_cast<streams::SetOpKind>(rng() % 3), pick(),
-                pick(), keys(32), keys(32),
-                (rng() & 1) ? noBound : static_cast<Key>(rng()),
-                keys(16), addr()));
-            break;
-        case 7:
-            recorder.setOpCount(
-                static_cast<streams::SetOpKind>(rng() % 3), pick(),
-                pick(), keys(32), keys(32),
-                (rng() & 1) ? noBound : static_cast<Key>(rng()),
-                rng());
-            break;
-        case 8: {
-            const auto ma = keys(8);
-            const auto mb = keys(8);
-            if (rng() & 1)
-                recorder.valueIntersect(pick(), pick(), keys(32),
-                                        keys(32), addr(), addr(),
-                                        ma, mb);
-            else
-                recorder.denseValueIntersect(pick(), pick(),
-                                             keys(32), keys(32),
-                                             addr(), addr(), ma, mb);
+        case 6: {
+            const auto kind = static_cast<streams::SetOpKind>(rng() % 3);
+            const Handles a = pick(), b = pick();
+            const auto ak = keys(32), bk = keys(32);
+            const Key bound =
+                (rng() & 1) ? noBound : static_cast<Key>(rng());
+            const auto res = keys(16);
+            const Addr out = addr();
+            create([&](backend::ExecBackend &be, int side) {
+                return be.setOp(kind, h(a, side), h(b, side), ak, bk,
+                                bound, res, out);
+            });
             break;
         }
-        case 9:
-            live.push_back(recorder.valueMerge(
-                pick(), pick(), keys(32), keys(32), addr(), addr(),
-                rng(), addr()));
+        case 7: {
+            const auto kind = static_cast<streams::SetOpKind>(rng() % 3);
+            const Handles a = pick(), b = pick();
+            const auto ak = keys(32), bk = keys(32);
+            const Key bound =
+                (rng() & 1) ? noBound : static_cast<Key>(rng());
+            const std::uint64_t count = rng();
+            both([&](backend::ExecBackend &be, int side) {
+                be.setOpCount(kind, h(a, side), h(b, side), ak, bk,
+                              bound, count);
+            });
             break;
+        }
+        case 8: {
+            const Handles a = pick(), b = pick();
+            const auto ak = keys(32), bk = keys(32);
+            const Addr av = addr(), bv = addr();
+            const auto ma = keys(8), mb = keys(8);
+            const bool dense = rng() & 1;
+            both([&](backend::ExecBackend &be, int side) {
+                if (dense)
+                    be.denseValueIntersect(h(a, side), h(b, side), ak,
+                                           bk, av, bv, ma, mb);
+                else
+                    be.valueIntersect(h(a, side), h(b, side), ak, bk,
+                                      av, bv, ma, mb);
+            });
+            break;
+        }
+        case 9: {
+            const Handles a = pick(), b = pick();
+            const auto ak = keys(32), bk = keys(32);
+            const Addr av = addr(), bv = addr();
+            const std::uint64_t n = rng();
+            const Addr out = addr();
+            create([&](backend::ExecBackend &be, int side) {
+                return be.valueMerge(h(a, side), h(b, side), ak, bk, av,
+                                     bv, n, out);
+            });
+            break;
+        }
         case 10: {
             std::vector<backend::NestedItem> elems(1 + rng() % 4);
             for (auto &e : elems) {
@@ -231,119 +458,119 @@ TEST(BytecodeRoundTrip, RandomizedRecorderTraces)
                     (rng() & 1) ? noBound : static_cast<Key>(rng());
                 e.count = rng() % 1000;
             }
-            recorder.nestedIntersect(pick(), keys(32), elems);
+            const Handles s = pick();
+            const auto sk = keys(32);
+            both([&](backend::ExecBackend &be, int side) {
+                be.nestedIntersect(h(s, side), sk, elems);
+            });
             break;
         }
-        case 11:
-            if (rng() & 1)
-                recorder.consumeStream(pick());
-            else
-                recorder.iterateStream(pick(), rng(), rng() % 8);
+        case 11: {
+            const Handles s = pick();
+            if (rng() & 1) {
+                both([&](backend::ExecBackend &be, int side) {
+                    be.consumeStream(h(s, side));
+                });
+            } else {
+                const std::uint64_t n = rng();
+                const unsigned ops = rng() % 8;
+                both([&](backend::ExecBackend &be, int side) {
+                    be.iterateStream(h(s, side), n, ops);
+                });
+            }
             break;
+        }
         }
     }
-    const trace::Trace tr = recorder.takeTrace();
-    ASSERT_GT(tr.numEvents(), 1000u);
-    expectRoundTrip(tr, "randomized");
+    const trace::BytecodeProgram bc = recorder.takeTrace();
+    ASSERT_GT(bc.numEvents(), 1000u);
+    EXPECT_EQ(bc.numEvents(), log.calls.size());
+    EXPECT_EQ(replayedCalls(bc), log.calls);
+    // The recorder's program sizes the handle map exactly.
+    const auto created = std::count_if(
+        log.calls.begin(), log.calls.end(), [](const std::string &c) {
+            return c.find(" -> ") != std::string::npos;
+        });
+    EXPECT_EQ(bc.handleCount(),
+              static_cast<trace::TraceStream>(created));
 }
 
 TEST(BytecodeRoundTrip, HandBuiltExplicitResultIds)
 {
-    // Recorder-produced traces always assign creation-order result
-    // handles (the implicit form); a hand-built trace with
-    // out-of-order results must still round-trip via the explicit
-    // form.
-    trace::Trace tr;
-    const Key data[4] = {1, 2, 3, 4};
-    const trace::SpanRef ref = tr.intern({data, 4});
+    // The recorder always emits implicit creation-order results, but
+    // a v1 image may name its results explicitly. A crafted image
+    // loading stream 7 and defining stream 2 from it must load and
+    // replay with program handles 7 and 2 mapped onto the backend's
+    // own creation-order handles.
+    using trace::Op;
+    const std::vector<Key> arena = {1, 2, 3, 4};
+    const auto hdr = [](Op op, unsigned aux = 0) {
+        return static_cast<trace::Word>(op) |
+               (trace::Word{aux} << trace::auxShift);
+    };
+    const std::vector<trace::Word> code = {
+        // streamLoad @0x1234, len 4, keys [0, +4), result 7
+        hdr(Op::StreamLoad) | trace::flagExplicitResult,
+        static_cast<trace::Word>(trace::zigzagEncode(0x1234)), 4, 0, 4, 7,
+        // setOp intersect(7, none) @0x2000, keys [0, +4) x [], result 2
+        hdr(Op::SetOp,
+            static_cast<unsigned>(streams::SetOpKind::Intersect)) |
+            trace::flagExplicitResult,
+        7, trace::noTraceStream, 0, 4, 0, 0, noBound, 0, 0,
+        static_cast<trace::Word>(trace::zigzagEncode(0x2000 - 0x1234)),
+        2,
+        // streamFree(2)
+        hdr(Op::StreamFree), 2};
 
-    trace::Event load;
-    load.kind = trace::EventKind::StreamLoad;
-    load.result = 7; // not the creation-order id 0
-    load.addr0 = 0x1234;
-    load.n = 4;
-    load.s0 = ref;
-    tr.append(load);
+    std::string image = "SCBC";
+    trace::wire::put<std::uint32_t>(image, trace::bytecodeFormatVersion);
+    trace::wire::put<std::uint32_t>(image, 8); // handleCount
+    trace::wire::put<std::uint64_t>(image, 3); // instructions
+    trace::wire::put<std::uint64_t>(image, 3); // events
+    trace::wire::put<std::uint64_t>(image, arena.size());
+    trace::wire::putArray(image, arena.data(), arena.size());
+    trace::wire::put<std::uint64_t>(image, 0); // nested entries
+    trace::wire::put<std::uint64_t>(image, code.size());
+    trace::wire::putArray(image, code.data(), code.size());
 
-    trace::Event op;
-    op.kind = trace::EventKind::SetOp;
-    op.aux = static_cast<std::uint8_t>(streams::SetOpKind::Intersect);
-    op.a = 7;
-    op.b = trace::noTraceStream;
-    op.result = 2;
-    op.s0 = ref;
-    op.addr0 = ~std::uint64_t{0}; // max address: wide delta
-    tr.append(op);
-
-    trace::Event free_ev;
-    free_ev.kind = trace::EventKind::StreamFree;
-    free_ev.a = 2;
-    tr.append(free_ev);
-
-    tr.setHandleCount(8);
-    expectRoundTrip(tr, "hand-built");
-
-    const auto bc = trace::compileTrace(tr);
-    const std::string bytes = bc.serialize();
-    const auto back = trace::BytecodeProgram::deserialize(bytes);
-    expectSameEvents(back.decodeEvents(), tr.events(),
-                     "hand-built serialized");
+    const auto bc = trace::BytecodeProgram::deserialize(image);
+    EXPECT_EQ(bc.handleCount(), 8u);
+    EXPECT_EQ(bc.serialize(), image);
+    const std::vector<std::string> want = {
+        "streamLoad 4660 4 0 [1,2,3,4,] -> 1000",
+        "setOp 0 1000 4294967295 [1,2,3,4,] [] 4294967295 [] 8192 "
+        "-> 1001",
+        "free 1001"};
+    EXPECT_EQ(replayedCalls(bc), want);
 }
 
-// ---------------- walker vs bytecode cycle identity ----------------
+// ---------------- direct execution vs replay ----------------
 
 TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
 {
     const auto g = test::randomTestGraph(60, 420, 92);
-    const arch::SparseCoreConfig config;
     for (const gpm::GpmApp app : gpm::allGpmApps()) {
         if (app == gpm::GpmApp::FSM)
             continue; // labeled-graph path covered below
-        const trace::Trace tr = captureGpm(g, app);
-
-        backend::CpuBackend cpu_e(config.core, config.mem);
-        backend::CpuBackend cpu_b(config.core, config.mem);
-        const auto ce = trace::replayEvents(tr, cpu_e);
-        const auto cb =
-            trace::replayCompiled(trace::compileTrace(tr), cpu_b);
-        EXPECT_EQ(ce.cycles, cb.cycles) << gpm::gpmAppName(app);
-        EXPECT_EQ(ce.breakdown.cycles, cb.breakdown.cycles)
-            << gpm::gpmAppName(app);
-
-        backend::SparseCoreBackend sc_e(config), sc_b(config);
-        const auto se = trace::replayEvents(tr, sc_e);
-        const auto sb =
-            trace::replayCompiled(trace::compileTrace(tr), sc_b);
-        EXPECT_EQ(se.cycles, sb.cycles) << gpm::gpmAppName(app);
-        EXPECT_EQ(se.breakdown.cycles, sb.breakdown.cycles)
-            << gpm::gpmAppName(app);
+        expectReplayMatchesDirect(
+            captureGpm(g, app),
+            api::RunRequest::gpm(app, g, directOptions()),
+            gpm::gpmAppName(app));
     }
 }
 
 TEST(BytecodeReplay, CycleIdenticalForFsm)
 {
-    auto base = test::randomTestGraph(70, 420, 93);
-    std::vector<graph::Label> labels(base.numVertices());
-    for (VertexId v = 0; v < base.numVertices(); ++v)
-        labels[v] = static_cast<graph::Label>(v % 3);
-    const graph::LabeledGraph lg(std::move(base), labels);
-
+    const graph::LabeledGraph lg = labeledTestGraph(93);
     trace::TraceRecorder recorder;
     gpm::runFsm(lg, recorder, 2);
-    const trace::Trace tr = recorder.takeTrace();
-
-    const arch::SparseCoreConfig config;
-    backend::SparseCoreBackend sc_e(config), sc_b(config);
-    EXPECT_EQ(trace::replayEvents(tr, sc_e).cycles,
-              trace::replayCompiled(trace::compileTrace(tr), sc_b)
-                  .cycles);
+    expectReplayMatchesDirect(
+        recorder.takeTrace(),
+        api::RunRequest::fsm(lg, 2, directOptions()), "fsm");
 }
 
 TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
 {
-    const arch::SparseCoreConfig config;
-    std::vector<trace::Trace> traces;
-
     const auto a = tensor::generateMatrix(
         30, 40, 240, tensor::MatrixStructure::Uniform, 31, "A");
     const auto b = tensor::generateMatrix(
@@ -353,94 +580,92 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
                                  kernels::SpmspmAlgorithm::Gustavson}) {
         trace::TraceRecorder recorder;
         kernels::runSpmspm(a, b, algorithm, recorder);
-        traces.push_back(recorder.takeTrace());
+        expectReplayMatchesDirect(
+            recorder.takeTrace(),
+            api::RunRequest::spmspm(a, b, algorithm, directOptions()),
+            kernels::spmspmAlgorithmName(algorithm));
     }
     const auto t = tensor::generateTensor(15, 12, 20, 260, 43, "T");
+    const std::vector<Value> vec(20, 1.5);
     {
         trace::TraceRecorder recorder;
-        kernels::runTtv(t, std::vector<Value>(20, 1.5), recorder);
-        traces.push_back(recorder.takeTrace());
+        kernels::runTtv(t, vec, recorder);
+        expectReplayMatchesDirect(
+            recorder.takeTrace(),
+            api::RunRequest::ttv(t, vec, directOptions()), "ttv");
     }
     {
         const auto m = tensor::generateMatrix(
             10, 20, 120, tensor::MatrixStructure::Uniform, 33, "M");
         trace::TraceRecorder recorder;
         kernels::runTtm(t, m, recorder);
-        traces.push_back(recorder.takeTrace());
-    }
-
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        const trace::Trace &tr = traces[i];
-        expectRoundTrip(tr, "tensor");
-        backend::CpuBackend cpu_e(config.core, config.mem);
-        backend::CpuBackend cpu_b(config.core, config.mem);
-        EXPECT_EQ(trace::replayEvents(tr, cpu_e).cycles,
-                  trace::replayCompiled(trace::compileTrace(tr), cpu_b)
-                      .cycles)
-            << "kernel trace " << i;
-        backend::SparseCoreBackend sc_e(config), sc_b(config);
-        EXPECT_EQ(trace::replayEvents(tr, sc_e).cycles,
-                  trace::replayCompiled(trace::compileTrace(tr), sc_b)
-                      .cycles)
-            << "kernel trace " << i;
+        expectReplayMatchesDirect(
+            recorder.takeTrace(),
+            api::RunRequest::ttm(t, m, directOptions()), "ttm");
     }
 }
 
 TEST(BytecodeReplay, FunctionalStatsIdenticalAcrossEngines)
 {
-    // The bytecode path replays the functional substrate by applying
-    // the compile-time EventProfile aggregate instead of walking, so
-    // its whole observable surface — counters, stream-length
-    // histogram, live-stream balance — must be bit-identical to the
-    // per-event walk, on both GPM and tensor traces.
-    std::vector<trace::Trace> traces;
+    // The functional substrate replays by applying the program's
+    // EventProfile aggregate instead of walking, so its whole
+    // observable surface — counters, stream-length histogram,
+    // live-stream balance — must equal direct execution on a
+    // FunctionalBackend, on both GPM and tensor workloads.
     const auto g = test::randomTestGraph(60, 420, 97);
-    traces.push_back(captureGpm(g, gpm::GpmApp::C4));
     const auto a = tensor::generateMatrix(
         30, 40, 240, tensor::MatrixStructure::Uniform, 31, "A");
     const auto b = tensor::generateMatrix(
         40, 25, 220, tensor::MatrixStructure::Uniform, 32, "B");
-    {
-        trace::TraceRecorder recorder;
-        kernels::runSpmspm(a, b, kernels::SpmspmAlgorithm::Gustavson,
-                           recorder);
-        traces.push_back(recorder.takeTrace());
-    }
-    {
-        const auto t = tensor::generateTensor(15, 12, 20, 260, 43, "T");
-        trace::TraceRecorder recorder;
-        kernels::runTtv(t, std::vector<Value>(20, 1.5), recorder);
-        traces.push_back(recorder.takeTrace());
-    }
+    const auto t = tensor::generateTensor(15, 12, 20, 260, 43, "T");
+    const std::vector<Value> vec(20, 1.5);
+    const std::vector<std::function<void(backend::ExecBackend &)>>
+        workloads = {
+            [&](backend::ExecBackend &be) {
+                gpm::PlanExecutor executor(g, be);
+                executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::C4));
+            },
+            [&](backend::ExecBackend &be) {
+                kernels::runSpmspm(a, b,
+                                   kernels::SpmspmAlgorithm::Gustavson,
+                                   be);
+            },
+            [&](backend::ExecBackend &be) {
+                kernels::runTtv(t, vec, be);
+            },
+        };
 
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        const trace::Trace &tr = traces[i];
-        backend::FunctionalBackend ev, bc;
-        trace::replayEvents(tr, ev);
-        trace::replayCompiled(trace::compileTrace(tr), bc);
-        EXPECT_EQ(ev.stats().dump(), bc.stats().dump())
-            << "trace " << i;
-        EXPECT_EQ(ev.liveStreams(), bc.liveStreams()) << "trace " << i;
-        const Histogram &he = ev.streamLengthHist();
-        const Histogram &hb = bc.streamLengthHist();
-        EXPECT_EQ(he.samples(), hb.samples()) << "trace " << i;
-        EXPECT_EQ(he.sum(), hb.sum()) << "trace " << i;
-        EXPECT_EQ(he.maxValue(), hb.maxValue()) << "trace " << i;
-        EXPECT_EQ(he.buckets(), hb.buckets()) << "trace " << i;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        trace::TraceRecorder recorder;
+        workloads[i](recorder);
+        const trace::BytecodeProgram bc = recorder.takeTrace();
+        backend::FunctionalBackend direct, replayed;
+        workloads[i](direct);
+        trace::replayCompiled(bc, replayed);
+        EXPECT_EQ(direct.stats().dump(), replayed.stats().dump())
+            << "workload " << i;
+        EXPECT_EQ(direct.liveStreams(), replayed.liveStreams())
+            << "workload " << i;
+        const Histogram &hd = direct.streamLengthHist();
+        const Histogram &hr = replayed.streamLengthHist();
+        EXPECT_EQ(hd.samples(), hr.samples()) << "workload " << i;
+        EXPECT_EQ(hd.sum(), hr.sum()) << "workload " << i;
+        EXPECT_EQ(hd.maxValue(), hr.maxValue()) << "workload " << i;
+        EXPECT_EQ(hd.buckets(), hr.buckets()) << "workload " << i;
     }
 }
 
-TEST(BytecodeReplay, ReplayCompiledMatchesEventWalk)
+TEST(BytecodeReplay, ReplayCompiledMatchesDirectRun)
 {
-    // The compile-once path (what compare() and the microbench use):
-    // one program, many replays, same cycles as the event walker.
+    // The capture-once path (what compare() and the microbench use):
+    // one program, many replays, each equal to a direct run.
     const auto g = test::randomTestGraph(80, 600, 94);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::C4);
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    const trace::BytecodeProgram bc = captureGpm(g, gpm::GpmApp::C4);
 
     const arch::SparseCoreConfig config;
-    backend::SparseCoreBackend ref(config);
-    const auto want = trace::replayEvents(tr, ref);
+    const api::RunResult want = api::Machine(config).run(
+        api::RunRequest::gpm(gpm::GpmApp::C4, g, directOptions()),
+        api::Substrate::SparseCore);
     for (int round = 0; round < 3; ++round) {
         backend::SparseCoreBackend be(config);
         const auto got = trace::replayCompiled(bc, be);
@@ -454,13 +679,12 @@ TEST(BytecodeReplay, ReplayCompiledMatchesEventWalk)
 TEST(BytecodeSerialization, RoundTripIsByteStable)
 {
     const auto g = test::randomTestGraph(60, 400, 95);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::T);
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    const trace::BytecodeProgram bc = captureGpm(g, gpm::GpmApp::T);
 
     const std::string bytes = bc.serialize();
     const auto back = trace::BytecodeProgram::deserialize(bytes);
     EXPECT_EQ(back.numInstructions(), bc.numInstructions());
-    EXPECT_EQ(back.numSourceEvents(), bc.numSourceEvents());
+    EXPECT_EQ(back.numEvents(), bc.numEvents());
     EXPECT_EQ(back.handleCount(), bc.handleCount());
     EXPECT_EQ(back.code(), bc.code());
     EXPECT_EQ(back.serialize(), bytes);
@@ -473,8 +697,7 @@ TEST(BytecodeSerialization, RoundTripIsByteStable)
 TEST(BytecodeSerialization, RejectsCorruptInput)
 {
     const auto g = test::randomTestGraph(30, 120, 96);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::TC);
-    const std::string bytes = trace::compileTrace(tr).serialize();
+    const std::string bytes = captureGpm(g, gpm::GpmApp::TC).serialize();
 
     EXPECT_THROW(trace::BytecodeProgram::deserialize("bogus"),
                  SimError);
@@ -486,7 +709,7 @@ TEST(BytecodeSerialization, RejectsCorruptInput)
     EXPECT_THROW(trace::BytecodeProgram::deserialize(wrong_magic),
                  SimError);
 
-    // Out-of-range operands must fail validate() on load, so the
+    // Out-of-range operands must fail validation on load, so the
     // unchecked replay loops never see them: force the handle count
     // to zero, making every recorded stream handle out of range.
     std::string bad_handles = bytes;
@@ -498,18 +721,18 @@ TEST(BytecodeSerialization, RejectsCorruptInput)
 
 TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
 {
-    // Pins the SCBC format, and with it capture determinism: a fresh
-    // capture must compile to the committed bytes. A layout change
-    // must bump bytecodeFormatVersion and regenerate
+    // Pins the SCBC format, and with it capture determinism: the
+    // recorder's program, serialized as it stands, must equal the
+    // committed bytes. A layout change must bump
+    // bytecodeFormatVersion and regenerate
     // (SPARSECORE_REGEN_GOLDEN=1 ./sparsecore_tests).
     const std::string path =
         std::string(SPARSECORE_TEST_DATA_DIR) + "/golden_trace.scbc";
-    const trace::Trace tr =
-        captureGpm(test::figureOneGraph(), gpm::GpmApp::T);
-    const std::string bytes = trace::compileTrace(tr).serialize();
+    const graph::CsrGraph g = test::figureOneGraph();
+    const trace::BytecodeProgram bc = captureGpm(g, gpm::GpmApp::T);
 
     if (std::getenv("SPARSECORE_REGEN_GOLDEN")) {
-        trace::compileTrace(tr).saveFile(path);
+        bc.saveFile(path);
         GTEST_SKIP() << "regenerated " << path;
     }
 
@@ -517,67 +740,49 @@ TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
     ASSERT_TRUE(in.good()) << "missing " << path;
     std::ostringstream content;
     content << in.rdbuf();
-    EXPECT_EQ(content.str(), bytes)
-        << "compiled bytecode diverged from the golden SCBC file";
+    EXPECT_EQ(content.str(), bc.serialize())
+        << "captured program diverged from the golden SCBC file";
 
     const auto golden = trace::BytecodeProgram::loadFile(path);
-    backend::SparseCoreBackend be_a, be_b;
-    EXPECT_EQ(trace::replayCompiled(golden, be_a).cycles,
-              trace::replayEvents(tr, be_b).cycles);
+    backend::SparseCoreBackend be;
+    EXPECT_EQ(trace::replayCompiled(golden, be).cycles,
+              api::Machine()
+                  .run(api::RunRequest::gpm(gpm::GpmApp::T, g,
+                                            directOptions()),
+                       api::Substrate::SparseCore)
+                  .cycles);
 }
 
-// ---------------- api path vs the reference walker ----------------
+// ---------------- api path vs direct runs ----------------
 
 TEST(BytecodeApi, CompareIdenticalAcrossReplayModes)
 {
-    // Machine::compare replays compiled bytecode; the reference
-    // walker over a capture of the same request must give the same
-    // cycles and breakdowns on both substrates.
+    // Machine::compare replays the captured program; direct runs of
+    // the same request must give the same cycles and breakdowns on
+    // both substrates.
     const auto g = test::randomTestGraph(90, 700, 97);
     const arch::SparseCoreConfig config;
-    api::Machine machine(config);
+    const api::Machine machine(config);
     const auto bc =
         machine.compare(api::RunRequest::gpm(gpm::GpmApp::TC, g));
 
-    trace::TraceRecorder recorder;
-    gpm::PlanExecutor executor(g, recorder);
-    const auto run =
-        executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::TC));
-    const trace::Trace tr = recorder.takeTrace();
-    backend::CpuBackend cpu(config.core, config.mem);
-    const auto cpu_ev = trace::replayEvents(tr, cpu);
-    backend::SparseCoreBackend sc(config);
-    const auto sc_ev = trace::replayEvents(tr, sc);
+    const auto direct_req =
+        api::RunRequest::gpm(gpm::GpmApp::TC, g, directOptions());
+    const auto cpu = machine.run(direct_req, api::Substrate::Cpu);
+    const auto sc = machine.run(direct_req, api::Substrate::SparseCore);
 
-    EXPECT_EQ(cpu_ev.cycles, bc.baseline.cycles);
-    EXPECT_EQ(sc_ev.cycles, bc.accelerated.cycles);
-    EXPECT_EQ(cpu_ev.breakdown.cycles, bc.baseline.breakdown.cycles);
-    EXPECT_EQ(sc_ev.breakdown.cycles, bc.accelerated.breakdown.cycles);
-    EXPECT_EQ(run.embeddings, bc.functionalResult);
+    EXPECT_EQ(cpu.cycles, bc.baseline.cycles);
+    EXPECT_EQ(sc.cycles, bc.accelerated.cycles);
+    EXPECT_EQ(cpu.breakdown.cycles, bc.baseline.breakdown.cycles);
+    EXPECT_EQ(sc.breakdown.cycles, bc.accelerated.breakdown.cycles);
+    EXPECT_EQ(sc.functionalResult, bc.functionalResult);
 
-    // TraceStats: every trace-driven path reports its compiled size
+    // TraceStats: every trace-driven path reports its program size
     // and the bytecode engine.
     EXPECT_EQ(bc.trace.replayMode, "bytecode");
     EXPECT_GT(bc.trace.bytecodeBytes, 0u);
-    EXPECT_GE(bc.trace.compileSeconds, 0.0);
-    EXPECT_NE(bc.str().find("bytecode:"), std::string::npos);
+    EXPECT_NE(bc.str().find(std::to_string(bc.trace.bytecodeBytes) +
+                            " code bytes"),
+              std::string::npos);
     EXPECT_NE(bc.str().find("(bytecode)"), std::string::npos);
-}
-
-// ---------------- compactness ----------------
-
-TEST(BytecodeStats, CodeIsSmallerThanEventArray)
-{
-    // The point of the lowering: the flat code must be a small
-    // fraction of the 112-byte-per-event array it replaces.
-    const auto g = test::randomTestGraph(100, 900, 99);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::C4);
-    const trace::BytecodeProgram bc = trace::compileTrace(tr);
-
-    const std::size_t event_bytes =
-        tr.numEvents() * sizeof(trace::Event);
-    EXPECT_LT(bc.codeBytes(), event_bytes / 4)
-        << "bytecode should be at least 4x denser than the event "
-           "array";
-    EXPECT_GT(bc.memoryBytes(), bc.codeBytes());
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the execution-event trace IR: a captured trace, compiled
- * and replayed, gives cycles and breakdowns bit-identical to direct
- * execution for every backend x app x graph x tensor-kernel
- * combination covered here, interning keeps the arena small, and the
- * capture-once api paths (Machine::compare / compareParallelGpm)
- * match their direct equivalents.
+ * Tests for capture and replay: a captured program, replayed, gives
+ * cycles and breakdowns bit-identical to direct execution for every
+ * backend x app x graph x tensor-kernel combination covered here,
+ * interning keeps the arena small, and the capture-once api paths
+ * (Machine::compare / compareParallelGpm) match their direct
+ * equivalents.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "kernels/ttv.hh"
 #include "tensor/tensor_gen.hh"
 #include "test_util.hh"
-#include "trace/compile.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
 
@@ -34,8 +33,8 @@ using namespace sc;
 
 namespace {
 
-/** Capture one GPM run's trace. */
-trace::Trace
+/** Capture one GPM run's program. */
+trace::BytecodeProgram
 captureGpm(const graph::CsrGraph &g, gpm::GpmApp app)
 {
     trace::TraceRecorder recorder;
@@ -44,12 +43,66 @@ captureGpm(const graph::CsrGraph &g, gpm::GpmApp app)
     return recorder.takeTrace();
 }
 
-/** Compile the trace and replay the program onto `backend`. */
+/** Replay the program onto `backend`. */
 trace::ReplayResult
-replay(const trace::Trace &tr, backend::ExecBackend &backend)
+replay(const trace::BytecodeProgram &bc, backend::ExecBackend &backend)
 {
-    return trace::replayCompiled(trace::compileTrace(tr), backend);
+    return trace::replayCompiled(bc, backend);
 }
+
+/** walkBytecode handler summing the key-span lengths the
+ *  instructions reference (nested entries' spans excluded). */
+struct SpanVolume
+{
+    using TS = trace::TraceStream;
+    using Ref = trace::SpanRef;
+
+    std::uint64_t keys = 0;
+
+    void scalarOps(std::uint64_t, std::uint32_t) {}
+    void scalarBranch(std::uint64_t, bool) {}
+    void scalarLoad(Addr) {}
+    void
+    streamLoad(TS, Addr, std::uint64_t, std::uint8_t, Ref s0)
+    {
+        keys += s0.len;
+    }
+    void
+    streamLoadKv(TS, Addr, Addr, std::uint64_t, std::uint8_t, Ref s0)
+    {
+        keys += s0.len;
+    }
+    void streamFree(TS) {}
+    void
+    setOp(TS, std::uint8_t, TS, TS, Ref s0, Ref s1, Key, Ref s2, Addr)
+    {
+        keys += std::uint64_t{s0.len} + s1.len + s2.len;
+    }
+    void
+    setOpCount(std::uint8_t, TS, TS, Ref s0, Ref s1, Key, std::uint64_t)
+    {
+        keys += std::uint64_t{s0.len} + s1.len;
+    }
+    void
+    valueIntersect(bool, TS, TS, Ref s0, Ref s1, Addr, Addr, Ref s2,
+                   Ref s3)
+    {
+        keys += std::uint64_t{s0.len} + s1.len + s2.len + s3.len;
+    }
+    void
+    valueMerge(TS, TS, TS, Ref s0, Ref s1, Addr, Addr, std::uint64_t,
+               Addr)
+    {
+        keys += std::uint64_t{s0.len} + s1.len;
+    }
+    void
+    nestedGroup(TS, Ref s0, std::uint64_t, std::uint32_t)
+    {
+        keys += s0.len;
+    }
+    void consumeStream(TS) {}
+    void iterateStream(TS, std::uint64_t, std::uint8_t) {}
+};
 
 /**
  * The core property: direct execution and trace replay must agree
@@ -64,7 +117,7 @@ expectReplayEquivalence(const graph::CsrGraph &g, gpm::GpmApp app,
     gpm::PlanExecutor direct(g, *direct_be);
     const auto d = direct.runMany(gpm::gpmAppPlans(app));
 
-    const trace::Trace tr = captureGpm(g, app);
+    const trace::BytecodeProgram tr = captureGpm(g, app);
     auto replay_be = make();
     const auto r = replay(tr, *replay_be);
 
@@ -154,7 +207,7 @@ TEST(TraceReplayFsm, BitIdenticalOnLabeledGraph)
 
     trace::TraceRecorder recorder;
     const auto functional = gpm::runFsm(lg, recorder, 2);
-    const trace::Trace tr = recorder.takeTrace();
+    const trace::BytecodeProgram tr = recorder.takeTrace();
 
     for (const bool sparse : {false, true}) {
         const arch::SparseCoreConfig config;
@@ -192,7 +245,7 @@ TEST(TraceReplayTensor, SpmspmAllAlgorithms)
                                  kernels::SpmspmAlgorithm::Gustavson}) {
         trace::TraceRecorder recorder;
         kernels::runSpmspm(a, b, algorithm, recorder);
-        const trace::Trace tr = recorder.takeTrace();
+        const trace::BytecodeProgram tr = recorder.takeTrace();
 
         backend::CpuBackend cpu_direct(config.core, config.mem);
         const auto cd = kernels::runSpmspm(a, b, algorithm, cpu_direct);
@@ -221,7 +274,7 @@ TEST(TraceReplayTensor, TtvAndTtm)
     {
         trace::TraceRecorder recorder;
         kernels::runTtv(t, vec, recorder);
-        const trace::Trace tr = recorder.takeTrace();
+        const trace::BytecodeProgram tr = recorder.takeTrace();
         backend::CpuBackend direct(config.core, config.mem);
         const auto d = kernels::runTtv(t, vec, direct);
         backend::CpuBackend rep(config.core, config.mem);
@@ -234,7 +287,7 @@ TEST(TraceReplayTensor, TtvAndTtm)
     {
         trace::TraceRecorder recorder;
         kernels::runTtm(t, b, recorder);
-        const trace::Trace tr = recorder.takeTrace();
+        const trace::BytecodeProgram tr = recorder.takeTrace();
         backend::CpuBackend direct(config.core, config.mem);
         const auto d = kernels::runTtm(t, b, direct);
         backend::CpuBackend rep(config.core, config.mem);
@@ -253,15 +306,13 @@ TEST(TraceStats, InterningDeduplicatesSpans)
     // Neighbor lists recur across recursion levels; the interned
     // arena must stay well below the total referenced key volume.
     const auto g = test::randomTestGraph(100, 1200, 58);
-    const trace::Trace tr = captureGpm(g, gpm::GpmApp::C4);
-    std::uint64_t referenced = 0;
-    for (const auto &e : tr.events())
-        referenced += e.s0.len + e.s1.len + e.s2.len + e.s3.len;
-    ASSERT_GT(referenced, 0u);
-    EXPECT_LT(tr.arenaKeys(), referenced / 2)
+    const trace::BytecodeProgram bc = captureGpm(g, gpm::GpmApp::C4);
+    SpanVolume referenced;
+    trace::walkBytecode(bc, referenced);
+    ASSERT_GT(referenced.keys, 0u);
+    EXPECT_LT(bc.arenaKeys(), referenced.keys / 2)
         << "interning should deduplicate repeated neighbor lists";
-    EXPECT_GE(tr.memoryBytes(), tr.arenaBytes() +
-                                    tr.numEvents() * sizeof(trace::Event));
+    EXPECT_GE(bc.memoryBytes(), bc.arenaBytes() + bc.codeBytes());
 }
 
 // ---------------- api capture-once paths ----------------

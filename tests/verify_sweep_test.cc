@@ -28,9 +28,9 @@ using namespace sc;
 namespace {
 
 void
-expectClean(const trace::Trace &tr, const std::string &label)
+expectClean(const trace::BytecodeProgram &bc, const std::string &label)
 {
-    const auto report = analysis::verifyTrace(tr);
+    const auto report = analysis::verifyBytecode(bc);
     EXPECT_TRUE(report.clean())
         << label << ":\n"
         << report.format();
