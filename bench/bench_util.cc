@@ -99,16 +99,10 @@ api::Prepared
 gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
              unsigned root_stride)
 {
-    return api::prepare(
-        api::ArtifactStore::resolveEnabled(std::nullopt)
-            ? api::ArtifactStore::gpmTraceKey(app, g, root_stride)
-            : std::string{},
-        [&](trace::TraceRecorder &recorder) {
-            gpm::PlanExecutor executor(g, recorder);
-            executor.setRootStride(root_stride);
-            return executor.runMany(gpm::gpmAppPlans(app)).embeddings;
-        },
-        std::nullopt);
+    api::RunOptions options;
+    options.rootStride = root_stride;
+    return api::prepare(api::RunRequest::gpm(app, g, options),
+                        std::nullopt);
 }
 
 trace::ReplayResult

@@ -44,10 +44,9 @@ ctest --test-dir "${prefix}" --output-on-failure -j"$(nproc)"
 echo
 echo "=== full ctest, verifier hooks forced on ==="
 # SC_VERIFY=1 turns the api::prepare / trace::replayCompiled
-# verification on regardless of build type, so every trace the suite
-# produces goes through the stream-lifetime checker — including every
-# unkeyed Machine::run, which then captures and prepares its trace
-# instead of executing directly.
+# verification on regardless of build type, so every program the
+# suite captures goes through the stream-lifetime checker (every
+# Machine::run and compare prepares one, store on or off).
 SC_VERIFY=1 ctest --test-dir "${prefix}" \
     --output-on-failure -j"$(nproc)"
 
@@ -154,8 +153,9 @@ echo "=== job server: queued vs sequential bit-identity ==="
 # queued run — any width, warm or cold store — must emit reports
 # byte-identical to sequential Machine execution; with a single
 # worker the artifact-store hit counts are deterministic: g1/g2
-# share the (T, W) program, f1/f2 share the FSM key, g3 and g4 are
-# distinct misses, tensor jobs are not store-keyed.
+# share the (T, W) program, f1/f2 share the FSM key and t1/t2 the
+# (TTV, Ch, stride 8) key, so 3 hits; g1, g3, g4, f1, s1, s2, s3, t1
+# and t3 each capture a distinct key, so 9 misses.
 server_bin="$(cd "${prefix}" && pwd)/examples/example_sparsecore_server"
 server_tmp="$(mktemp -d)"
 cat > "${server_tmp}/batch12.jsonl" <<'EOF'
@@ -179,8 +179,8 @@ EOF
 diff "${server_tmp}/seq.jsonl" "${server_tmp}/queued.jsonl"
 "${server_bin}" --jobs-threads 1 --stats \
     < "${server_tmp}/batch12.jsonl" > "${server_tmp}/ordered.jsonl"
-grep -q '"trace_hits":2' "${server_tmp}/ordered.jsonl"
-grep -q '"trace_misses":4' "${server_tmp}/ordered.jsonl"
+grep -q '"trace_hits":3' "${server_tmp}/ordered.jsonl"
+grep -q '"trace_misses":9' "${server_tmp}/ordered.jsonl"
 echo "12-job batch: queued == sequential; store hits deterministic"
 
 echo
@@ -189,10 +189,11 @@ echo "=== job scheduler: fifo vs affinity bit-identity + convoy counters ==="
 # Reports must stay byte-identical to the sequential reference for
 # any policy — the scheduler only reorders dispatch, never results.
 # With >= 2 workers, fifo sends same-dataset neighbours (g1/g2,
-# f1/f2) into the pool together, so one blocks on the other's
+# f1/f2, t1/t2) into the pool together, so one blocks on the other's
 # in-flight capture (store waits > 0); affinity parks the sibling
 # until its warmer lands, so it must report zero store waits, one
-# warmer per keyed lane, and convoys avoided.
+# warmer per keyed lane (9: every job is keyed, and the 12 jobs name
+# 9 keys), and convoys avoided.
 "${server_bin}" --sched fifo --jobs-threads 2 --no-timing \
     < "${server_tmp}/batch12.jsonl" > "${server_tmp}/fifo.jsonl"
 "${server_bin}" --sched affinity --jobs-threads 2 --no-timing \
@@ -207,7 +208,7 @@ diff "${server_tmp}/seq.jsonl" "${server_tmp}/affinity.jsonl"
     > "${server_tmp}/affinity_stats.json"
 grep -q '"policy":"affinity"' "${server_tmp}/affinity_stats.json"
 grep -q '"trace_waits":0' "${server_tmp}/affinity_stats.json"
-grep -q '"warmers":4' "${server_tmp}/affinity_stats.json"
+grep -q '"warmers":9' "${server_tmp}/affinity_stats.json"
 fifo_waits="$(grep -o '"trace_waits":[0-9]*' \
     "${server_tmp}/fifo_stats.json" | grep -o '[0-9]*$')"
 aff_convoys="$(grep -o '"convoy_avoided":[0-9]*' \

@@ -78,19 +78,6 @@ ArtifactStore::global()
     return store;
 }
 
-bool
-ArtifactStore::enabledByDefault()
-{
-    // SC_ARTIFACT_CACHE, validated by the common/config loader.
-    return config().artifactCache;
-}
-
-bool
-ArtifactStore::resolveEnabled(std::optional<bool> override_)
-{
-    return override_.value_or(enabledByDefault());
-}
-
 std::size_t
 ArtifactStore::defaultCapacityBytes()
 {
@@ -183,39 +170,6 @@ ArtifactStore::clear()
     traces_.clear();
     verdicts_.clear();
     summaries_.clear();
-}
-
-std::string
-ArtifactStore::gpmTraceKey(gpm::GpmApp app, const graph::CsrGraph &g,
-                           unsigned root_stride)
-{
-    std::ostringstream os;
-    os << "gpm/" << gpm::gpmAppName(app) << "/g" << std::hex
-       << g.fingerprint() << std::dec << "/s" << root_stride;
-    return os.str();
-}
-
-std::string
-ArtifactStore::gpmChunkTraceKey(gpm::GpmApp app,
-                                const graph::CsrGraph &g,
-                                unsigned root_stride, unsigned chunk,
-                                unsigned num_chunks)
-{
-    std::ostringstream os;
-    os << "gpm/" << gpm::gpmAppName(app) << "/g" << std::hex
-       << g.fingerprint() << std::dec << "/s" << root_stride << "/c"
-       << chunk << "of" << num_chunks;
-    return os.str();
-}
-
-std::string
-ArtifactStore::fsmTraceKey(const graph::LabeledGraph &g,
-                           std::uint64_t min_support)
-{
-    std::ostringstream os;
-    os << "fsm/lg" << std::hex << g.fingerprint() << std::dec
-       << "/sup" << min_support;
-    return os.str();
 }
 
 std::string

@@ -8,15 +8,15 @@
  *
  * Keys are content-derived, never pointer-derived:
  *
- *   trace    gpm/<app>/g<graph fp>/s<root stride>[/c<chunk>of<n>]
- *            fsm/lg<labeled-graph fp>/sup<min support>
+ *   trace    api::traceKey(request) (api/pipeline.hh): the workload,
+ *            its operands' content fingerprints and its sampling
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
- * A capture is a pure function of (workload, dataset content, root
+ * A capture is a pure function of (workload, dataset content,
  * sampling) — the substrate, SparseCoreConfig, SIMD kernel level and
  * set-index policy all act at *replay* time — so one cached program
  * serves every sweep point, substrate comparison and config ladder:
- * a fig07–fig16 sweep captures each (app, dataset) exactly once and
+ * a fig07–fig16 sweep captures each workload point exactly once and
  * replays the shared program at every point. One key holds one
  * entry, the program plus its functional result; the verdict and
  * summary caches hold small derived reports. Keys carry no format
@@ -39,13 +39,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "analysis/diagnostics.hh"
 #include "analysis/summary.hh"
 #include "common/cache.hh"
-#include "gpm/apps.hh"
 #include "graph/datasets.hh"
 #include "trace/recorder.hh"
 
@@ -90,10 +88,6 @@ class ArtifactStore
     /** The process-wide store every cached code path shares. */
     static ArtifactStore &global();
 
-    /** SC_ARTIFACT_CACHE=off|on|0|1 (default on). Read once. */
-    static bool enabledByDefault();
-    /** Per-call override beats the environment default. */
-    static bool resolveEnabled(std::optional<bool> override_);
     /** SC_ARTIFACT_CACHE_BYTES (default 1 GiB per cache). */
     static std::size_t defaultCapacityBytes();
 
@@ -155,19 +149,7 @@ class ArtifactStore
      *  untouched). */
     void clear();
 
-    // ---------------- key scheme ----------------
-    static std::string gpmTraceKey(gpm::GpmApp app,
-                                   const graph::CsrGraph &g,
-                                   unsigned root_stride);
-    /** Per-chunk key for the host-parallel runtime: chunk m of n of
-     *  the same (app, graph, stride) run. */
-    static std::string gpmChunkTraceKey(gpm::GpmApp app,
-                                        const graph::CsrGraph &g,
-                                        unsigned root_stride,
-                                        unsigned chunk,
-                                        unsigned num_chunks);
-    static std::string fsmTraceKey(const graph::LabeledGraph &g,
-                                   std::uint64_t min_support);
+    // ---------- derived-report keys (trace keys: api::traceKey) ----------
     static std::string verdictKey(const std::string &trace_key,
                                   unsigned capacity);
     static std::string summaryKey(const std::string &trace_key,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "api/artifact_store.hh"
+#include "api/pipeline.hh"
 #include "common/logging.hh"
 #include "graph/datasets.hh"
 #include "graph/io.hh"
@@ -757,22 +757,8 @@ resolveJob(const JobSpec &spec)
     }
 
     // Dataset-affinity key = the store trace key this job will hit
-    // (mirrors Machine's routing: gpm/fsm go through the store, the
-    // tensor workloads don't, and a disabled cache shares nothing).
-    if (ArtifactStore::resolveEnabled(spec.options.artifactCache)) {
-        switch (spec.workload) {
-          case RunRequest::Workload::Gpm:
-            job.affinityKey = ArtifactStore::gpmTraceKey(
-                spec.app, *job.graph, spec.options.rootStride);
-            break;
-          case RunRequest::Workload::Fsm:
-            job.affinityKey = ArtifactStore::fsmTraceKey(
-                *job.labeledGraph, spec.minSupport);
-            break;
-          default:
-            break;
-        }
-    }
+    // ("" when a disabled cache shares nothing).
+    job.affinityKey = traceKey(job.request);
 
     out.job = std::move(job);
     return out;

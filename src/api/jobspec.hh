@@ -148,11 +148,12 @@ struct ResolvedJob
     arch::SparseCoreConfig config;
     RunRequest request;
 
-    /** Dataset-affinity key: the ArtifactStore trace key this job
-     *  will capture or replay (workload + dataset content fingerprint
-     *  + sampling), or "" when the job shares no store artifacts
-     *  (tensor workloads; artifact cache disabled). The JobQueue's
-     *  affinity scheduler groups jobs into lanes by this key. */
+    /** Dataset-affinity key: api::traceKey(request), the
+     *  ArtifactStore trace key this job will capture or replay
+     *  (workload + operand content fingerprints + sampling), or ""
+     *  when its artifact cache is disabled. The JobQueue's affinity
+     *  scheduler groups jobs into lanes by this key, and admission
+     *  checks a resident program under it. */
     std::string affinityKey;
 
     std::shared_ptr<const graph::CsrGraph> graph;

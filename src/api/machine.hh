@@ -8,19 +8,14 @@
  * benchmarks use; lower layers (backends, engine, plans) remain
  * public for advanced use.
  *
- * Programs are prepared through api::prepare() (api/pipeline.hh);
- * run() executes unkeyed (tensor) requests directly on the timing
- * backend instead, unless the run verifies. GPM and FSM requests
- * keep their captured programs in the content-keyed ArtifactStore
- * (api/artifact_store.hh), so repeated runs of one (app, dataset)
- * across substrates, configs or sweep points pay the functional
- * enumeration once. Cached and cold paths are bit-identical (results
- * and cycles); SC_ARTIFACT_CACHE or RunOptions::artifactCache opt
- * out.
- *
- * The legacy positional-argument overloads (mineSparseCore,
- * compareGpm, spmspmCpu, ...) that survived PR 3 as deprecated shims
- * are gone; use RunRequest.
+ * Both entry points prepare the request's program through
+ * api::prepare() (api/pipeline.hh) and replay it. Every workload
+ * keeps its captured program in the content-keyed ArtifactStore
+ * (api/artifact_store.hh), so repeated runs of one request across
+ * substrates, configs or sweep points pay the functional enumeration
+ * once. Cached and cold paths are bit-identical (results and
+ * cycles); SC_ARTIFACT_CACHE or RunOptions::artifactCache opt out,
+ * and each call then captures its own program.
  */
 
 #ifndef SPARSECORE_API_MACHINE_HH

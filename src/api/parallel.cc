@@ -1,6 +1,7 @@
 #include "api/parallel.hh"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "api/pipeline.hh"
@@ -41,8 +42,11 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
     const auto plans = gpm::gpmAppPlans(app);
     ThreadPool &pool = host.pool ? *host.pool : ThreadPool::global();
     const unsigned num_chunks = num_cores * std::max(1u, host.chunksPerCore);
-    const bool use_store =
-        ArtifactStore::resolveEnabled(host.artifactCache);
+    RunOptions options;
+    options.rootStride = root_stride;
+    options.artifactCache = host.artifactCache;
+    const std::string run_key =
+        traceKey(RunRequest::gpm(app, g, options));
 
     struct ChunkRun
     {
@@ -53,9 +57,9 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
         pool, num_chunks, [&](std::size_t m) {
             const auto chunk = static_cast<unsigned>(m);
             const std::string key =
-                use_store ? ArtifactStore::gpmChunkTraceKey(
-                                app, g, root_stride, chunk, num_chunks)
-                          : std::string{};
+                run_key.empty() ? std::string{}
+                                : run_key + "/c" + std::to_string(chunk) +
+                                      "of" + std::to_string(num_chunks);
             const Prepared prepared = prepare(
                 key,
                 [&](trace::TraceRecorder &recorder) {

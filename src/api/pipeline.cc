@@ -1,10 +1,18 @@
 #include "api/pipeline.hh"
 
 #include <chrono>
+#include <cinttypes>
 
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/sparsecore_backend.hh"
+#include "common/config.hh"
+#include "common/fingerprint.hh"
+#include "common/logging.hh"
+#include "gpm/executor.hh"
+#include "gpm/fsm.hh"
+#include "kernels/ttm.hh"
+#include "kernels/ttv.hh"
 
 namespace sc::api {
 
@@ -18,6 +26,85 @@ throwOnErrors(const analysis::VerifyReport &report)
 }
 
 } // namespace
+
+std::string
+traceKey(const RunRequest &req)
+{
+    // A per-request override beats SC_ARTIFACT_CACHE.
+    if (!req.options.artifactCache.value_or(config().artifactCache))
+        return {};
+    const unsigned stride = req.options.stride;
+    switch (req.workload) {
+      case RunRequest::Workload::Gpm:
+        return strprintf("gpm/%s/g%" PRIx64 "/s%u",
+                         gpm::gpmAppName(req.app),
+                         req.graph->fingerprint(),
+                         req.options.rootStride);
+      case RunRequest::Workload::Fsm:
+        return strprintf("fsm/lg%" PRIx64 "/sup%" PRIu64,
+                         req.labeledGraph->fingerprint(),
+                         req.minSupport);
+      case RunRequest::Workload::Spmspm:
+        return strprintf("spmspm/%s/a%" PRIx64 "/b%" PRIx64 "/s%u",
+                         kernels::spmspmAlgorithmName(req.algorithm),
+                         req.matrixA->fingerprint(),
+                         req.matrixB->fingerprint(), stride);
+      case RunRequest::Workload::Ttv:
+        return strprintf("ttv/t%" PRIx64 "/v%" PRIx64 "/s%u",
+                         req.tensor->fingerprint(),
+                         Fingerprint().add(*req.vector).value(), stride);
+      case RunRequest::Workload::Ttm:
+        return strprintf("ttm/t%" PRIx64 "/b%" PRIx64 "/s%u",
+                         req.tensor->fingerprint(),
+                         req.matrixB->fingerprint(), stride);
+    }
+    return {};
+}
+
+RunResult
+execute(const RunRequest &req, backend::ExecBackend &be)
+{
+    RunResult out;
+    const auto take = [&out](const auto &r, std::uint64_t functional) {
+        out.functionalResult = functional;
+        out.cycles = r.cycles;
+        out.breakdown = r.breakdown;
+    };
+    switch (req.workload) {
+      case RunRequest::Workload::Gpm: {
+        gpm::PlanExecutor executor(*req.graph, be);
+        executor.setRootStride(req.options.rootStride);
+        const auto r = executor.runMany(gpm::gpmAppPlans(req.app));
+        take(r, r.embeddings);
+        break;
+      }
+      case RunRequest::Workload::Fsm: {
+        const auto r = gpm::runFsm(*req.labeledGraph, be, req.minSupport);
+        take(r, r.totalFrequent());
+        break;
+      }
+      case RunRequest::Workload::Spmspm: {
+        const auto r = kernels::runSpmspm(*req.matrixA, *req.matrixB,
+                                          req.algorithm, be,
+                                          req.options.stride);
+        take(r, r.valueOps);
+        break;
+      }
+      case RunRequest::Workload::Ttv: {
+        const auto r = kernels::runTtv(*req.tensor, *req.vector, be,
+                                       req.options.stride);
+        take(r, r.valueOps);
+        break;
+      }
+      case RunRequest::Workload::Ttm: {
+        const auto r = kernels::runTtm(*req.tensor, *req.matrixB, be,
+                                       req.options.stride);
+        take(r, r.valueOps);
+        break;
+      }
+    }
+    return out;
+}
 
 Prepared
 prepare(const std::string &key, const ArtifactStore::CaptureFn &capture,
@@ -61,6 +148,17 @@ prepare(const std::string &key, const ArtifactStore::CaptureFn &capture,
     stats.captureSeconds =
         captured ? std::chrono::duration<double>(t1 - t0).count() : 0;
     return out;
+}
+
+Prepared
+prepare(const RunRequest &req, std::optional<bool> verify)
+{
+    return prepare(
+        traceKey(req),
+        [&req](trace::TraceRecorder &recorder) {
+            return execute(req, recorder).functionalResult;
+        },
+        verify);
 }
 
 std::unique_ptr<backend::ExecBackend>

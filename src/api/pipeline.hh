@@ -1,17 +1,20 @@
 /**
  * @file
- * The one execution pipeline every trace-driven path shares.
+ * The one execution pipeline every workload shares.
  *
+ *   traceKey()     the request's content key in the ArtifactStore
+ *   execute()      run the request's workload against any backend
  *   prepare()      obtain the captured program (ArtifactStore under a
  *                  content key, or a local capture), verify it once
  *   makeBackend()  the timing backend for a substrate
  *   replayCompiled the devirtualized bytecode replay (trace/replay.hh)
  *
- * Machine::run/compare, the multi-core miners (api/parallel.hh) and
- * the figure drivers all route through these, so verification, store
- * traffic and TraceStats cannot drift between them. Replay is
- * bit-identical to direct execution (the trace invariant), so which
- * path a workload takes only moves host wall clock.
+ * Machine::run/compare, the multi-core miners (api/parallel.hh), the
+ * job queue and the figure drivers all route through these, so keys,
+ * verification, store traffic and TraceStats cannot drift between
+ * them. Replay is bit-identical to execute() on the same backend (the
+ * trace invariant), so whether a program comes from the store or a
+ * fresh capture only moves host wall clock.
  */
 
 #ifndef SPARSECORE_API_PIPELINE_HH
@@ -44,6 +47,26 @@ struct Prepared
 };
 
 /**
+ * The ArtifactStore key of the request's captured program, or "" when
+ * the request's artifactCache resolves off. Keys are built from
+ * content fingerprints, never from object addresses or names:
+ *
+ *   gpm/<app>/g<graph fp>/s<root stride>
+ *   fsm/lg<labeled-graph fp>/sup<min support>
+ *   spmspm/<algorithm>/a<A fp>/b<B fp>/s<stride>
+ *   ttv/t<tensor fp>/v<vector fp>/s<stride>
+ *   ttm/t<tensor fp>/b<B fp>/s<stride>
+ *
+ * The host-parallel miners key chunk m of n as the run key plus
+ * /c<m>of<n>.
+ */
+std::string traceKey(const RunRequest &req);
+
+/** Run the request's workload against `be`: a timing backend, the
+ *  TraceRecorder that prepare() captures with, or any other. */
+RunResult execute(const RunRequest &req, backend::ExecBackend &be);
+
+/**
  * Obtain and verify one workload's captured program.
  *
  * With a non-empty `key` the program comes out of
@@ -60,6 +83,9 @@ struct Prepared
 Prepared prepare(const std::string &key,
                  const ArtifactStore::CaptureFn &capture,
                  std::optional<bool> verify);
+
+/** prepare(traceKey(req), a capture that execute()s `req`, verify). */
+Prepared prepare(const RunRequest &req, std::optional<bool> verify);
 
 /** The timing backend for `substrate` under `config`. */
 std::unique_ptr<backend::ExecBackend>

@@ -93,8 +93,7 @@ jsonValue(const RunResult &result)
             JsonValue::number(std::uint64_t{result.functionalResult}));
     out.set("cycles", JsonValue::number(std::uint64_t{result.cycles}));
     out.set("breakdown", jsonValue(result.breakdown));
-    if (!result.trace.replayMode.empty())
-        out.set("trace", jsonValue(result.trace));
+    out.set("trace", jsonValue(result.trace));
     return out;
 }
 
@@ -107,8 +106,7 @@ jsonValue(const Comparison &comparison)
     out.set("cpu", jsonValue(comparison.baseline));
     out.set("sparsecore", jsonValue(comparison.accelerated));
     out.set("speedup", JsonValue::number(comparison.speedup()));
-    if (!comparison.trace.replayMode.empty())
-        out.set("trace", jsonValue(comparison.trace));
+    out.set("trace", jsonValue(comparison.trace));
     return out;
 }
 
@@ -122,21 +120,15 @@ Comparison::str() const
     os << accelerated.substrate << ": " << accelerated.cycles
        << " cycles  [" << breakdownStr(accelerated.breakdown) << "]\n";
     os << "speedup: " << Table::speedup(speedup()) << "\n";
-    if (trace.events) {
-        os << "trace: " << trace.events << " events, "
-           << trace.arenaBytes << " arena bytes, "
-           << trace.bytecodeBytes << " code bytes, ";
-        if (trace.traceCacheHit)
-            os << "capture skipped (store hit)";
-        else
-            os << "capture "
-               << Table::num(trace.captureSeconds * 1e3, 1) << " ms";
-        os << ", replay " << Table::num(trace.replaySeconds * 1e3, 1)
+    os << "trace: " << trace.events << " events, " << trace.arenaBytes
+       << " arena bytes, " << trace.bytecodeBytes << " code bytes, ";
+    if (trace.traceCacheHit)
+        os << "capture skipped (store hit)";
+    else
+        os << "capture " << Table::num(trace.captureSeconds * 1e3, 1)
            << " ms";
-        if (!trace.replayMode.empty())
-            os << " (" << trace.replayMode << ")";
-        os << "\n";
-    }
+    os << ", replay " << Table::num(trace.replaySeconds * 1e3, 1)
+       << " ms (" << trace.replayMode << ")\n";
     return os.str();
 }
 

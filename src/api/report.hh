@@ -30,7 +30,7 @@ struct Comparison
     std::uint64_t functionalResult = 0; ///< count / checksum
     SubstrateResult baseline;
     SubstrateResult accelerated;
-    TraceStats trace; ///< zeroed when the run was not trace-driven
+    TraceStats trace; ///< how the shared program was obtained
 
     double
     speedup() const

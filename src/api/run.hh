@@ -12,9 +12,6 @@
  *   const auto req = api::RunRequest::gpm(gpm::GpmApp::T, graph);
  *   const auto run = machine.run(req, api::Substrate::SparseCore);
  *   const auto cmp = machine.compare(req); // both substrates
- *
- * The old overloads survived PR 3 as [[deprecated]] shims and were
- * removed in PR 7; RunRequest is the only entry point.
  */
 
 #ifndef SPARSECORE_API_RUN_HH
@@ -54,12 +51,12 @@ struct RunOptions
      */
     std::optional<bool> verify;
     /**
-     * Share captured traces and compiled bytecode across run()/
-     * compare() calls through the content-keyed ArtifactStore
-     * (api/artifact_store.hh). nullopt = SC_ARTIFACT_CACHE (default
-     * on). Cached and cold paths are bit-identical in results and
-     * simulated cycles — the store only moves host wall-clock
-     * (tests/artifact_store_test.cc pins the identity).
+     * Share captured programs across run()/compare() calls through
+     * the content-keyed ArtifactStore (api/artifact_store.hh).
+     * nullopt = SC_ARTIFACT_CACHE (default on); off, each call
+     * captures its own. Cached and cold paths are bit-identical in
+     * results and simulated cycles — the store only moves host
+     * wall-clock (tests/artifact_store_test.cc pins the identity).
      */
     std::optional<bool> artifactCache;
 };
@@ -88,8 +85,6 @@ struct RunRequest
     const tensor::SparseMatrix *matrixB = nullptr;
     kernels::SpmspmAlgorithm algorithm =
         kernels::SpmspmAlgorithm::Gustavson;
-    /** Optional functional product for validation (may stay null). */
-    tensor::SparseMatrix *spmspmResult = nullptr;
     // Ttv / Ttm
     const tensor::CsfTensor *tensor = nullptr;
     const std::vector<Value> *vector = nullptr;
@@ -120,8 +115,7 @@ struct RunRequest
 
     static RunRequest
     spmspm(const tensor::SparseMatrix &a, const tensor::SparseMatrix &b,
-           kernels::SpmspmAlgorithm algorithm, RunOptions options = {},
-           tensor::SparseMatrix *result = nullptr)
+           kernels::SpmspmAlgorithm algorithm, RunOptions options = {})
     {
         RunRequest req;
         req.workload = Workload::Spmspm;
@@ -129,7 +123,6 @@ struct RunRequest
         req.matrixA = &a;
         req.matrixB = &b;
         req.algorithm = algorithm;
-        req.spmspmResult = result;
         return req;
     }
 
@@ -159,9 +152,10 @@ struct RunRequest
 };
 
 /**
- * Capture/replay statistics of a trace-driven execution: the
- * workload ran functionally once (capture, which encodes the SCBC
- * program) and the substrate(s) were timed by replaying it.
+ * Capture/replay statistics of an execution: the workload ran
+ * functionally once (capture, which encodes the SCBC program, or a
+ * store hit that skipped it) and the substrate(s) were timed by
+ * replaying the program. Every run() and compare() fills them.
  */
 struct TraceStats
 {
@@ -169,8 +163,7 @@ struct TraceStats
     std::size_t arenaBytes = 0; ///< interned key-arena bytes
     /** SCBC code bytes of the captured program. */
     std::size_t bytecodeBytes = 0;
-    /** "bytecode" on every trace-driven path; empty on direct
-     *  execution (report emission keys off it). */
+    /** The replay engine ("bytecode"). */
     std::string replayMode;
     /** The program came out of the ArtifactStore warm: the
      *  functional capture run was skipped entirely. */
@@ -187,8 +180,7 @@ struct RunResult
     std::uint64_t functionalResult = 0;
     Cycles cycles = 0;
     sim::CycleBreakdown breakdown;
-    /** Capture/replay stats when the run was store-backed; zeroed
-     *  (empty replayMode) on the direct-execution cold path. */
+    /** How the program was obtained and how long its replay took. */
     TraceStats trace;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "streams/setindex/registry.hh"
 
@@ -34,23 +35,10 @@ CsrGraph::CsrGraph(std::vector<std::uint64_t> offsets,
     // Align the edge array to a cache line for clean prefetch modeling.
     edgeArrayBase_ = (edgeArrayBase_ + 63) & ~Addr{63};
 
-    // Content fingerprint (FNV-1a over both CSR arrays): the
-    // artifact store keys traces by it, so structurally identical
-    // graphs share captured programs regardless of name.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(n);
-    mix(edges_.size());
-    for (const std::uint64_t off : offsets_)
-        mix(off);
-    for (const VertexId e : edges_)
-        mix(e);
-    fingerprint_ = h;
+    // Content fingerprint over both CSR arrays: the artifact store
+    // keys programs by it, so structurally identical graphs share
+    // captured programs regardless of name.
+    fingerprint_ = Fingerprint().add(offsets_).add(edges_).value();
 
     index_ = streams::setindex::StreamSetIndex::build(offsets_, edges_);
     registerSetIndex();

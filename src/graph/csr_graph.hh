@@ -120,10 +120,10 @@ class CsrGraph
     const std::vector<std::uint64_t> &offsets() const { return offsets_; }
     const std::vector<VertexId> &edges() const { return edges_; }
 
-    /** Content fingerprint (FNV-1a over the CSR arrays, name
-     *  excluded): identical for structurally identical graphs.
-     *  Computed once at construction; the artifact store's content
-     *  keys (api/artifact_store.hh) are built from it. */
+    /** Content fingerprint (common/fingerprint.hh over the CSR
+     *  arrays, name excluded): identical for structurally identical
+     *  graphs. Computed once at construction; the artifact store's
+     *  content keys (api::traceKey) are built from it. */
     std::uint64_t fingerprint() const { return fingerprint_; }
 
     /** Approximate resident bytes of the CSR arrays + offset array

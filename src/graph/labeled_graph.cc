@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -19,12 +20,8 @@ LabeledGraph::LabeledGraph(CsrGraph graph, std::vector<Label> labels)
                            1;
 
     // Content fingerprint: the graph's, mixed with every label.
-    std::uint64_t h = graph_.fingerprint() ^ 0x9e3779b97f4a7c15ull;
-    for (const Label label : labels_) {
-        h ^= label;
-        h *= 0x100000001b3ull;
-    }
-    fingerprint_ = h;
+    fingerprint_ =
+        Fingerprint().add(graph_.fingerprint()).add(labels_).value();
 }
 
 LabeledGraph

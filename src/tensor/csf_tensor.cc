@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 
 namespace sc::tensor {
@@ -54,6 +55,9 @@ CsfTensor::fromEntries(std::uint32_t dim_i, std::uint32_t dim_j,
     }
     t.iPtr_.push_back(t.jIdx_.size());
     t.jPtr_.push_back(t.kIdx_.size());
+    t.fingerprint_ = Fingerprint().add(dim_i).add(dim_j).add(dim_k)
+                         .add(t.iIdx_).add(t.iPtr_).add(t.jIdx_)
+                         .add(t.jPtr_).add(t.kIdx_).add(t.vals_).value();
     return t;
 }
 

@@ -88,6 +88,12 @@ class CsfTensor
 
     const std::string &name() const { return name_; }
 
+    /** Content fingerprint (common/fingerprint.hh over the dimensions
+     *  and the CSF arrays, name excluded), computed once at
+     *  construction; the artifact store's TTV and TTM keys are built
+     *  from it. */
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
   private:
     std::uint32_t dimI_ = 0, dimJ_ = 0, dimK_ = 0;
     std::vector<std::uint32_t> iIdx_; ///< root coordinates (slices)
@@ -96,6 +102,7 @@ class CsfTensor
     std::vector<std::uint64_t> jPtr_; ///< fiber -> entry range
     std::vector<Key> kIdx_;           ///< entry coordinates
     std::vector<Value> vals_;
+    std::uint64_t fingerprint_ = 0;
     std::string name_;
     Addr keyBase_ = 0x400000000ull;
     Addr valBase_ = 0x500000000ull;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 
 namespace sc::tensor {
@@ -44,6 +45,8 @@ SparseMatrix::fromTriplets(std::uint32_t rows, std::uint32_t cols,
     }
     for (std::uint32_t r = 0; r < rows; ++r)
         m.rowPtr_[r + 1] += m.rowPtr_[r];
+    m.fingerprint_ = Fingerprint().add(rows).add(cols).add(m.rowPtr_)
+                         .add(m.colIdx_).add(m.vals_).value();
     return m;
 }
 

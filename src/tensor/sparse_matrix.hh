@@ -93,12 +93,18 @@ class SparseMatrix
     const std::string &name() const { return name_; }
     const std::vector<std::uint64_t> &rowPtr() const { return rowPtr_; }
 
+    /** Content fingerprint (common/fingerprint.hh over the shape and
+     *  the CSR arrays, name excluded), computed once at construction;
+     *  the artifact store's spmspm and TTM keys are built from it. */
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
   private:
     std::uint32_t rows_ = 0;
     std::uint32_t cols_ = 0;
     std::vector<std::uint64_t> rowPtr_;
     std::vector<Key> colIdx_;
     std::vector<Value> vals_;
+    std::uint64_t fingerprint_ = 0;
     std::string name_;
     Addr keyBase_ = 0x200000000ull;
     Addr valBase_ = 0x300000000ull;

@@ -457,10 +457,11 @@ TEST(VerifyHooks, ReplayRejectsBadTraceWhenVerifying)
 
 TEST(VerifyHooks, MachineRunVerifiedMatchesUnverified)
 {
-    // A verified run checks its captured trace before replaying it;
-    // an unverified unkeyed run executes directly. Both routes must
-    // report the same cycles, breakdown and functional result, for
-    // keyed (GPM) and unkeyed (store off, tensor) requests alike.
+    // A verified run checks its captured program before replaying
+    // it; an unverified run replays it unchecked. Both must report
+    // the same cycles, breakdown and functional result, for every
+    // workload, with the program from the store or captured locally
+    // (store off).
     const auto g = test::randomTestGraph(60, 400, 9);
     const auto a = tensor::generateMatrix(
         24, 30, 160, tensor::MatrixStructure::Uniform, 16, "A");

@@ -2,11 +2,12 @@
  * @file
  * The ArtifactStore's contract: cached and cold paths are
  * bit-identical in functional results and simulated cycles (run(),
- * compare(), the host-parallel miners), artifacts are content-keyed
- * (two structurally identical graph objects share one trace), each
- * key holds one entry sized by its program, the byte budget evicts
- * LRU entries while pinned in-use artifacts survive, and concurrent
- * requests build each artifact exactly once.
+ * compare(), the host-parallel miners, every workload), artifacts are
+ * content-keyed (two structurally identical graph, matrix or tensor
+ * objects share one trace), each key holds one entry sized by its
+ * program, the byte budget evicts LRU entries while pinned in-use
+ * artifacts survive, and concurrent requests build each artifact
+ * exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include "api/machine.hh"
 #include "api/parallel.hh"
 #include "api/pipeline.hh"
+#include "common/config.hh"
 #include "gpm/executor.hh"
 #include "gpm/fsm.hh"
 #include "graph/generators.hh"
+#include "tensor/tensor_gen.hh"
 
 using namespace sc;
 using namespace sc::api;
@@ -42,6 +45,26 @@ withCache(bool enabled)
     RunOptions options;
     options.artifactCache = enabled;
     return options;
+}
+
+/** Store on, with the tensor stride and the GPM root stride both at
+ *  `stride` (each workload reads only its own). */
+RunOptions
+strided(unsigned stride)
+{
+    RunOptions options = withCache(true);
+    options.stride = stride;
+    options.rootStride = stride;
+    return options;
+}
+
+tensor::SparseMatrix
+testMatrix(std::uint32_t rows, std::uint32_t cols, std::uint64_t seed,
+           const char *name)
+{
+    return tensor::generateMatrix(rows, cols, rows * cols / 4,
+                                  tensor::MatrixStructure::Uniform, seed,
+                                  name);
 }
 
 ArtifactStore::CaptureFn
@@ -159,6 +182,16 @@ TEST(ArtifactStore, ParallelMiningColdWarmBitIdentical)
         EXPECT_EQ(r->cycles, r_off.cycles);
         EXPECT_EQ(r->perCore, r_off.perCore);
     }
+    // Chunk m of n is keyed as the run key plus /c<m>of<n>.
+    const std::string run_key =
+        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
+    const unsigned chunks = 4 * on.chunksPerCore;
+    for (unsigned m = 0; m < chunks; ++m)
+        EXPECT_NE(ArtifactStore::global().peekTrace(
+                      run_key + "/c" + std::to_string(m) + "of" +
+                      std::to_string(chunks)),
+                  nullptr)
+            << m;
 
     const auto c_off =
         compareParallelGpm(gpm::GpmApp::T, g, 4, {}, 1, off);
@@ -204,8 +237,9 @@ TEST(ArtifactStore, OneEntryPerKeySizedByItsProgram)
     const graph::LabeledGraph lg(std::move(base), labels);
 
     const std::string gpm_key =
-        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
-    const std::string fsm_key = ArtifactStore::fsmTraceKey(lg, 300);
+        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
+    const std::string fsm_key =
+        traceKey(RunRequest::fsm(lg, 300, withCache(true)));
     const Prepared gpm_run =
         prepare(gpm_key, gpmCapture(g, gpm::GpmApp::T), false);
     const Prepared fsm_run =
@@ -302,26 +336,33 @@ TEST(ArtifactStore, ConcurrentRequestsCaptureOnce)
 TEST(ArtifactStore, EnvDefaultAndOverridesResolve)
 {
     // An explicit override beats whatever SC_ARTIFACT_CACHE says;
-    // nullopt falls through to the environment default.
-    EXPECT_EQ(ArtifactStore::resolveEnabled(std::nullopt),
-              ArtifactStore::enabledByDefault());
-    EXPECT_TRUE(ArtifactStore::resolveEnabled(true));
-    EXPECT_FALSE(ArtifactStore::resolveEnabled(false));
+    // nullopt falls through to the environment default. A request
+    // that resolves off has no store key.
+    const auto g = testGraph(113);
+    const auto key = [&g](std::optional<bool> cache) {
+        RunOptions options;
+        options.artifactCache = cache;
+        return traceKey(RunRequest::gpm(gpm::GpmApp::T, g, options));
+    };
+    EXPECT_EQ(key(std::nullopt).empty(), !config().artifactCache);
+    EXPECT_FALSE(key(true).empty());
+    EXPECT_TRUE(key(false).empty());
 }
 
 TEST(ArtifactStore, KeysEncodeContentAndVersions)
 {
     const auto g1 = testGraph(109);
     const auto g2 = testGraph(110);
-    const auto k1 = ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g1, 1);
-    const auto k2 = ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g2, 1);
-    EXPECT_NE(k1, k2); // different content, different key
-    EXPECT_NE(k1, ArtifactStore::gpmTraceKey(gpm::GpmApp::TT, g1, 1));
-    EXPECT_NE(k1, ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g1, 2));
-    EXPECT_NE(ArtifactStore::gpmChunkTraceKey(gpm::GpmApp::T, g1, 1,
-                                              0, 8),
-              ArtifactStore::gpmChunkTraceKey(gpm::GpmApp::T, g1, 1,
-                                              1, 8));
+    const auto key = [](gpm::GpmApp app, const graph::CsrGraph &g,
+                        unsigned stride) {
+        return traceKey(RunRequest::gpm(app, g, strided(stride)));
+    };
+    const auto k1 = key(gpm::GpmApp::T, g1, 1);
+    EXPECT_EQ(k1.rfind("gpm/T/g", 0), 0u);
+    EXPECT_NE(k1, key(gpm::GpmApp::T, g2, 1)); // different content
+    EXPECT_NE(k1, key(gpm::GpmApp::TT, g1, 1));
+    EXPECT_NE(k1, key(gpm::GpmApp::T, g1, 2));
+
     // Verdict and summary keys derive from the trace key plus the
     // capacity or arch point they were computed at.
     EXPECT_NE(ArtifactStore::verdictKey(k1, 16), k1);
@@ -331,4 +372,106 @@ TEST(ArtifactStore, KeysEncodeContentAndVersions)
     narrow.numSus = 1;
     EXPECT_NE(ArtifactStore::summaryKey(k1, arch::SparseCoreConfig{}),
               ArtifactStore::summaryKey(k1, narrow));
+}
+
+TEST(ArtifactStore, TensorKeysAreContentKeyed)
+{
+    // spmspm, TTV and TTM keys follow everything their capture reads:
+    // the algorithm, the stride and each operand's content. Identical
+    // operands under different names share one key and one capture.
+    using kernels::SpmspmAlgorithm;
+    const auto a = testMatrix(24, 24, 41, "A");
+    const auto a_twin = testMatrix(24, 24, 41, "twin");
+    const auto b = testMatrix(24, 24, 42, "B");
+    ASSERT_EQ(a.fingerprint(), a_twin.fingerprint());
+    const auto spmspm = [](const tensor::SparseMatrix &x,
+                           const tensor::SparseMatrix &y,
+                           SpmspmAlgorithm algorithm, unsigned stride) {
+        return traceKey(RunRequest::spmspm(x, y, algorithm,
+                                           strided(stride)));
+    };
+    const std::string mm = spmspm(a, b, SpmspmAlgorithm::Gustavson, 1);
+    EXPECT_EQ(mm.rfind("spmspm/gustavson/a", 0), 0u);
+    EXPECT_NE(mm, spmspm(a, b, SpmspmAlgorithm::Inner, 1));
+    EXPECT_NE(mm, spmspm(a, b, SpmspmAlgorithm::Gustavson, 2));
+    EXPECT_NE(mm, spmspm(b, b, SpmspmAlgorithm::Gustavson, 1));
+    EXPECT_NE(mm, spmspm(a, a, SpmspmAlgorithm::Gustavson, 1));
+    EXPECT_EQ(mm, spmspm(a_twin, b, SpmspmAlgorithm::Gustavson, 1));
+
+    const auto t = tensor::generateTensor(10, 8, 24, 160, 43, "T");
+    const auto t_twin = tensor::generateTensor(10, 8, 24, 160, 43, "twin");
+    const auto t_other = tensor::generateTensor(10, 8, 24, 160, 44, "T");
+    ASSERT_EQ(t.fingerprint(), t_twin.fingerprint());
+    const std::vector<Value> v(24, 0.5);
+    std::vector<Value> v_other = v;
+    v_other.back() = 0.25;
+    const std::string tv = traceKey(RunRequest::ttv(t, v, strided(1)));
+    EXPECT_EQ(tv.rfind("ttv/t", 0), 0u);
+    EXPECT_NE(tv, traceKey(RunRequest::ttv(t_other, v, strided(1))));
+    EXPECT_NE(tv, traceKey(RunRequest::ttv(t, v_other, strided(1))));
+    EXPECT_NE(tv, traceKey(RunRequest::ttv(t, v, strided(2))));
+    EXPECT_EQ(tv, traceKey(RunRequest::ttv(t_twin, v, strided(1))));
+
+    const auto m = testMatrix(6, 24, 45, "M");
+    const auto m_twin = testMatrix(6, 24, 45, "twin");
+    const auto m_other = testMatrix(6, 24, 46, "M");
+    const std::string tm = traceKey(RunRequest::ttm(t, m, strided(1)));
+    EXPECT_EQ(tm.rfind("ttm/t", 0), 0u);
+    EXPECT_NE(tm, traceKey(RunRequest::ttm(t_other, m, strided(1))));
+    EXPECT_NE(tm, traceKey(RunRequest::ttm(t, m_other, strided(1))));
+    EXPECT_NE(tm, traceKey(RunRequest::ttm(t, m, strided(2))));
+    EXPECT_EQ(tm, traceKey(RunRequest::ttm(t_twin, m_twin, strided(1))));
+
+    // The twins hit the first object's capture.
+    const Machine machine;
+    const std::vector<std::pair<RunRequest, RunRequest>> pairs = {
+        {RunRequest::spmspm(a, b, SpmspmAlgorithm::Gustavson,
+                            strided(1)),
+         RunRequest::spmspm(a_twin, b, SpmspmAlgorithm::Gustavson,
+                            strided(1))},
+        {RunRequest::ttv(t, v, strided(1)),
+         RunRequest::ttv(t_twin, v, strided(1))},
+        {RunRequest::ttm(t, m, strided(1)),
+         RunRequest::ttm(t_twin, m_twin, strided(1))}};
+    for (const auto &[original, twin] : pairs) {
+        const auto first = machine.compare(original);
+        const auto second = machine.compare(twin);
+        EXPECT_FALSE(first.trace.traceCacheHit) << traceKey(original);
+        EXPECT_TRUE(second.trace.traceCacheHit) << traceKey(original);
+        EXPECT_EQ(second.functionalResult, first.functionalResult);
+        EXPECT_EQ(second.baseline.cycles, first.baseline.cycles);
+        EXPECT_EQ(second.accelerated.cycles, first.accelerated.cycles);
+    }
+}
+
+TEST(ArtifactStore, TensorRunColdWarmBitIdentical)
+{
+    // A second run() of one tensor request replays the stored
+    // program; cold, warm and store-off runs agree bit for bit.
+    const auto a = testMatrix(20, 28, 47, "A");
+    const auto b = testMatrix(28, 20, 48, "B");
+    const auto t = tensor::generateTensor(12, 10, 16, 200, 49, "T");
+    const std::vector<Value> vec(16, 1.25);
+    const auto m = testMatrix(8, 16, 50, "M");
+    const std::vector<RunRequest> requests = {
+        RunRequest::spmspm(a, b, kernels::SpmspmAlgorithm::Outer,
+                           strided(1)),
+        RunRequest::ttv(t, vec, strided(1)),
+        RunRequest::ttm(t, m, strided(1))};
+    const Machine machine;
+    for (const RunRequest &req : requests) {
+        RunRequest off = req;
+        off.options.artifactCache = false;
+        const auto ref = machine.run(off, Substrate::SparseCore);
+        const auto cold = machine.run(req, Substrate::SparseCore);
+        const auto warm = machine.run(req, Substrate::SparseCore);
+        EXPECT_FALSE(ref.trace.traceCacheHit);
+        EXPECT_FALSE(cold.trace.traceCacheHit) << traceKey(req);
+        EXPECT_TRUE(warm.trace.traceCacheHit) << traceKey(req);
+        for (const RunResult *r : {&cold, &warm}) {
+            EXPECT_EQ(r->functionalResult, ref.functionalResult);
+            EXPECT_EQ(r->cycles, ref.cycles);
+            EXPECT_EQ(r->breakdown.cycles, ref.breakdown.cycles);
+        }
+    }
 }

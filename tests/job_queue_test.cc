@@ -425,6 +425,39 @@ TEST(JobQueue, AdmissionRejectsWarmJobOverDeclaredSusBudget)
         << dumped;
 }
 
+TEST(JobQueue, AdmissionRejectsWarmTensorJobOverDeclaredSusBudget)
+{
+    // Tensor jobs are store-keyed like GPM jobs, so admission checks
+    // them the same way: once the TTV program is warm, a job
+    // declaring an arch.sus budget below its peak live-stream
+    // pressure is rejected before it reaches the scheduler.
+    api::ArtifactStore::global().clear();
+    JobQueue queue(1);
+    const std::string job =
+        R"({"version":1,"workload":"ttv","dataset":"Ch",)"
+        R"("options":{"stride":8},"mode":"run","substrate":"sparsecore")";
+    EXPECT_TRUE(queue.submitJson(job + R"(,"id":"warm"})").get().ok);
+
+    auto f = queue.submitJson(job + R"(,"id":"tight","arch":{"sus":1}})");
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const JobReport r = f.get();
+    EXPECT_FALSE(r.ok);
+    ASSERT_FALSE(r.errors.empty());
+    EXPECT_EQ(r.errors[0].field, "arch.sus");
+    EXPECT_NE(r.errors[0].message.find("peak live-stream pressure 2 "),
+              std::string::npos)
+        << r.errors[0].message;
+    EXPECT_TRUE(
+        queue.submitJson(job + R"(,"id":"roomy","arch":{"sus":2}})")
+            .get()
+            .ok);
+
+    const api::JobQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_EQ(stats.pressureRejected, 1u);
+}
+
 TEST(JobQueue, AdmissionRejectsWarmJobFailingVerification)
 {
     // Poison the exact affinity key the job resolves to with a trace

@@ -127,9 +127,8 @@ TEST(JobSpec, PriorityParsesValidatesAndRoundTrips)
 
 TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
 {
-    // gpm/fsm jobs route through the ArtifactStore, so their
-    // affinity key is the store trace key; tensor workloads share no
-    // store artifacts and get no affinity.
+    // Every job routes through the ArtifactStore, so its affinity key
+    // is its store trace key; a disabled cache gives no affinity.
     const auto gpm = parseJobSpec(
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})");
     ASSERT_TRUE(gpm.ok());
@@ -150,7 +149,7 @@ TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
     ASSERT_TRUE(ttv.ok());
     const auto ttv_resolved = resolveJob(*ttv.spec);
     ASSERT_TRUE(ttv_resolved.ok());
-    EXPECT_TRUE(ttv_resolved.job->affinityKey.empty());
+    EXPECT_EQ(ttv_resolved.job->affinityKey.rfind("ttv/t", 0), 0u);
 
     // Same dataset + sampling -> same lane; different dataset or
     // sampling -> different lane.

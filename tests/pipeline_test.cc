@@ -54,16 +54,14 @@ TEST(Pipeline, VerifyRunsOnWarmProgramHits)
     ArtifactStore &store = ArtifactStore::global();
     store.clear();
     const graph::CsrGraph g = test::randomTestGraph(30, 120, 58);
-    const std::string key =
-        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
-    store.trace(key, doubleFree);
-    const ArtifactStoreStats planted = store.stats();
-
     RunOptions options;
     options.verify = true;
     options.artifactCache = true;
-    const Machine machine;
     const auto req = RunRequest::gpm(gpm::GpmApp::T, g, options);
+    store.trace(traceKey(req), doubleFree);
+    const ArtifactStoreStats planted = store.stats();
+
+    const Machine machine;
     EXPECT_THROW(machine.run(req, Substrate::Cpu), analysis::VerifyError);
     EXPECT_THROW(machine.compare(req), analysis::VerifyError);
     // Both rejections came from the resident entry, not a recapture.
@@ -86,8 +84,10 @@ TEST(Pipeline, KeyedAndLocalPrepareAgree)
 {
     ArtifactStore::global().clear();
     const graph::CsrGraph g = test::randomTestGraph(60, 400, 59);
+    RunOptions options;
+    options.artifactCache = true;
     const std::string key =
-        ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
+        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, options));
 
     const ArtifactStoreStats before = ArtifactStore::global().stats();
     const Prepared local = prepare("", captureTriangles(g), false);

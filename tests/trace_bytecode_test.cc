@@ -206,32 +206,26 @@ replayedCalls(const trace::BytecodeProgram &bc)
     return log.calls;
 }
 
-/** Options for direct execution through Machine::run: no store and
- *  no verification, so run() calls executeOn on the timing backend. */
-api::RunOptions
-directOptions()
+/** Direct execution of `req` on the timing backend for `sub`
+ *  (api::execute, no capture): the reference every replay matches. */
+api::RunResult
+directRun(const api::RunRequest &req, api::Substrate sub,
+          const arch::SparseCoreConfig &config = {})
 {
-    api::RunOptions options;
-    options.artifactCache = false;
-    options.verify = false;
-    return options;
+    return api::execute(req, *api::makeBackend(sub, config));
 }
 
 /** Replaying `bc` on each timing substrate gives the cycles and the
- *  4-class breakdown of direct execution of `req` (which must carry
- *  directOptions()). */
+ *  4-class breakdown of direct execution of `req`. */
 void
 expectReplayMatchesDirect(const trace::BytecodeProgram &bc,
                           const api::RunRequest &req,
                           const std::string &label)
 {
     const arch::SparseCoreConfig config;
-    const api::Machine machine(config);
     for (const api::Substrate sub :
          {api::Substrate::Cpu, api::Substrate::SparseCore}) {
-        const api::RunResult direct = machine.run(req, sub);
-        ASSERT_TRUE(direct.trace.replayMode.empty())
-            << label << ": expected a direct run";
+        const api::RunResult direct = directRun(req, sub, config);
         const auto be = api::makeBackend(sub, config);
         const trace::ReplayResult replayed =
             trace::replayCompiled(bc, *be, /*verify=*/false);
@@ -554,7 +548,7 @@ TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
             continue; // labeled-graph path covered below
         expectReplayMatchesDirect(
             captureGpm(g, app),
-            api::RunRequest::gpm(app, g, directOptions()),
+            api::RunRequest::gpm(app, g),
             gpm::gpmAppName(app));
     }
 }
@@ -566,7 +560,7 @@ TEST(BytecodeReplay, CycleIdenticalForFsm)
     gpm::runFsm(lg, recorder, 2);
     expectReplayMatchesDirect(
         recorder.takeTrace(),
-        api::RunRequest::fsm(lg, 2, directOptions()), "fsm");
+        api::RunRequest::fsm(lg, 2), "fsm");
 }
 
 TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
@@ -582,7 +576,7 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
         kernels::runSpmspm(a, b, algorithm, recorder);
         expectReplayMatchesDirect(
             recorder.takeTrace(),
-            api::RunRequest::spmspm(a, b, algorithm, directOptions()),
+            api::RunRequest::spmspm(a, b, algorithm),
             kernels::spmspmAlgorithmName(algorithm));
     }
     const auto t = tensor::generateTensor(15, 12, 20, 260, 43, "T");
@@ -592,7 +586,7 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
         kernels::runTtv(t, vec, recorder);
         expectReplayMatchesDirect(
             recorder.takeTrace(),
-            api::RunRequest::ttv(t, vec, directOptions()), "ttv");
+            api::RunRequest::ttv(t, vec), "ttv");
     }
     {
         const auto m = tensor::generateMatrix(
@@ -601,7 +595,7 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
         kernels::runTtm(t, m, recorder);
         expectReplayMatchesDirect(
             recorder.takeTrace(),
-            api::RunRequest::ttm(t, m, directOptions()), "ttm");
+            api::RunRequest::ttm(t, m), "ttm");
     }
 }
 
@@ -663,9 +657,9 @@ TEST(BytecodeReplay, ReplayCompiledMatchesDirectRun)
     const trace::BytecodeProgram bc = captureGpm(g, gpm::GpmApp::C4);
 
     const arch::SparseCoreConfig config;
-    const api::RunResult want = api::Machine(config).run(
-        api::RunRequest::gpm(gpm::GpmApp::C4, g, directOptions()),
-        api::Substrate::SparseCore);
+    const api::RunResult want =
+        directRun(api::RunRequest::gpm(gpm::GpmApp::C4, g),
+                  api::Substrate::SparseCore, config);
     for (int round = 0; round < 3; ++round) {
         backend::SparseCoreBackend be(config);
         const auto got = trace::replayCompiled(bc, be);
@@ -746,10 +740,8 @@ TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
     const auto golden = trace::BytecodeProgram::loadFile(path);
     backend::SparseCoreBackend be;
     EXPECT_EQ(trace::replayCompiled(golden, be).cycles,
-              api::Machine()
-                  .run(api::RunRequest::gpm(gpm::GpmApp::T, g,
-                                            directOptions()),
-                       api::Substrate::SparseCore)
+              directRun(api::RunRequest::gpm(gpm::GpmApp::T, g),
+                        api::Substrate::SparseCore)
                   .cycles);
 }
 
@@ -762,14 +754,10 @@ TEST(BytecodeApi, CompareIdenticalAcrossReplayModes)
     // both substrates.
     const auto g = test::randomTestGraph(90, 700, 97);
     const arch::SparseCoreConfig config;
-    const api::Machine machine(config);
-    const auto bc =
-        machine.compare(api::RunRequest::gpm(gpm::GpmApp::TC, g));
-
-    const auto direct_req =
-        api::RunRequest::gpm(gpm::GpmApp::TC, g, directOptions());
-    const auto cpu = machine.run(direct_req, api::Substrate::Cpu);
-    const auto sc = machine.run(direct_req, api::Substrate::SparseCore);
+    const auto req = api::RunRequest::gpm(gpm::GpmApp::TC, g);
+    const auto bc = api::Machine(config).compare(req);
+    const auto cpu = directRun(req, api::Substrate::Cpu, config);
+    const auto sc = directRun(req, api::Substrate::SparseCore, config);
 
     EXPECT_EQ(cpu.cycles, bc.baseline.cycles);
     EXPECT_EQ(sc.cycles, bc.accelerated.cycles);
