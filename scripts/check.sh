@@ -11,9 +11,10 @@
 # suites (thread pool, host-parallel mining, machine comparisons,
 # artifact-store/LRU-cache races, the shared execution pipeline),
 # then an ASan+UBSan build running the trace capture/replay/
-# serialization + SCBC rejection + artifact-store + pipeline suites
-# and the cycle golden (arena ownership, encoding and image-loading
-# bugs show up here), then a
+# serialization + SCBC rejection + artifact-store + pipeline suites,
+# the cycle and counter goldens and the timing-model suites (arena
+# ownership, encoding and image-loading bugs show up here, and so do
+# out-of-range indexes into the cache tag/LRU arrays), then a
 # forced-scalar kernel build (the AVX2 TU omitted, so scalar is the
 # only kernel level) with the full suite, kernel and replay microbench
 # smoke runs (their BENCH_*.json stay under the build directory; this
@@ -98,7 +99,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ScbcRejection.*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ScbcRejection.*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*:Cache.*:MemHierarchy.*:BranchPredictor.*:CoreModel.*:Engine*.*:Smt.*:SCache.*:Scratchpad.*:Svpu.*:NestTranslator.*:CounterGolden.*:ColdBegin.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="

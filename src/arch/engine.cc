@@ -11,8 +11,13 @@ using sim::CycleClass;
 using streams::SetOpKind;
 
 Engine::Engine(const SparseCoreConfig &config)
+    : Engine(config, sim::CoreModel(config.core, config.mem))
+{
+}
+
+Engine::Engine(const SparseCoreConfig &config, sim::CoreModel &&core)
     : config_(config),
-      core_(std::make_unique<sim::CoreModel>(config.core, config.mem)),
+      core_(std::move(core)),
       smt_(config.numStreamRegs),
       scache_(config.numStreamRegs, config.scacheSlotKeys,
               config.mem.l2.lineBytes),
@@ -31,36 +36,36 @@ Engine::Engine(const SparseCoreConfig &config)
         sus_.emplace_back(i, config.suWindow, config.suPipelineLatency);
 }
 
-Engine::~Engine() = default;
-
-Cycles
-Engine::now() const
-{
-    return core_->cycles();
-}
-
-const sim::CycleBreakdown &
-Engine::breakdown() const
-{
-    return core_->breakdown();
-}
-
 void
-Engine::scalarOps(std::uint64_t n)
+Engine::reset()
 {
-    core_->executeOps(n);
+    // Only the core is costly to build (its cache tag arrays): keep
+    // it, cleared in place, and rebuild the rest around it.
+    core_.reset();
+    *this = Engine(config_, std::move(core_));
 }
 
-void
-Engine::scalarBranch(std::uint64_t pc, bool taken)
+StatSet
+Engine::stats() const
 {
-    core_->executeBranch(pc, taken);
-}
-
-void
-Engine::scalarLoad(Addr addr)
-{
-    core_->load(addr);
+    StatSet s("engine");
+    s.counter("streamInstructions") += counters_.streamInstructions;
+    s.counter("sread") += counters_.sread;
+    s.counter("svread") += counters_.svread;
+    s.counter("sfree") += counters_.sfree;
+    s.counter("svinter") += counters_.svinter;
+    s.counter("svmerge") += counters_.svmerge;
+    s.counter("snestinter") += counters_.snestinter;
+    s.counter("setOpElements") += counters_.setOpElements;
+    s.counter("smtVirtualizationStalls") +=
+        counters_.smtVirtualizationStalls;
+    s.counter("scratchpadStreamHits") += counters_.scratchpadStreamHits;
+    for (std::size_t k = 0; k < streams::numSetOpKinds; ++k)
+        s.counter(std::string("op.") +
+                  streams::setOpName(static_cast<SetOpKind>(k))) +=
+            counters_.ops[k];
+    s.counter("op.nestedIntersect") += counters_.nestedIntersectOps;
+    return s;
 }
 
 Engine::StreamInfo &
@@ -108,8 +113,8 @@ Engine::stallUntil(Cycles target, double mem_share)
     const Cycles gap = target - t;
     const auto mem_cycles = static_cast<Cycles>(
         std::llround(static_cast<double>(gap) * mem_share));
-    core_->addCycles(CycleClass::Cache, mem_cycles);
-    core_->addCycles(CycleClass::Intersection, gap - mem_cycles);
+    core_.addCycles(CycleClass::Cache, mem_cycles);
+    core_.addCycles(CycleClass::Intersection, gap - mem_cycles);
 }
 
 StreamHandle
@@ -117,7 +122,7 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
                    unsigned priority, streams::KeySpan keys)
 {
     (void)keys;
-    ++stats_.counter("streamInstructions");
+    ++counters_.streamInstructions;
     // The instruction itself plus the operand moves feeding it (the
     // paper's generated code marshals address/length/id/priority
     // into registers before each S_READ/S_VREAD, Fig. 3/4).
@@ -130,7 +135,7 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
         // §4.1 virtualization: spill an SMT entry to the special
         // memory region and retry; modeled as a fixed penalty.
         extra = config_.mem.l2Latency + config_.mem.l3Latency;
-        ++stats_.counter("smtVirtualizationStalls");
+        ++counters_.smtVirtualizationStalls;
         smt_.spillOne();
         entry = smt_.define(streams_.size());
     }
@@ -146,11 +151,11 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
     if (priority > 0 && scratchpad_.lookup(key_addr)) {
         si.readyAt = issue + extra + config_.scratchpadLatency;
         si.memShare = 0.1;
-        ++stats_.counter("scratchpadStreamHits");
+        ++counters_.scratchpadStreamHits;
     } else {
         const Cycles refill = scache_.allocate(
-            si.smtIndex, key_addr, length, core_->mem());
-        scache_.prefetchRemainder(si.smtIndex, core_->mem());
+            si.smtIndex, key_addr, length, core_.mem());
+        scache_.prefetchRemainder(si.smtIndex, core_.mem());
         si.readyAt = issue + extra + refill;
         si.memShare = 1.0;
         if (priority > 0)
@@ -170,7 +175,7 @@ StreamHandle
 Engine::streamRead(Addr key_addr, std::uint32_t length, unsigned priority,
                    streams::KeySpan keys)
 {
-    ++stats_.counter("sread");
+    ++counters_.sread;
     return makeStream(key_addr, 0, length, priority, keys);
 }
 
@@ -178,7 +183,7 @@ StreamHandle
 Engine::streamReadKv(Addr key_addr, Addr val_addr, std::uint32_t length,
                      unsigned priority, streams::KeySpan keys)
 {
-    ++stats_.counter("svread");
+    ++counters_.svread;
     return makeStream(key_addr, val_addr, length, priority, keys);
 }
 
@@ -189,8 +194,8 @@ Engine::streamFree(StreamHandle handle)
     if (si.freed)
         panic("double free of stream handle %u", handle);
     si.freed = true;
-    ++stats_.counter("sfree");
-    ++stats_.counter("streamInstructions");
+    ++counters_.sfree;
+    ++counters_.streamInstructions;
     scalarOps(1);
     smt_.decodeFree(handle);
     smt_.retireFree(si.smtIndex);
@@ -245,9 +250,8 @@ Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
 
     lengthHist_.sample(ak.size());
     lengthHist_.sample(bk.size());
-    stats_.counter("setOpElements") +=
-        cost.aConsumed + cost.bConsumed;
-    ++stats_.counter(std::string("op.") + streams::setOpName(kind));
+    counters_.setOpElements += cost.aConsumed + cost.bConsumed;
+    ++counters_.ops[static_cast<std::size_t>(kind)];
     return completion;
 }
 
@@ -256,7 +260,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
               streams::KeySpan ak, streams::KeySpan bk, Key bound,
               std::uint64_t result_len)
 {
-    ++stats_.counter("streamInstructions");
+    ++counters_.streamInstructions;
     scalarOps(2); // instruction + operand moves
     double mem_share = 0.0;
     const Cycles completion =
@@ -266,7 +270,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     Cycles extra = 0;
     if (!entry) {
         extra = config_.mem.l2Latency + config_.mem.l3Latency;
-        ++stats_.counter("smtVirtualizationStalls");
+        ++counters_.smtVirtualizationStalls;
         smt_.spillOne();
         entry = smt_.define(streams_.size());
     }
@@ -283,7 +287,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     scache_.allocateProduced(si.smtIndex, result_len);
     if (result_len > config_.scacheSlotKeys)
         scache_.writebackProduced(si.smtIndex, result_len,
-                                  core_->mem());
+                                  core_.mem());
     smt_.entry(*entry).produced = true;
 
     streams_.push_back(si);
@@ -295,7 +299,7 @@ void
 Engine::setOpCount(SetOpKind kind, StreamHandle a, StreamHandle b,
                    streams::KeySpan ak, streams::KeySpan bk, Key bound)
 {
-    ++stats_.counter("streamInstructions");
+    ++counters_.streamInstructions;
     scalarOps(2); // instruction + operand moves
     double mem_share = 0.0;
     const Cycles completion =
@@ -322,8 +326,8 @@ Engine::valueIntersect(StreamHandle a, StreamHandle b,
                        const std::vector<Addr> &match_val_addrs_a,
                        const std::vector<Addr> &match_val_addrs_b)
 {
-    ++stats_.counter("streamInstructions");
-    ++stats_.counter("svinter");
+    ++counters_.streamInstructions;
+    ++counters_.svinter;
     scalarOps(2);
     double mem_share = 0.0;
     const Cycles su_completion = scheduleSetOp(
@@ -331,7 +335,7 @@ Engine::valueIntersect(StreamHandle a, StreamHandle b,
 
     // Value pipeline: VA_gen -> load queue -> vBuf -> SVPU (§4.5).
     const SvpuCost vc = svpu_.process(match_val_addrs_a,
-                                      match_val_addrs_b, core_->mem());
+                                      match_val_addrs_b, core_.mem());
     const Cycles value_done =
         valueServerDone(now(), vc.loads) + vc.cycles / 4;
     const Cycles completion = std::max(su_completion, value_done);
@@ -345,30 +349,29 @@ Engine::valueMerge(StreamHandle a, StreamHandle b, streams::KeySpan ak,
                    streams::KeySpan bk, Addr a_val_base, Addr b_val_base,
                    std::uint64_t result_len)
 {
-    ++stats_.counter("svmerge");
+    ++counters_.svmerge;
     // Value loads go through the load queue only for MEMORY-backed
     // operands (a_val_base/b_val_base nonzero): a produced stream's
     // values are already on chip and feed the SVPU directly, which is
     // what keeps Gustavson's chained accumulator cheap (§4.5).
-    std::vector<Addr> addrs_a, addrs_b;
-    if (a_val_base != 0)
-        for (std::size_t i = 0; i < ak.size(); ++i)
-            addrs_a.push_back(a_val_base + i * sizeof(Value));
-    if (b_val_base != 0)
-        for (std::size_t i = 0; i < bk.size(); ++i)
-            addrs_b.push_back(b_val_base + i * sizeof(Value));
     // The SVPU model takes pairwise lists; pad the shorter side with
-    // repeats of its last address (sequential, latency-insensitive).
-    const std::size_t n = std::max(addrs_a.size(), addrs_b.size());
-    auto pad = [n](std::vector<Addr> &v, Addr base) {
-        if (v.empty())
-            v.assign(n, base ? base : 0x7f0000000ull);
-        else
-            v.resize(n, v.back());
+    // repeats of its last address (sequential, latency-insensitive),
+    // and an operand with no loads with a fixed on-chip address.
+    const std::size_t n = std::max(a_val_base != 0 ? ak.size() : 0,
+                                   b_val_base != 0 ? bk.size() : 0);
+    auto fill = [n](std::vector<Addr> &v, Addr base, std::size_t len) {
+        v.resize(n);
+        if (base == 0 || len == 0) {
+            std::fill(v.begin(), v.end(), base ? base : 0x7f0000000ull);
+            return;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = base + std::min(i, len - 1) * sizeof(Value);
     };
-    pad(addrs_a, a_val_base);
-    pad(addrs_b, b_val_base);
-    const SvpuCost vc = svpu_.process(addrs_a, addrs_b, core_->mem());
+    fill(valueAddrsA_, a_val_base, ak.size());
+    fill(valueAddrsB_, b_val_base, bk.size());
+    const SvpuCost vc =
+        svpu_.process(valueAddrsA_, valueAddrsB_, core_.mem());
 
     StreamHandle out = setOp(SetOpKind::Merge, a, b, ak, bk, noBound,
                              result_len);
@@ -393,8 +396,8 @@ void
 Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
                         const std::vector<NestedElem> &elems)
 {
-    ++stats_.counter("streamInstructions");
-    ++stats_.counter("snestinter");
+    ++counters_.streamInstructions;
+    ++counters_.snestinter;
     if (!config_.nestedIntersection)
         panic("S_NESTINTER issued with nested intersection disabled");
     scalarOps(1);
@@ -402,12 +405,10 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
     const StreamInfo &si = info(s);
     const Cycles start = std::max(issue, si.readyAt);
 
-    std::vector<Addr> info_addrs;
-    info_addrs.reserve(elems.size());
+    infoAddrs_.clear();
     for (const auto &elem : elems)
-        info_addrs.push_back(elem.infoAddr);
-    const std::vector<Cycles> ready =
-        translator_.translate(start, info_addrs, core_->mem());
+        infoAddrs_.push_back(elem.infoAddr);
+    translator_.translate(start, infoAddrs_, core_.mem(), ready_);
 
     // Accumulator ADD micro-op per element.
     scalarOps(elems.size());
@@ -417,7 +418,7 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         // Micro-op S_READ of the nested stream: first-line fetch
         // latency; fetches of consecutive elements overlap, so only
         // the L2-and-beyond portion beyond one line is serialized.
-        const Cycles fetch = core_->mem().l2Access(elem.keyAddr);
+        const Cycles fetch = core_.mem().l2Access(elem.keyAddr);
 
         StreamUnit *su = &sus_[0];
         for (auto &candidate : sus_)
@@ -426,7 +427,7 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
 
         const Cycles su_free = su->freeAt();
         const Cycles op_start =
-            std::max({ready[i] + fetch, su_free, start});
+            std::max({ready_[i] + fetch, su_free, start});
         const auto cost =
             streams::suCost(s_keys, elem.nested,
                             SetOpKind::Intersect, elem.bound,
@@ -446,12 +447,11 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         su->occupy(op_start, completion);
 
         lengthHist_.sample(elem.nested.size());
-        stats_.counter("setOpElements") +=
-            cost.aConsumed + cost.bConsumed;
-        ++stats_.counter("op.nestedIntersect");
+        counters_.setOpElements += cost.aConsumed + cost.bConsumed;
+        ++counters_.nestedIntersectOps;
         // Memory is charged only for delay beyond SU availability
         // (nested prefetches overlap with earlier intersections).
-        const Cycles data_ready = ready[i] + fetch;
+        const Cycles data_ready = ready_[i] + fetch;
         const Cycles mem_wait =
             data_ready > su_free ? data_ready - su_free : 0;
         const double mem_share =
@@ -481,16 +481,16 @@ Engine::fetchLoop(StreamHandle handle, std::uint64_t n,
     // invalidStream: a plain counted loop not backed by S_FETCH.
     waitFor(handle);
     if (handle != invalidStream)
-        stats_.counter("streamInstructions") += n; // S_FETCH each
+        counters_.streamInstructions += n; // S_FETCH each
     scalarOps(n * ops_per_element);
     // Loop-closing branch: taken n times, then falls through. These
     // are highly predictable; run them through the real predictor.
     const std::uint64_t pc =
         0x1000 + (static_cast<std::uint64_t>(handle) << 4);
     for (std::uint64_t i = 0; i + 1 < n; ++i)
-        core_->executeBranch(pc, true);
+        core_.executeBranch(pc, true);
     if (n > 0)
-        core_->executeBranch(pc, false);
+        core_.executeBranch(pc, false);
 }
 
 Cycles

@@ -24,9 +24,9 @@
 #ifndef SPARSECORE_ARCH_ENGINE_HH
 #define SPARSECORE_ARCH_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "arch/config.hh"
@@ -60,15 +60,22 @@ class Engine
 {
   public:
     explicit Engine(const SparseCoreConfig &config = SparseCoreConfig{});
-    ~Engine();
+
+    /** Cold state, as constructed: the core's caches and predictor
+     *  are cleared in place, everything else is rebuilt. */
+    void reset();
 
     // ------------- host scalar side -------------
     /** Charge n scalar ALU/addressing operations. */
-    void scalarOps(std::uint64_t n);
+    void scalarOps(std::uint64_t n) { core_.executeOps(n); }
     /** Charge one conditional branch (runs the core's predictor). */
-    void scalarBranch(std::uint64_t pc, bool taken);
+    void
+    scalarBranch(std::uint64_t pc, bool taken)
+    {
+        core_.executeBranch(pc, taken);
+    }
     /** Charge one scalar load through L1. */
-    void scalarLoad(Addr addr);
+    void scalarLoad(Addr addr) { core_.load(addr); }
 
     // ------------- stream instructions -------------
     /** S_READ: initialize a key stream. */
@@ -129,20 +136,48 @@ class Engine
     Cycles finish();
 
     // ------------- observability -------------
-    Cycles now() const;
-    const sim::CycleBreakdown &breakdown() const;
+    Cycles now() const { return core_.cycles(); }
+    const sim::CycleBreakdown &breakdown() const
+    {
+        return core_.breakdown();
+    }
     const SparseCoreConfig &config() const { return config_; }
-    sim::CoreModel &core() { return *core_; }
+    sim::CoreModel &core() { return core_; }
     const Histogram &streamLengthHist() const { return lengthHist_; }
-    const StatSet &stats() const { return stats_; }
+
+    /** Event counts; stats() names them ("op.<kind>" for ops). */
+    struct Counters
+    {
+        /** Dynamic stream instructions (Table 1 opcodes). */
+        std::uint64_t streamInstructions = 0;
+        std::uint64_t sread = 0;
+        std::uint64_t svread = 0;
+        std::uint64_t sfree = 0;
+        std::uint64_t svinter = 0;
+        std::uint64_t svmerge = 0;
+        std::uint64_t snestinter = 0;
+        /** Elements the SUs consumed across every set operation. */
+        std::uint64_t setOpElements = 0;
+        std::uint64_t smtVirtualizationStalls = 0;
+        std::uint64_t scratchpadStreamHits = 0;
+        /** SU operations by kind, and nested-intersection elements. */
+        std::array<std::uint64_t, streams::numSetOpKinds> ops{};
+        std::uint64_t nestedIntersectOps = 0;
+    };
+    const Counters &counters() const { return counters_; }
+    /** Snapshot of counters() by name. */
+    StatSet stats() const;
+
     const Smt &smt() const { return smt_; }
     const SCache &scache() const { return scache_; }
     const Scratchpad &scratchpad() const { return scratchpad_; }
+    const Svpu &svpu() const { return svpu_; }
+    const NestTranslator &translator() const { return translator_; }
     const std::vector<StreamUnit> &streamUnits() const { return sus_; }
     /** Dynamic stream-instruction count (Table 1 opcodes). */
     std::uint64_t streamInstructions() const
     {
-        return stats_.get("streamInstructions");
+        return counters_.streamInstructions;
     }
 
   private:
@@ -187,8 +222,11 @@ class Engine
 
     StreamInfo &info(StreamHandle handle);
 
+    /** Engine(config) around an existing core. */
+    Engine(const SparseCoreConfig &config, sim::CoreModel &&core);
+
     SparseCoreConfig config_;
-    std::unique_ptr<sim::CoreModel> core_;
+    sim::CoreModel core_;
     Smt smt_;
     SCache scache_;
     Scratchpad scratchpad_;
@@ -207,7 +245,14 @@ class Engine
     double drainSuWeight_ = 0.0;
 
     Histogram lengthHist_;
-    StatSet stats_{"engine"};
+    Counters counters_;
+
+    // Scratch buffers reused across instructions (no per-call
+    // allocation on the replay path).
+    std::vector<Addr> infoAddrs_;
+    std::vector<Cycles> ready_;
+    std::vector<Addr> valueAddrsA_;
+    std::vector<Addr> valueAddrsB_;
 };
 
 } // namespace sc::arch

@@ -16,16 +16,13 @@ NestTranslator::NestTranslator(const NestTranslatorParams &params)
     }
 }
 
-std::vector<Cycles>
+void
 NestTranslator::translate(Cycles start,
                           const std::vector<Addr> &info_addrs,
-                          sim::MemHierarchy &mem)
+                          sim::MemHierarchy &mem,
+                          std::vector<Cycles> &ready)
 {
-    std::vector<Cycles> ready(info_addrs.size());
-    // The translation buffer holds bufferEntries in-flight elements:
-    // element i may begin translating only after element
-    // i - bufferEntries has drained (its micro-ops inserted).
-    std::vector<Cycles> drain(info_addrs.size(), 0);
+    ready.resize(info_addrs.size());
     Cycles info_pipe = start;
 
     for (std::size_t i = 0; i < info_addrs.size(); ++i) {
@@ -36,27 +33,26 @@ NestTranslator::translate(Cycles start,
         info_pipe += std::max<Cycles>(
             1, latency / params_.infoLoadMlp);
 
+        // The translation buffer holds bufferEntries in-flight
+        // elements: element i may begin translating only after
+        // element i - bufferEntries has drained. An element drains
+        // once its micro-ops are inserted, i.e. when it is ready: the
+        // S_INTER.C itself executes later on an SU, but the buffer
+        // entry is released at insertion (§4.6: ROB retirement and
+        // refills release the space independently).
         Cycles slot_free = start;
         if (i >= params_.bufferEntries)
-            slot_free = drain[i - params_.bufferEntries];
+            slot_free = ready[i - params_.bufferEntries];
 
         // Translation itself takes one cycle per elementsPerCycle
         // group; with the default of one element per cycle this is a
         // one-cycle step.
         const Cycles trans_step =
             (i % params_.elementsPerCycle == 0) ? 1 : 0;
-        const Cycles translated =
-            std::max(info_pipe, slot_free) + trans_step;
-        ready[i] = translated;
-        // The element drains once its micro-ops are inserted; the
-        // S_INTER.C itself executes later on an SU, but the buffer
-        // entry is released at insertion (§4.6: ROB retirement and
-        // refills release the space independently).
-        drain[i] = translated;
-        ++stats_.counter("elements");
+        ready[i] = std::max(info_pipe, slot_free) + trans_step;
     }
-    stats_.counter("instructions") += info_addrs.size() * 3 + 1;
-    return ready;
+    elements_ += info_addrs.size();
+    instructions_ += info_addrs.size() * 3 + 1;
 }
 
 } // namespace sc::arch

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/mem_hierarchy.hh"
 
@@ -46,19 +45,22 @@ class NestTranslator
      * @param info_addrs per-element stream-info addresses (CSR vertex
      *        array entries) fetched through the load queue
      * @param mem hierarchy used for the info loads
-     * @return per-element cycles at which each generated S_INTER.C is
-     *         ready to be scheduled
+     * @param ready out: per-element cycles at which each generated
+     *        S_INTER.C is ready to be scheduled (resized to match)
      */
-    std::vector<Cycles> translate(Cycles start,
-                                  const std::vector<Addr> &info_addrs,
-                                  sim::MemHierarchy &mem);
+    void translate(Cycles start, const std::vector<Addr> &info_addrs,
+                   sim::MemHierarchy &mem, std::vector<Cycles> &ready);
 
     const NestTranslatorParams &params() const { return params_; }
-    const StatSet &stats() const { return stats_; }
+    /** Elements expanded so far. */
+    std::uint64_t elements() const { return elements_; }
+    /** Micro-ops generated so far (three per element plus one). */
+    std::uint64_t instructions() const { return instructions_; }
 
   private:
     NestTranslatorParams params_;
-    StatSet stats_{"nest_translator"};
+    std::uint64_t elements_ = 0;
+    std::uint64_t instructions_ = 0;
 };
 
 } // namespace sc::arch

@@ -26,7 +26,7 @@ SCache::allocate(unsigned slot, Addr key_addr, std::uint64_t num_keys,
     s.streamKeys = num_keys;
     s.residentFrom = 0;
     s.startBit = true;
-    ++stats_.counter("allocs");
+    ++counters_.allocs;
 
     // First sub-slot: fetch its cache lines through L2. The fills
     // pipeline, so the latency to first use is the first line's
@@ -44,7 +44,7 @@ SCache::allocate(unsigned slot, Addr key_addr, std::uint64_t num_keys,
         const Cycles l = mem.l2Access(line * lineBytes_);
         latency = std::max(latency, l);
         ++line_count;
-        ++stats_.counter("refillLines");
+        ++counters_.refillLines;
     }
     return latency + (line_count > 0 ? line_count - 1 : 0);
 }
@@ -59,7 +59,7 @@ SCache::allocateProduced(unsigned slot, std::uint64_t num_keys)
     s.residentFrom =
         num_keys > slotKeys_ ? num_keys - slotKeys_ : 0;
     s.startBit = num_keys <= slotKeys_;
-    ++stats_.counter("producedAllocs");
+    ++counters_.producedAllocs;
 }
 
 void
@@ -75,7 +75,7 @@ SCache::prefetchRemainder(unsigned slot, sim::MemHierarchy &mem)
     for (Addr line = first / lineBytes_; line <= last / lineBytes_;
          ++line) {
         mem.l2Access(line * lineBytes_);
-        ++stats_.counter("prefetchLines");
+        ++counters_.prefetchLines;
     }
 }
 
@@ -105,7 +105,7 @@ SCache::writebackProduced(unsigned slot, std::uint64_t total_keys,
     s.streamKeys = total_keys;
     s.residentFrom = spilled;
     s.startBit = false;
-    stats_.counter("writebackLines") += lines;
+    counters_.writebackLines += lines;
     return lines;
 }
 
@@ -119,6 +119,18 @@ const ScacheSlot &
 SCache::slot(unsigned index) const
 {
     return slots_.at(index);
+}
+
+StatSet
+SCache::stats() const
+{
+    StatSet s("scache");
+    s.counter("allocs") += counters_.allocs;
+    s.counter("producedAllocs") += counters_.producedAllocs;
+    s.counter("refillLines") += counters_.refillLines;
+    s.counter("prefetchLines") += counters_.prefetchLines;
+    s.counter("writebackLines") += counters_.writebackLines;
+    return s;
 }
 
 } // namespace sc::arch

@@ -91,13 +91,24 @@ class SCache
                sizeof(Key);
     }
 
-    const StatSet &stats() const { return stats_; }
+    /** Event counts; stats() names them as "allocs" etc. */
+    struct Counters
+    {
+        std::uint64_t allocs = 0;
+        std::uint64_t producedAllocs = 0;
+        std::uint64_t refillLines = 0;
+        std::uint64_t prefetchLines = 0;
+        std::uint64_t writebackLines = 0;
+    };
+    const Counters &counters() const { return counters_; }
+    /** Snapshot of counters() by name. */
+    StatSet stats() const;
 
   private:
     std::vector<ScacheSlot> slots_;
     unsigned slotKeys_;
     unsigned lineBytes_;
-    StatSet stats_{"scache"};
+    Counters counters_;
 };
 
 } // namespace sc::arch

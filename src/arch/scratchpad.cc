@@ -16,11 +16,11 @@ Scratchpad::lookup(Addr key_addr)
 {
     auto it = index_.find(key_addr);
     if (it == index_.end()) {
-        ++stats_.counter("misses");
+        ++misses_;
         return false;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.counter("hits");
+    ++hits_;
     return true;
 }
 
@@ -38,7 +38,7 @@ Scratchpad::insert(Addr key_addr, std::uint64_t num_keys)
     lru_.push_front({key_addr, num_keys});
     index_[key_addr] = lru_.begin();
     usedKeys_ += num_keys;
-    ++stats_.counter("inserts");
+    ++inserts_;
 }
 
 void
@@ -60,7 +60,7 @@ Scratchpad::evictFor(std::uint64_t needed_keys)
         usedKeys_ -= victim.keys;
         index_.erase(victim.addr);
         lru_.pop_back();
-        ++stats_.counter("evictions");
+        ++evictions_;
     }
 }
 

@@ -13,7 +13,6 @@
 #include <list>
 #include <unordered_map>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace sc::arch {
@@ -42,9 +41,10 @@ class Scratchpad
 
     std::uint64_t capacityKeys() const { return capacityKeys_; }
     std::uint64_t usedKeys() const { return usedKeys_; }
-    std::uint64_t hits() const { return stats_.get("hits"); }
-    std::uint64_t missesOrAbsent() const { return stats_.get("misses"); }
-    const StatSet &stats() const { return stats_; }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t missesOrAbsent() const { return misses_; }
+    std::uint64_t inserts() const { return inserts_; }
+    std::uint64_t evictions() const { return evictions_; }
 
   private:
     struct Entry
@@ -59,7 +59,10 @@ class Scratchpad
     std::uint64_t usedKeys_ = 0;
     std::list<Entry> lru_; // front = most recent
     std::unordered_map<Addr, std::list<Entry>::iterator> index_;
-    StatSet stats_{"scratchpad"};
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t inserts_ = 0;
+    std::uint64_t evictions_ = 0;
 };
 
 } // namespace sc::arch

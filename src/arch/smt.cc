@@ -12,17 +12,27 @@ Smt::Smt(unsigned num_entries) : entries_(num_entries)
         entries_[i].sreg = i;
 }
 
+unsigned
+Smt::find(std::uint64_t sid) const
+{
+    unsigned i = 0;
+    while (i < entries_.size() &&
+           !(entries_[i].vd && entries_[i].sid == sid))
+        ++i;
+    return i;
+}
+
 std::optional<unsigned>
 Smt::define(std::uint64_t sid)
 {
-    auto it = defined_.find(sid);
-    if (it != defined_.end()) {
+    const unsigned defined = find(sid);
+    if (defined < entries_.size()) {
         // §3.3: re-defining an active sid overwrites the mapping.
-        SmtEntry &e = entries_[it->second];
+        SmtEntry &e = entries_[defined];
         e.start = e.produced = false;
         e.pred0 = e.pred1 = noPred;
-        ++stats_.counter("redefines");
-        return it->second;
+        ++counters_.redefines;
+        return defined;
     }
     for (unsigned i = 0; i < entries_.size(); ++i) {
         if (!entries_[i].va) {
@@ -31,25 +41,23 @@ Smt::define(std::uint64_t sid)
             e.vd = e.va = true;
             e.start = e.produced = false;
             e.pred0 = e.pred1 = noPred;
-            defined_[sid] = i;
-            ++stats_.counter("defines");
+            ++counters_.defines;
             return i;
         }
     }
-    ++stats_.counter("allocStalls");
+    ++counters_.allocStalls;
     return std::nullopt;
 }
 
 void
 Smt::decodeFree(std::uint64_t sid)
 {
-    auto it = defined_.find(sid);
-    if (it == defined_.end())
+    const unsigned defined = find(sid);
+    if (defined == entries_.size())
         panic("S_FREE of undefined stream id %llu",
               static_cast<unsigned long long>(sid));
-    entries_[it->second].vd = false;
-    defined_.erase(it);
-    ++stats_.counter("frees");
+    entries_[defined].vd = false;
+    ++counters_.frees;
 }
 
 void
@@ -67,11 +75,9 @@ Smt::spillOne()
 {
     for (unsigned i = 0; i < entries_.size(); ++i) {
         if (entries_[i].va) {
-            if (entries_[i].vd)
-                defined_.erase(entries_[i].sid);
             entries_[i].va = false;
             entries_[i].vd = false;
-            ++stats_.counter("spills");
+            ++counters_.spills;
             return i;
         }
     }
@@ -81,24 +87,10 @@ Smt::spillOne()
 std::optional<unsigned>
 Smt::lookup(std::uint64_t sid) const
 {
-    auto it = defined_.find(sid);
-    if (it == defined_.end())
+    const unsigned defined = find(sid);
+    if (defined == entries_.size())
         return std::nullopt;
-    return it->second;
-}
-
-SmtEntry &
-Smt::entry(unsigned index)
-{
-    if (index >= entries_.size())
-        panic("SMT entry index %u out of range", index);
-    return entries_[index];
-}
-
-const SmtEntry &
-Smt::entry(unsigned index) const
-{
-    return const_cast<Smt *>(this)->entry(index);
+    return defined;
 }
 
 unsigned
@@ -109,6 +101,18 @@ Smt::activeCount() const
         if (e.va)
             ++count;
     return count;
+}
+
+StatSet
+Smt::stats() const
+{
+    StatSet s("smt");
+    s.counter("defines") += counters_.defines;
+    s.counter("redefines") += counters_.redefines;
+    s.counter("frees") += counters_.frees;
+    s.counter("allocStalls") += counters_.allocStalls;
+    s.counter("spills") += counters_.spills;
+    return s;
 }
 
 } // namespace sc::arch

@@ -15,9 +15,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -72,8 +72,18 @@ class Smt
     /** Entry for a defined sid; nullopt when not defined. */
     std::optional<unsigned> lookup(std::uint64_t sid) const;
 
-    SmtEntry &entry(unsigned index);
-    const SmtEntry &entry(unsigned index) const;
+    SmtEntry &
+    entry(unsigned index)
+    {
+        if (index >= entries_.size())
+            panic("SMT entry index %u out of range", index);
+        return entries_[index];
+    }
+    const SmtEntry &
+    entry(unsigned index) const
+    {
+        return const_cast<Smt *>(this)->entry(index);
+    }
 
     unsigned numEntries() const
     {
@@ -82,12 +92,25 @@ class Smt
     unsigned activeCount() const;
     bool full() const { return activeCount() == numEntries(); }
 
-    const StatSet &stats() const { return stats_; }
+    /** Event counts; stats() names them as "defines" etc. */
+    struct Counters
+    {
+        std::uint64_t defines = 0;
+        std::uint64_t redefines = 0;
+        std::uint64_t frees = 0;
+        std::uint64_t allocStalls = 0;
+        std::uint64_t spills = 0;
+    };
+    const Counters &counters() const { return counters_; }
+    /** Snapshot of counters() by name. */
+    StatSet stats() const;
 
   private:
+    /** Index of the entry defining sid (VD set), or numEntries(). */
+    unsigned find(std::uint64_t sid) const;
+
     std::vector<SmtEntry> entries_;
-    std::unordered_map<std::uint64_t, unsigned> defined_; // sid -> idx
-    StatSet stats_{"smt"};
+    Counters counters_;
 };
 
 } // namespace sc::arch

@@ -35,9 +35,9 @@ Svpu::process(const std::vector<Addr> &match_val_addrs_a,
     const Cycles fp_time =
         (cost.flops + fpOpsPerCycle_ - 1) / fpOpsPerCycle_;
     cost.cycles = std::max(load_time, fp_time);
-    stats_.counter("loads") += cost.loads;
-    stats_.counter("flops") += cost.flops;
-    stats_.counter("cycles") += cost.cycles;
+    totals_.cycles += cost.cycles;
+    totals_.loads += cost.loads;
+    totals_.flops += cost.flops;
     return cost;
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/mem_hierarchy.hh"
 
@@ -49,12 +48,13 @@ class Svpu
                      const std::vector<Addr> &match_val_addrs_b,
                      sim::MemHierarchy &mem);
 
-    const StatSet &stats() const { return stats_; }
+    /** Sum of every process() result. */
+    const SvpuCost &totals() const { return totals_; }
 
   private:
     unsigned mlp_;
     unsigned fpOpsPerCycle_;
-    StatSet stats_{"svpu"};
+    SvpuCost totals_;
 };
 
 } // namespace sc::arch

@@ -20,45 +20,27 @@ constexpr std::uint64_t pcLoopBranch = 0x48;
 CpuBackend::CpuBackend(const sim::CoreParams &core,
                        const sim::MemParams &mem,
                        const CpuCostParams &costs)
-    : core_(std::make_unique<sim::CoreModel>(core, mem)), costs_(costs)
+    : core_(core, mem), costs_(costs)
 {
 }
 
 void
 CpuBackend::begin()
 {
-    core_->reset();
+    core_.reset();
     streams_.clear();
 }
 
 Cycles
 CpuBackend::finish()
 {
-    return core_->cycles();
+    return core_.cycles();
 }
 
 sim::CycleBreakdown
 CpuBackend::breakdown() const
 {
-    return core_->breakdown();
-}
-
-void
-CpuBackend::scalarOps(std::uint64_t n)
-{
-    core_->executeOps(n);
-}
-
-void
-CpuBackend::scalarBranch(std::uint64_t pc, bool taken)
-{
-    core_->executeBranch(pc, taken);
-}
-
-void
-CpuBackend::scalarLoad(Addr addr)
-{
-    core_->load(addr);
+    return core_.breakdown();
 }
 
 CpuBackend::StreamRec &
@@ -73,7 +55,7 @@ BackendStream
 CpuBackend::streamLoad(Addr key_addr, std::uint32_t length, unsigned,
                        streams::KeySpan)
 {
-    core_->executeOps(costs_.opsPerStreamSetup);
+    core_.executeOps(costs_.opsPerStreamSetup);
     streams_.push_back({key_addr, 0, length});
     return static_cast<BackendStream>(streams_.size() - 1);
 }
@@ -83,7 +65,7 @@ CpuBackend::streamLoadKv(Addr key_addr, Addr val_addr,
                          std::uint32_t length, unsigned,
                          streams::KeySpan)
 {
-    core_->executeOps(costs_.opsPerStreamSetup);
+    core_.executeOps(costs_.opsPerStreamSetup);
     streams_.push_back({key_addr, val_addr, length});
     return static_cast<BackendStream>(streams_.size() - 1);
 }
@@ -117,14 +99,14 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
             while ((1ull << search_steps) < longer)
                 ++search_steps;
             for (std::size_t i = 0; i < shorter; ++i) {
-                core_->load(rshort.keyAddr + i * sizeof(Key), cls);
+                core_.load(rshort.keyAddr + i * sizeof(Key), cls);
                 // Binary search: data-dependent branches + loads.
-                core_->executeOps(2 * search_steps, cls);
-                core_->loadOverlapped(
+                core_.executeOps(2 * search_steps, cls);
+                core_.loadOverlapped(
                     (ak.size() <= bk.size() ? rb : ra).keyAddr +
                         (i * 2654435761u) % (longer * sizeof(Key)),
                     2, cls);
-                core_->executeBranch(pcMatchBranch, i % 3 == 0, cls);
+                core_.executeBranch(pcMatchBranch, i % 3 == 0, cls);
             }
             return;
         }
@@ -132,32 +114,32 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
 
     // Initial element loads.
     if (!ak.empty())
-        core_->load(ra.keyAddr, cls);
+        core_.load(ra.keyAddr, cls);
     if (!bk.empty())
-        core_->load(rb.keyAddr, cls);
+        core_.load(rb.keyAddr, cls);
 
     std::size_t ia = 0, ib = 0;
     auto on_step = [&](StepOutcome outcome) {
-        core_->executeOps(costs_.opsPerStep, cls);
+        core_.executeOps(costs_.opsPerStep, cls);
         // Branch structure of the Fig. 4(a) loop:
         //   if (cmp == 0) ... else if (cmp < 0) ... else ...
         const bool match = outcome == StepOutcome::Match;
-        core_->executeBranch(pcMatchBranch, match, cls);
+        core_.executeBranch(pcMatchBranch, match, cls);
         if (!match) {
-            core_->executeBranch(pcAdvanceBranch,
-                                 outcome == StepOutcome::AdvanceA, cls);
+            core_.executeBranch(pcAdvanceBranch,
+                                outcome == StepOutcome::AdvanceA, cls);
         }
         // Element loads on pointer advance; sequential accesses hit
         // L1 after the first line.
         if (match || outcome == StepOutcome::AdvanceA) {
             ++ia;
             if (ia < ak.size())
-                core_->load(ra.keyAddr + ia * sizeof(Key), cls);
+                core_.load(ra.keyAddr + ia * sizeof(Key), cls);
         }
         if (match || outcome == StepOutcome::AdvanceB) {
             ++ib;
             if (ib < bk.size())
-                core_->load(rb.keyAddr + ib * sizeof(Key), cls);
+                core_.load(rb.keyAddr + ib * sizeof(Key), cls);
         }
         // Output handling.
         const bool emits =
@@ -166,14 +148,14 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
              outcome == StepOutcome::AdvanceA) ||
             kind == SetOpKind::Merge;
         if (emits) {
-            core_->executeOps(costs_.opsPerOutput, cls);
+            core_.executeOps(costs_.opsPerOutput, cls);
             if (producing && out_addr != 0)
-                core_->load(out_addr + out_index * sizeof(Key), cls);
+                core_.load(out_addr + out_index * sizeof(Key), cls);
             ++out_index;
         }
         // The loop-closing bounds check fuses with the advance
         // branches in compiled code; charge its ALU work only.
-        core_->executeOps(1, cls);
+        core_.executeOps(1, cls);
     };
 
     // Deliberately the scalar reference templates, NOT runSetOp():
@@ -192,7 +174,7 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
         break;
     }
     // Loop exit branch (not taken).
-    core_->executeBranch(pcLoopBranch, false, cls);
+    core_.executeBranch(pcLoopBranch, false, cls);
 }
 
 BackendStream
@@ -226,9 +208,9 @@ CpuBackend::valueIntersect(BackendStream a, BackendStream b,
     // Per match: two value loads plus a fused multiply-accumulate.
     const CycleClass cls = CycleClass::Intersection;
     for (std::size_t i = 0; i < match_a.size(); ++i) {
-        core_->load(a_val_base + match_a[i] * sizeof(Value), cls);
-        core_->load(b_val_base + match_b[i] * sizeof(Value), cls);
-        core_->executeOps(1, cls);
+        core_.load(a_val_base + match_a[i] * sizeof(Value), cls);
+        core_.load(b_val_base + match_b[i] * sizeof(Value), cls);
+        core_.executeOps(1, cls);
     }
 }
 
@@ -245,11 +227,11 @@ CpuBackend::denseValueIntersect(BackendStream a, BackendStream,
     const CycleClass cls = CycleClass::Intersection;
     const StreamRec &ra = rec(a);
     for (std::size_t i = 0; i < match_a.size(); ++i) {
-        core_->load(ra.keyAddr + match_a[i] * sizeof(Key), cls);
-        core_->load(a_val_base + match_a[i] * sizeof(Value), cls);
-        core_->loadOverlapped(
+        core_.load(ra.keyAddr + match_a[i] * sizeof(Key), cls);
+        core_.load(a_val_base + match_a[i] * sizeof(Value), cls);
+        core_.loadOverlapped(
             b_val_base + match_b[i] * sizeof(Value), 4, cls);
-        core_->executeOps(3, cls); // addr gen + FMA + loop
+        core_.executeOps(3, cls); // addr gen + FMA + loop
     }
     (void)ak;
 }
@@ -272,18 +254,18 @@ CpuBackend::valueMerge(BackendStream a, BackendStream b,
     const CycleClass cls = CycleClass::Intersection;
     const StreamRec &rb = rec(b);
     for (std::size_t i = 0; i < bk.size(); ++i) {
-        core_->load(rb.keyAddr + i * sizeof(Key), cls);  // B key
-        core_->load(b_val_base + i * sizeof(Value), cls); // B value
+        core_.load(rb.keyAddr + i * sizeof(Key), cls);  // B key
+        core_.load(b_val_base + i * sizeof(Value), cls); // B value
         // Workspace slot, indexed by the key: the scatters are
         // independent, so their misses overlap in the OOO window.
-        core_->loadOverlapped(out_addr + bk[i] * sizeof(Value), 4,
-                              cls);
-        core_->executeOps(3, cls); // addr gen + FMA + occupancy flag
+        core_.loadOverlapped(out_addr + bk[i] * sizeof(Value), 4,
+                             cls);
+        core_.executeOps(3, cls); // addr gen + FMA + occupancy flag
     }
     // Newly-touched keys append to the output index list.
     const std::uint64_t fresh =
         result_len > ak.size() ? result_len - ak.size() : 0;
-    core_->executeOps(2 * fresh, cls);
+    core_.executeOps(2 * fresh, cls);
     streams_.push_back(
         {out_addr, 0, static_cast<std::uint32_t>(result_len)});
     return static_cast<BackendStream>(streams_.size() - 1);
@@ -305,11 +287,11 @@ CpuBackend::iterateStream(BackendStream handle, std::uint64_t n,
         handle == noStream ? 0 : rec(handle).keyAddr;
     for (std::uint64_t i = 0; i < n; ++i) {
         if (key_addr != 0)
-            core_->load(key_addr + i * sizeof(Key));
-        core_->executeOps(ops_per_element);
-        core_->executeBranch(pcLoopBranch + handle % 7, i + 1 < n);
+            core_.load(key_addr + i * sizeof(Key));
+        core_.executeOps(ops_per_element);
+        core_.executeBranch(pcLoopBranch + handle % 7, i + 1 < n);
     }
-    core_->executeOps(costs_.opsPerLoopIter);
+    core_.executeOps(costs_.opsPerLoopIter);
 }
 
 } // namespace sc::backend

@@ -14,7 +14,6 @@
 #ifndef SPARSECORE_BACKEND_CPU_BACKEND_HH
 #define SPARSECORE_BACKEND_CPU_BACKEND_HH
 
-#include <memory>
 #include <vector>
 
 #include "backend/exec_backend.hh"
@@ -49,9 +48,13 @@ class CpuBackend final : public ExecBackend
     Cycles finish() override;
     sim::CycleBreakdown breakdown() const override;
 
-    void scalarOps(std::uint64_t n) override;
-    void scalarBranch(std::uint64_t pc, bool taken) override;
-    void scalarLoad(Addr addr) override;
+    void scalarOps(std::uint64_t n) override { core_.executeOps(n); }
+    void
+    scalarBranch(std::uint64_t pc, bool taken) override
+    {
+        core_.executeBranch(pc, taken);
+    }
+    void scalarLoad(Addr addr) override { core_.load(addr); }
 
     BackendStream streamLoad(Addr key_addr, std::uint32_t length,
                              unsigned priority,
@@ -96,7 +99,7 @@ class CpuBackend final : public ExecBackend
     void iterateStream(BackendStream handle, std::uint64_t n,
                        unsigned ops_per_element) override;
 
-    sim::CoreModel &core() { return *core_; }
+    sim::CoreModel &core() { return core_; }
 
   private:
     struct StreamRec
@@ -117,7 +120,7 @@ class CpuBackend final : public ExecBackend
 
     StreamRec &rec(BackendStream handle);
 
-    std::unique_ptr<sim::CoreModel> core_;
+    sim::CoreModel core_;
     CpuCostParams costs_;
     std::vector<StreamRec> streams_;
 };

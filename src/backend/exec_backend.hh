@@ -54,7 +54,10 @@ class ExecBackend
 
     virtual std::string name() const = 0;
 
-    /** Reset per-run state before an algorithm starts. */
+    /** Reset per-run state before an algorithm starts. A timing
+     *  backend returns to its constructed, cold state (empty caches,
+     *  untrained predictor), so a reused backend times a run exactly
+     *  as a fresh one does. */
     virtual void begin() {}
     /** Drain outstanding work; returns total cycles. */
     virtual Cycles finish() = 0;

@@ -4,10 +4,6 @@
 
 namespace sc::backend {
 
-static_assert(FunctionalBackend::numSetOpKinds ==
-                  trace::EventProfile::numSetOpKinds,
-              "profile and backend disagree on set-op kinds");
-
 FunctionalBackend::FunctionalBackend()
     : streamLoads_(stats_.counter("streamLoads")),
       streamLoadsKv_(stats_.counter("streamLoadsKv")),

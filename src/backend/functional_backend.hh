@@ -23,7 +23,7 @@ namespace sc::backend {
 class FunctionalBackend final : public ExecBackend
 {
   public:
-    static constexpr std::size_t numSetOpKinds = 3;
+    static constexpr std::size_t numSetOpKinds = streams::numSetOpKinds;
 
     FunctionalBackend();
 

@@ -3,51 +3,33 @@
 namespace sc::backend {
 
 SparseCoreBackend::SparseCoreBackend(const arch::SparseCoreConfig &config)
-    : config_(config), engine_(std::make_unique<arch::Engine>(config))
+    : engine_(config)
 {
 }
 
 void
 SparseCoreBackend::begin()
 {
-    engine_ = std::make_unique<arch::Engine>(config_);
+    engine_.reset();
 }
 
 Cycles
 SparseCoreBackend::finish()
 {
-    return engine_->finish();
+    return engine_.finish();
 }
 
 sim::CycleBreakdown
 SparseCoreBackend::breakdown() const
 {
-    return engine_->breakdown();
-}
-
-void
-SparseCoreBackend::scalarOps(std::uint64_t n)
-{
-    engine_->scalarOps(n);
-}
-
-void
-SparseCoreBackend::scalarBranch(std::uint64_t pc, bool taken)
-{
-    engine_->scalarBranch(pc, taken);
-}
-
-void
-SparseCoreBackend::scalarLoad(Addr addr)
-{
-    engine_->scalarLoad(addr);
+    return engine_.breakdown();
 }
 
 BackendStream
 SparseCoreBackend::streamLoad(Addr key_addr, std::uint32_t length,
                               unsigned priority, streams::KeySpan keys)
 {
-    return engine_->streamRead(key_addr, length, priority, keys);
+    return engine_.streamRead(key_addr, length, priority, keys);
 }
 
 BackendStream
@@ -55,14 +37,14 @@ SparseCoreBackend::streamLoadKv(Addr key_addr, Addr val_addr,
                                 std::uint32_t length, unsigned priority,
                                 streams::KeySpan keys)
 {
-    return engine_->streamReadKv(key_addr, val_addr, length, priority,
-                                 keys);
+    return engine_.streamReadKv(key_addr, val_addr, length, priority,
+                                keys);
 }
 
 void
 SparseCoreBackend::streamFree(BackendStream handle)
 {
-    engine_->streamFree(handle);
+    engine_.streamFree(handle);
 }
 
 BackendStream
@@ -71,7 +53,7 @@ SparseCoreBackend::setOp(streams::SetOpKind kind, BackendStream a,
                          streams::KeySpan bk, Key bound,
                          streams::KeySpan result, Addr)
 {
-    return engine_->setOp(kind, a, b, ak, bk, bound, result.size());
+    return engine_.setOp(kind, a, b, ak, bk, bound, result.size());
 }
 
 void
@@ -80,7 +62,7 @@ SparseCoreBackend::setOpCount(streams::SetOpKind kind, BackendStream a,
                               streams::KeySpan bk, Key bound,
                               std::uint64_t)
 {
-    engine_->setOpCount(kind, a, b, ak, bk, bound);
+    engine_.setOpCount(kind, a, b, ak, bk, bound);
 }
 
 void
@@ -91,12 +73,15 @@ SparseCoreBackend::valueIntersect(BackendStream a, BackendStream b,
                                   std::span<const std::uint32_t> match_a,
                                   std::span<const std::uint32_t> match_b)
 {
-    std::vector<Addr> addrs_a(match_a.size()), addrs_b(match_b.size());
-    for (std::size_t i = 0; i < match_a.size(); ++i)
-        addrs_a[i] = a_val_base + match_a[i] * sizeof(Value);
-    for (std::size_t i = 0; i < match_b.size(); ++i)
-        addrs_b[i] = b_val_base + match_b[i] * sizeof(Value);
-    engine_->valueIntersect(a, b, ak, bk, addrs_a, addrs_b);
+    auto addrs = [](std::vector<Addr> &out, Addr base,
+                    std::span<const std::uint32_t> match) {
+        out.resize(match.size());
+        for (std::size_t i = 0; i < match.size(); ++i)
+            out[i] = base + match[i] * sizeof(Value);
+    };
+    addrs(valueAddrsA_, a_val_base, match_a);
+    addrs(valueAddrsB_, b_val_base, match_b);
+    engine_.valueIntersect(a, b, ak, bk, valueAddrsA_, valueAddrsB_);
 }
 
 BackendStream
@@ -105,8 +90,8 @@ SparseCoreBackend::valueMerge(BackendStream a, BackendStream b,
                               Addr a_val_base, Addr b_val_base,
                               std::uint64_t result_len, Addr)
 {
-    return engine_->valueMerge(a, b, ak, bk, a_val_base, b_val_base,
-                               result_len);
+    return engine_.valueMerge(a, b, ak, bk, a_val_base, b_val_base,
+                              result_len);
 }
 
 void
@@ -120,26 +105,25 @@ SparseCoreBackend::nestedIntersect(BackendStream s,
         ExecBackend::nestedIntersect(s, s_keys, elems);
         return;
     }
-    std::vector<arch::NestedElem> arch_elems;
-    arch_elems.reserve(elems.size());
+    nestedElems_.clear();
     for (const auto &elem : elems)
-        arch_elems.push_back(
+        nestedElems_.push_back(
             {elem.infoAddr, elem.keyAddr, elem.nested, elem.bound});
-    engine_->nestedIntersect(s, s_keys, arch_elems);
+    engine_.nestedIntersect(s, s_keys, nestedElems_);
     scalarOps(1); // copy acc_reg to the destination
 }
 
 void
 SparseCoreBackend::consumeStream(BackendStream handle)
 {
-    engine_->waitFor(handle);
+    engine_.waitFor(handle);
 }
 
 void
 SparseCoreBackend::iterateStream(BackendStream handle, std::uint64_t n,
                                  unsigned ops_per_element)
 {
-    engine_->fetchLoop(handle, n, ops_per_element);
+    engine_.fetchLoop(handle, n, ops_per_element);
 }
 
 } // namespace sc::backend

@@ -7,7 +7,7 @@
 #ifndef SPARSECORE_BACKEND_SPARSECORE_BACKEND_HH
 #define SPARSECORE_BACKEND_SPARSECORE_BACKEND_HH
 
-#include <memory>
+#include <vector>
 
 #include "arch/engine.hh"
 #include "backend/exec_backend.hh"
@@ -27,9 +27,13 @@ class SparseCoreBackend final : public ExecBackend
     Cycles finish() override;
     sim::CycleBreakdown breakdown() const override;
 
-    void scalarOps(std::uint64_t n) override;
-    void scalarBranch(std::uint64_t pc, bool taken) override;
-    void scalarLoad(Addr addr) override;
+    void scalarOps(std::uint64_t n) override { engine_.scalarOps(n); }
+    void
+    scalarBranch(std::uint64_t pc, bool taken) override
+    {
+        engine_.scalarBranch(pc, taken);
+    }
+    void scalarLoad(Addr addr) override { engine_.scalarLoad(addr); }
 
     BackendStream streamLoad(Addr key_addr, std::uint32_t length,
                              unsigned priority,
@@ -63,7 +67,7 @@ class SparseCoreBackend final : public ExecBackend
     caps() const override
     {
         Caps c;
-        c.nested = engine_->config().nestedIntersection;
+        c.nested = engine_.config().nestedIntersection;
         return c;
     }
     void nestedIntersect(BackendStream s, streams::KeySpan s_keys,
@@ -73,12 +77,15 @@ class SparseCoreBackend final : public ExecBackend
     void iterateStream(BackendStream handle, std::uint64_t n,
                        unsigned ops_per_element) override;
 
-    arch::Engine &engine() { return *engine_; }
-    const arch::Engine &engine() const { return *engine_; }
+    arch::Engine &engine() { return engine_; }
+    const arch::Engine &engine() const { return engine_; }
 
   private:
-    arch::SparseCoreConfig config_;
-    std::unique_ptr<arch::Engine> engine_;
+    arch::Engine engine_;
+    // Scratch buffers reused across calls.
+    std::vector<Addr> valueAddrsA_;
+    std::vector<Addr> valueAddrsB_;
+    std::vector<arch::NestedElem> nestedElems_;
 };
 
 } // namespace sc::backend

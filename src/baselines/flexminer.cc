@@ -9,10 +9,12 @@ namespace sc::baselines {
 using backend::BackendStream;
 using streams::SetOpKind;
 
-FlexMinerBackend::FlexMinerBackend(const FlexMinerParams &params)
-    : params_(params)
+namespace {
+
+/** PE-local buffer + 4 MB shared cache + (pass-through) L3. */
+sim::MemParams
+flexMinerMem(const FlexMinerParams &params)
 {
-    // PE-local buffer + 4 MB shared cache + (pass-through) L3.
     sim::MemParams mem;
     mem.l1 = {"pe_buf", 64 * 1024, 8, 64};
     mem.l2 = {"shared", params.sharedCacheBytes, 16, 64};
@@ -21,7 +23,14 @@ FlexMinerBackend::FlexMinerBackend(const FlexMinerParams &params)
     mem.l2Latency = 16;
     mem.l3Latency = 18;
     mem.memLatency = 120;
-    mem_ = std::make_unique<sim::MemHierarchy>(mem);
+    return mem;
+}
+
+} // namespace
+
+FlexMinerBackend::FlexMinerBackend(const FlexMinerParams &params)
+    : params_(params), mem_(flexMinerMem(params))
+{
 }
 
 void
@@ -31,7 +40,7 @@ FlexMinerBackend::begin()
     memCycles_ = 0;
     streams_.clear();
     builtCmapAddr_ = 0;
-    mem_->resetStats();
+    mem_.reset();
 }
 
 sim::CycleBreakdown
@@ -60,7 +69,7 @@ FlexMinerBackend::scalarBranch(std::uint64_t, bool)
 void
 FlexMinerBackend::scalarLoad(Addr addr)
 {
-    const Cycles latency = mem_->l1Access(addr);
+    const Cycles latency = mem_.l1Access(addr);
     // Hardware prefetching hides most of it.
     cycles_ += latency / 8;
     memCycles_ += latency / 8;
@@ -71,11 +80,11 @@ FlexMinerBackend::fetchStream(Addr addr, std::uint64_t keys)
 {
     if (keys == 0)
         return 0;
-    const unsigned line = mem_->params().l2.lineBytes;
+    const unsigned line = mem_.params().l2.lineBytes;
     Cycles total = 0;
     const Addr last = addr + (keys - 1) * sizeof(Key);
     for (Addr a = addr / line; a <= last / line; ++a)
-        total = std::max(total, mem_->l1Access(a * line));
+        total = std::max(total, mem_.l1Access(a * line));
     // Line fetches pipeline; only the leading latency is exposed.
     return total;
 }

@@ -17,7 +17,6 @@
 #ifndef SPARSECORE_BASELINES_FLEXMINER_HH
 #define SPARSECORE_BASELINES_FLEXMINER_HH
 
-#include <memory>
 #include <vector>
 
 #include "backend/exec_backend.hh"
@@ -109,7 +108,7 @@ class FlexMinerBackend : public backend::ExecBackend
                 Key bound);
 
     FlexMinerParams params_;
-    std::unique_ptr<sim::MemHierarchy> mem_;
+    sim::MemHierarchy mem_;
     std::vector<StreamRec> streams_;
     Cycles cycles_ = 0;
     Cycles memCycles_ = 0;

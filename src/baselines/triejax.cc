@@ -8,21 +8,13 @@ namespace sc::baselines {
 
 using backend::BackendStream;
 
-TrieJaxBackend::TrieJaxBackend(unsigned redundancy,
-                               std::uint64_t table_rows,
-                               const TrieJaxParams &params)
-    : redundancy_(redundancy), params_(params)
-{
-    if (redundancy == 0)
-        fatal("TrieJax redundancy factor must be positive");
-    const double bits =
-        std::log2(static_cast<double>(std::max<std::uint64_t>(
-            2, table_rows)));
-    lubSearchCost_ = static_cast<Cycles>(
-        std::ceil(bits) * params.searchStepCost);
+namespace {
 
-    // PJR cache stands in for the on-chip hierarchy: small L1-like
-    // PJR, a modest L2, then memory.
+/** PJR cache stands in for the on-chip hierarchy: small L1-like
+ *  PJR, a modest L2, then memory. */
+sim::MemParams
+trieJaxMem(const TrieJaxParams &params)
+{
     sim::MemParams mem;
     mem.l1 = {"pjr", params.pjrBytes, 8, 64};
     mem.l2 = {"tj_l2", 2 * 1024 * 1024, 8, 64};
@@ -31,7 +23,23 @@ TrieJaxBackend::TrieJaxBackend(unsigned redundancy,
     mem.l2Latency = 14;
     mem.l3Latency = 20;
     mem.memLatency = 120;
-    mem_ = std::make_unique<sim::MemHierarchy>(mem);
+    return mem;
+}
+
+} // namespace
+
+TrieJaxBackend::TrieJaxBackend(unsigned redundancy,
+                               std::uint64_t table_rows,
+                               const TrieJaxParams &params)
+    : redundancy_(redundancy), params_(params), mem_(trieJaxMem(params))
+{
+    if (redundancy == 0)
+        fatal("TrieJax redundancy factor must be positive");
+    const double bits =
+        std::log2(static_cast<double>(std::max<std::uint64_t>(
+            2, table_rows)));
+    lubSearchCost_ = static_cast<Cycles>(
+        std::ceil(bits) * params.searchStepCost);
 }
 
 void
@@ -40,7 +48,7 @@ TrieJaxBackend::begin()
     cycles_ = 0;
     memCycles_ = 0;
     streams_.clear();
-    mem_->resetStats();
+    mem_.reset();
 }
 
 sim::CycleBreakdown
@@ -83,17 +91,17 @@ TrieJaxBackend::pjrAccess(Addr addr, std::uint64_t keys)
         return 0;
     // Entries above the PJR limit are never cached (deallocated on
     // insert): every line comes from beyond the PJR.
-    const unsigned line = mem_->params().l1.lineBytes;
+    const unsigned line = mem_.params().l1.lineBytes;
     const Addr last = addr + (keys - 1) * sizeof(Key);
     Cycles total = 0;
     if (keys > params_.pjrEntryKeys) {
         for (Addr a = addr / line; a <= last / line; ++a)
-            total += mem_->l2Access(a * line);
+            total += mem_.l2Access(a * line);
         // Sequential fetches overlap 4-wide.
         return total / 4;
     }
     for (Addr a = addr / line; a <= last / line; ++a)
-        total += mem_->l1Access(a * line);
+        total += mem_.l1Access(a * line);
     return total / 4;
 }
 

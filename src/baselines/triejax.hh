@@ -18,7 +18,6 @@
 #ifndef SPARSECORE_BASELINES_TRIEJAX_HH
 #define SPARSECORE_BASELINES_TRIEJAX_HH
 
-#include <memory>
 #include <vector>
 
 #include "backend/exec_backend.hh"
@@ -108,7 +107,7 @@ class TrieJaxBackend : public backend::ExecBackend
     unsigned redundancy_;
     Cycles lubSearchCost_;
     TrieJaxParams params_;
-    std::unique_ptr<sim::MemHierarchy> mem_;
+    sim::MemHierarchy mem_;
     std::vector<Addr> streams_;
     Cycles cycles_ = 0;
     Cycles memCycles_ = 0;

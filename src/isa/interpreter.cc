@@ -9,7 +9,12 @@ namespace sc::isa {
 
 using streams::SetOpResult;
 
-Interpreter::Interpreter(MemoryImage &mem) : mem_(mem), streams_(mem) {}
+Interpreter::Interpreter(MemoryImage &mem) : mem_(mem), streams_(mem)
+{
+    for (std::size_t op = 0; op < opcodeCounters_.size(); ++op)
+        opcodeCounters_[op] =
+            &opcodeCounts_.counter(opcodeName(static_cast<Opcode>(op)));
+}
 
 std::uint64_t
 Interpreter::gpr(unsigned idx) const
@@ -74,7 +79,10 @@ Interpreter::step(const Program &program, std::uint64_t pc)
               static_cast<unsigned long long>(pc));
     const Inst &inst = program[pc];
     ++instCount_;
-    ++opcodeCounts_.counter(opcodeName(inst.op));
+    const auto op = static_cast<std::size_t>(inst.op);
+    if (op >= opcodeCounters_.size())
+        panic("unknown opcode %zu", op);
+    ++*opcodeCounters_[op];
 
     // Branch offsets are relative; negative offsets rely on unsigned
     // wrap-around of the cast, which is well-defined.

@@ -28,6 +28,10 @@ class Interpreter
 {
   public:
     explicit Interpreter(MemoryImage &mem);
+    // Not copyable: opcodeCounters_ points into this object's own
+    // opcodeCounts_.
+    Interpreter(const Interpreter &) = delete;
+    Interpreter &operator=(const Interpreter &) = delete;
 
     /**
      * Run a program from pc 0 until HALT (or the end of the program).
@@ -81,6 +85,9 @@ class Interpreter
     std::uint64_t instCount_ = 0;
     std::uint64_t streamInstCount_ = 0;
     StatSet opcodeCounts_{"opcode"};
+    /** opcodeCounts_'s counter for each opcode, bound once. */
+    std::array<Counter *, static_cast<std::size_t>(Opcode::NumOpcodes)>
+        opcodeCounters_{};
 };
 
 } // namespace sc::isa

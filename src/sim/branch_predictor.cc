@@ -1,68 +1,46 @@
 #include "sim/branch_predictor.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace sc::sim {
 
 namespace {
 
-bool
-isPowerOfTwo(std::size_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
+/** Counters start weakly not-taken. */
+constexpr std::uint8_t initialCounter = 1;
 
-/** Apply one branch to a 2-bit saturating counter; returns whether the
- *  pre-update prediction was correct. */
-bool
-updateCounter(std::uint8_t &ctr, bool taken)
+void
+checkTableSize(std::size_t table_size)
 {
-    const bool predicted = ctr >= 2;
-    if (taken) {
-        if (ctr < 3)
-            ++ctr;
-    } else {
-        if (ctr > 0)
-            --ctr;
-    }
-    return predicted == taken;
+    if (!std::has_single_bit(table_size))
+        fatal("branch predictor table size must be a power of two");
 }
 
 } // namespace
 
 TwoBitPredictor::TwoBitPredictor(std::size_t table_size)
-    : table_(table_size, 1)
+    : table_(table_size, initialCounter)
 {
-    if (!isPowerOfTwo(table_size))
-        fatal("branch predictor table size must be a power of two");
-}
-
-bool
-TwoBitPredictor::predict(std::uint64_t pc, bool taken)
-{
-    std::uint8_t &ctr = table_[pc & (table_.size() - 1)];
-    const bool correct = updateCounter(ctr, taken);
-    record(correct);
-    return correct;
+    checkTableSize(table_size);
 }
 
 GsharePredictor::GsharePredictor(std::size_t table_size,
                                  unsigned history_bits)
-    : table_(table_size, 1), historyMask_((1ull << history_bits) - 1)
+    : table_(table_size, initialCounter),
+      historyMask_((1ull << history_bits) - 1)
 {
-    if (!isPowerOfTwo(table_size))
-        fatal("branch predictor table size must be a power of two");
+    checkTableSize(table_size);
 }
 
-bool
-GsharePredictor::predict(std::uint64_t pc, bool taken)
+void
+GsharePredictor::reset()
 {
-    const std::uint64_t idx = (pc ^ history_) & (table_.size() - 1);
-    std::uint8_t &ctr = table_[idx];
-    const bool correct = updateCounter(ctr, taken);
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-    record(correct);
-    return correct;
+    std::fill(table_.begin(), table_.end(), initialCounter);
+    history_ = 0;
+    resetStats();
 }
 
 } // namespace sc::sim

@@ -35,17 +35,27 @@ class BranchPredictor
                               static_cast<double>(lookups_)
                         : 0.0;
     }
-    void resetStats() { lookups_ = mispredicts_ = 0; }
 
   protected:
-    /** Record one resolved branch. */
-    void
-    record(bool correct)
+    /** Apply one branch to a 2-bit saturating counter and record it;
+     *  returns whether the pre-update prediction was correct. */
+    bool
+    resolve(std::uint8_t &ctr, bool taken)
     {
+        const bool correct = (ctr >= 2) == taken;
+        if (taken) {
+            if (ctr < 3)
+                ++ctr;
+        } else if (ctr > 0) {
+            --ctr;
+        }
         ++lookups_;
         if (!correct)
             ++mispredicts_;
+        return correct;
     }
+
+    void resetStats() { lookups_ = mispredicts_ = 0; }
 
   private:
     std::uint64_t lookups_ = 0;
@@ -53,25 +63,40 @@ class BranchPredictor
 };
 
 /** Classic table of 2-bit saturating counters indexed by pc. */
-class TwoBitPredictor : public BranchPredictor
+class TwoBitPredictor final : public BranchPredictor
 {
   public:
     explicit TwoBitPredictor(std::size_t table_size = 4096);
 
-    bool predict(std::uint64_t pc, bool taken) override;
+    bool
+    predict(std::uint64_t pc, bool taken) override
+    {
+        return resolve(table_[pc & (table_.size() - 1)], taken);
+    }
 
   private:
     std::vector<std::uint8_t> table_; // 0..3, >=2 predicts taken
 };
 
-/** Gshare: global history XOR pc indexing a 2-bit counter table. */
-class GsharePredictor : public BranchPredictor
+/** Gshare: global history XOR pc indexing a 2-bit counter table.
+ *  Final, so calls through CoreModel's member inline. */
+class GsharePredictor final : public BranchPredictor
 {
   public:
     explicit GsharePredictor(std::size_t table_size = 16384,
                              unsigned history_bits = 12);
 
-    bool predict(std::uint64_t pc, bool taken) override;
+    bool
+    predict(std::uint64_t pc, bool taken) override
+    {
+        const bool correct = resolve(
+            table_[(pc ^ history_) & (table_.size() - 1)], taken);
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+        return correct;
+    }
+
+    /** Cold state: untrained table, empty history, counters 0. */
+    void reset();
 
   private:
     std::vector<std::uint8_t> table_;

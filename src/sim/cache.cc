@@ -1,23 +1,16 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace sc::sim {
 
-namespace {
-
-bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // namespace
-
 Cache::Cache(const CacheParams &params)
-    : params_(params), stats_(params.name)
+    : params_(params)
 {
-    if (params_.lineBytes == 0 || !isPowerOfTwo(params_.lineBytes))
+    if (!std::has_single_bit(params_.lineBytes))
         fatal("cache %s: line size must be a power of two",
               params_.name.c_str());
     if (params_.ways == 0)
@@ -28,57 +21,48 @@ Cache::Cache(const CacheParams &params)
               params_.name.c_str(),
               static_cast<unsigned long long>(params_.sizeBytes),
               params_.ways);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
     numSets_ = static_cast<std::uint32_t>(lines / params_.ways);
-    setsArePow2_ = isPowerOfTwo(numSets_);
-    ways_.resize(static_cast<std::size_t>(numSets_) * params_.ways);
+    setsArePow2_ = std::has_single_bit(numSets_);
+    tags_.resize(lines);
+    stamps_.resize(lines);
 }
 
-bool
-Cache::access(Addr addr)
+void
+Cache::install(std::size_t base, Addr tag)
 {
-    const Addr line = lineAddr(addr);
-    const std::uint32_t set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set) * params_.ways];
-    ++useClock_;
-
-    Way *victim = base;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            way.lastUse = useClock_;
-            ++stats_.counter("hits");
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
-    }
-    victim->valid = true;
-    victim->tag = line;
-    victim->lastUse = useClock_;
-    ++stats_.counter("misses");
-    return false;
+    // Stamps of valid ways are distinct and nonzero, so the first
+    // minimum is the one invalid or least recently used way.
+    std::uint64_t *set = stamps_.data() + base;
+    std::uint64_t *victim = std::min_element(set, set + params_.ways);
+    tags_[static_cast<std::size_t>(victim - stamps_.data())] = tag;
+    *victim = useClock_;
+    ++misses_;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Addr line = lineAddr(addr);
-    const std::uint32_t set = setIndex(line);
-    const Way *base = &ways_[static_cast<std::size_t>(set) * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w)
-        if (base[w].valid && base[w].tag == line)
-            return true;
-    return false;
+    const Addr tag = (addr >> lineShift_) + 1;
+    const Addr *set = tags_.data() + setBase(tag - 1);
+    return std::find(set, set + params_.ways, tag) != set + params_.ways;
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : ways_)
-        way.valid = false;
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+}
+
+void
+Cache::reset()
+{
+    // Every access ticks the clock, so at 0 the arrays are still as
+    // constructed and a fresh cache skips the fill.
+    if (useClock_ != 0)
+        flush();
+    useClock_ = hits_ = misses_ = 0;
 }
 
 } // namespace sc::sim

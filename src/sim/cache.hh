@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace sc::sim {
@@ -28,7 +27,14 @@ struct CacheParams
     std::uint32_t lineBytes = 64;
 };
 
-/** One level of set-associative cache with true-LRU replacement. */
+/**
+ * One level of set-associative cache with true-LRU replacement.
+ *
+ * Two parallel arrays, numSets x ways, row-major: tags_ holds line+1
+ * (0 = invalid) and is all a hit scans; stamps_ holds each way's last
+ * use on a clock that ticks per access (0 = invalid, so a fill takes
+ * an invalid way before the least recently used one).
+ */
 class Cache
 {
   public:
@@ -39,46 +45,61 @@ class Cache
      * @param addr byte address
      * @return true on hit; on miss the line is installed.
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        const Addr tag = (addr >> lineShift_) + 1;
+        const std::size_t base = setBase(tag - 1);
+        const Addr *tags = tags_.data() + base;
+        ++useClock_;
+        for (std::uint32_t w = 0; w < params_.ways; ++w) {
+            if (tags[w] == tag) {
+                stamps_[base + w] = useClock_;
+                ++hits_;
+                return true;
+            }
+        }
+        install(base, tag);
+        return false;
+    }
 
     /** Probe without installing or touching LRU state. */
     bool contains(Addr addr) const;
 
-    /** Invalidate the whole cache. */
+    /** Invalidate every line. */
     void flush();
+
+    /** Back to the constructed state: no lines, clock and counters 0. */
+    void reset();
 
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return numSets_; }
 
-    std::uint64_t hits() const { return stats_.get("hits"); }
-    std::uint64_t misses() const { return stats_.get("misses"); }
-    const StatSet &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Way
+    /** Index of the set's first way; power-of-two set counts mask. */
+    std::size_t
+    setBase(Addr line) const
     {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
-    Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
-
-    /** Set index; power-of-two set counts use the fast mask path. */
-    std::uint32_t
-    setIndex(Addr line) const
-    {
-        return static_cast<std::uint32_t>(
-            setsArePow2_ ? line & (numSets_ - 1) : line % numSets_);
+        const Addr set =
+            setsArePow2_ ? line & (numSets_ - 1) : line % numSets_;
+        return static_cast<std::size_t>(set) * params_.ways;
     }
 
+    /** Miss: fill an invalid way, else the least recently used one. */
+    void install(std::size_t base, Addr tag);
+
     CacheParams params_;
+    unsigned lineShift_ = 0;
     std::uint32_t numSets_;
     bool setsArePow2_ = true;
-    std::vector<Way> ways_; // numSets_ x params_.ways, row-major
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> stamps_;
     std::uint64_t useClock_ = 0;
-    StatSet stats_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 } // namespace sc::sim

@@ -23,15 +23,6 @@ cycleClassName(CycleClass cls)
     }
 }
 
-Cycles
-CycleBreakdown::total() const
-{
-    Cycles sum = 0;
-    for (Cycles c : cycles)
-        sum += c;
-    return sum;
-}
-
 double
 CycleBreakdown::fraction(CycleClass cls) const
 {
@@ -50,76 +41,26 @@ CycleBreakdown::operator+=(const CycleBreakdown &other)
 }
 
 CoreModel::CoreModel(const CoreParams &params, const MemParams &mem_params)
-    : params_(params),
-      predictor_(std::make_unique<GsharePredictor>()),
-      mem_(std::make_unique<MemHierarchy>(mem_params))
+    : params_(params), mem_(mem_params)
 {
     if (params_.issueWidth == 0)
         fatal("core issue width must be positive");
 }
 
 void
-CoreModel::executeOps(std::uint64_t n, CycleClass cls)
+CoreModel::chargeMiss(Cycles beyond_l1, unsigned mlp)
 {
-    // n ops at issueWidth per cycle; fractional remainders accumulate
-    // via integer rounding-up amortization kept simple here.
-    breakdown_[cls] += (n + params_.issueWidth - 1) / params_.issueWidth;
-}
-
-bool
-CoreModel::executeBranch(std::uint64_t pc, bool taken,
-                         CycleClass compute_cls)
-{
-    executeOps(1, compute_cls);
-    const bool correct = predictor_->predict(pc, taken);
-    if (!correct)
-        breakdown_[CycleClass::Mispredict] += params_.mispredictPenalty;
-    return !correct;
-}
-
-void
-CoreModel::load(Addr addr, CycleClass compute_cls)
-{
-    executeOps(1, compute_cls);
-    MemLevel level;
-    const Cycles latency = mem_->l1Access(addr, level);
-    if (level == MemLevel::L1)
-        return; // pipelined, address-generation charged above
-    const Cycles beyond_l1 = latency - mem_->params().l1Latency;
-    breakdown_[CycleClass::Cache] += static_cast<Cycles>(
-        std::llround(static_cast<double>(beyond_l1) *
-                     params_.missStallFraction));
-}
-
-void
-CoreModel::loadOverlapped(Addr addr, unsigned mlp,
-                          CycleClass compute_cls)
-{
-    if (mlp == 0)
-        fatal("load MLP must be positive");
-    executeOps(1, compute_cls);
-    MemLevel level;
-    const Cycles latency = mem_->l1Access(addr, level);
-    if (level == MemLevel::L1)
-        return;
-    const Cycles beyond_l1 = latency - mem_->params().l1Latency;
     breakdown_[CycleClass::Cache] += static_cast<Cycles>(
         std::llround(static_cast<double>(beyond_l1) *
                      params_.missStallFraction / mlp));
 }
 
 void
-CoreModel::addCycles(CycleClass cls, Cycles n)
-{
-    breakdown_[cls] += n;
-}
-
-void
 CoreModel::reset()
 {
     breakdown_ = CycleBreakdown{};
-    predictor_->resetStats();
-    mem_->resetStats();
+    predictor_.reset();
+    mem_.reset();
 }
 
 } // namespace sc::sim

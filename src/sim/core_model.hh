@@ -14,9 +14,8 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/mem_hierarchy.hh"
@@ -65,7 +64,14 @@ struct CycleBreakdown
     {
         return cycles[static_cast<unsigned>(cls)];
     }
-    Cycles total() const;
+    Cycles
+    total() const
+    {
+        Cycles sum = 0;
+        for (Cycles c : cycles)
+            sum += c;
+        return sum;
+    }
     /** Fraction of total in a class (0 when total is 0). */
     double fraction(CycleClass cls) const;
     CycleBreakdown &operator+=(const CycleBreakdown &other);
@@ -74,6 +80,8 @@ struct CycleBreakdown
 /**
  * The core model. Owns its branch predictor and memory hierarchy and
  * exposes event-level charging methods used by execution backends.
+ * The per-event methods are inline; only a load that misses L1 leaves
+ * the header.
  */
 class CoreModel
 {
@@ -82,49 +90,81 @@ class CoreModel
                        const MemParams &mem_params = MemParams{});
 
     /** Charge n generic ALU/addressing ops (issueWidth-wide). */
-    void executeOps(std::uint64_t n,
-                    CycleClass cls = CycleClass::OtherCompute);
+    void
+    executeOps(std::uint64_t n,
+               CycleClass cls = CycleClass::OtherCompute)
+    {
+        breakdown_[cls] +=
+            (n + params_.issueWidth - 1) / params_.issueWidth;
+    }
 
     /**
      * Charge one conditional branch; runs the predictor and charges
      * the mispredict penalty when it misses.
      * @return true when mispredicted.
      */
-    bool executeBranch(std::uint64_t pc, bool taken,
-                       CycleClass compute_cls = CycleClass::OtherCompute);
+    bool
+    executeBranch(std::uint64_t pc, bool taken,
+                  CycleClass compute_cls = CycleClass::OtherCompute)
+    {
+        executeOps(1, compute_cls);
+        const bool correct = predictor_.predict(pc, taken);
+        if (!correct)
+            breakdown_[CycleClass::Mispredict] +=
+                params_.mispredictPenalty;
+        return !correct;
+    }
 
     /**
      * Charge one load. L1 hits are considered fully pipelined; deeper
      * misses charge missStallFraction of the beyond-L1 latency as
      * cache-stall cycles.
      */
-    void load(Addr addr, CycleClass compute_cls = CycleClass::OtherCompute);
+    void
+    load(Addr addr, CycleClass compute_cls = CycleClass::OtherCompute)
+    {
+        loadOverlapped(addr, 1, compute_cls);
+    }
 
     /**
      * Charge one load from a batch of INDEPENDENT accesses (gather /
      * scatter loops with no serial dependence): the OOO window
      * overlaps the misses, so the beyond-L1 stall is divided by mlp.
      */
-    void loadOverlapped(Addr addr, unsigned mlp,
-                        CycleClass compute_cls =
-                            CycleClass::OtherCompute);
+    void
+    loadOverlapped(Addr addr, unsigned mlp,
+                   CycleClass compute_cls = CycleClass::OtherCompute)
+    {
+        if (mlp == 0)
+            fatal("load MLP must be positive");
+        executeOps(1, compute_cls);
+        MemLevel level;
+        const Cycles latency = mem_.l1Access(addr, level);
+        if (level != MemLevel::L1)
+            chargeMiss(latency - mem_.params().l1Latency, mlp);
+    }
 
     /** Directly add cycles to a class (specialized callers). */
-    void addCycles(CycleClass cls, Cycles n);
+    void addCycles(CycleClass cls, Cycles n) { breakdown_[cls] += n; }
 
     Cycles cycles() const { return breakdown_.total(); }
     const CycleBreakdown &breakdown() const { return breakdown_; }
 
-    MemHierarchy &mem() { return *mem_; }
-    BranchPredictor &predictor() { return *predictor_; }
+    MemHierarchy &mem() { return mem_; }
+    GsharePredictor &predictor() { return predictor_; }
     const CoreParams &params() const { return params_; }
 
+    /** Cold state: zero cycles, empty caches, untrained predictor. */
     void reset();
 
   private:
+    /** Charge the unhidden share of a beyond-L1 latency as Cache
+     *  cycles: llround(beyond_l1 * missStallFraction / mlp). */
+    void chargeMiss(Cycles beyond_l1, unsigned mlp);
+
     CoreParams params_;
-    std::unique_ptr<BranchPredictor> predictor_;
-    std::unique_ptr<MemHierarchy> mem_;
+    GsharePredictor predictor_;
+    MemHierarchy mem_;
     CycleBreakdown breakdown_;
 };
 

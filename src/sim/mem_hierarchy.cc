@@ -3,28 +3,8 @@
 namespace sc::sim {
 
 MemHierarchy::MemHierarchy(const MemParams &params)
-    : params_(params),
-      l1_(std::make_unique<Cache>(params.l1)),
-      l2_(std::make_unique<Cache>(params.l2)),
-      l3_(std::make_unique<Cache>(params.l3))
+    : params_(params), l1_(params.l1), l2_(params.l2), l3_(params.l3)
 {
-}
-
-Cycles
-MemHierarchy::l1Access(Addr addr)
-{
-    MemLevel level;
-    return l1Access(addr, level);
-}
-
-Cycles
-MemHierarchy::l1Access(Addr addr, MemLevel &level)
-{
-    if (l1_->access(addr)) {
-        level = MemLevel::L1;
-        return params_.l1Latency;
-    }
-    return params_.l1Latency + l2Access(addr, level);
 }
 
 Cycles
@@ -37,11 +17,11 @@ MemHierarchy::l2Access(Addr addr)
 Cycles
 MemHierarchy::l2Access(Addr addr, MemLevel &level)
 {
-    if (l2_->access(addr)) {
+    if (l2_.access(addr)) {
         level = MemLevel::L2;
         return params_.l2Latency;
     }
-    if (l3_->access(addr)) {
+    if (l3_.access(addr)) {
         level = MemLevel::L3;
         return params_.l2Latency + params_.l3Latency;
     }
@@ -51,11 +31,11 @@ MemHierarchy::l2Access(Addr addr, MemLevel &level)
 }
 
 void
-MemHierarchy::resetStats()
+MemHierarchy::reset()
 {
-    l1_->resetStats();
-    l2_->resetStats();
-    l3_->resetStats();
+    l1_.reset();
+    l2_.reset();
+    l3_.reset();
     memAccesses_ = 0;
 }
 

@@ -11,9 +11,6 @@
 #ifndef SPARSECORE_SIM_MEM_HIERARCHY_HH
 #define SPARSECORE_SIM_MEM_HIERARCHY_HH
 
-#include <memory>
-
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/cache.hh"
 
@@ -41,27 +38,41 @@ class MemHierarchy
     explicit MemHierarchy(const MemParams &params = MemParams{});
 
     /** CPU-side load of one byte address; returns load-to-use cycles. */
-    Cycles l1Access(Addr addr);
+    Cycles
+    l1Access(Addr addr)
+    {
+        MemLevel level;
+        return l1Access(addr, level);
+    }
     /** Same but reports the satisfying level. */
-    Cycles l1Access(Addr addr, MemLevel &level);
+    Cycles
+    l1Access(Addr addr, MemLevel &level)
+    {
+        if (l1_.access(addr)) {
+            level = MemLevel::L1;
+            return params_.l1Latency;
+        }
+        return params_.l1Latency + l2Access(addr, level);
+    }
 
     /** S-Cache refill path: starts at L2 (bypasses/doesn't pollute L1). */
     Cycles l2Access(Addr addr);
     Cycles l2Access(Addr addr, MemLevel &level);
 
     const MemParams &params() const { return params_; }
-    Cache &l1() { return *l1_; }
-    Cache &l2() { return *l2_; }
-    Cache &l3() { return *l3_; }
+    Cache &l1() { return l1_; }
+    Cache &l2() { return l2_; }
+    Cache &l3() { return l3_; }
 
     std::uint64_t memAccesses() const { return memAccesses_; }
-    void resetStats();
+    /** Cold state: every level empty, every counter 0. */
+    void reset();
 
   private:
     MemParams params_;
-    std::unique_ptr<Cache> l1_;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<Cache> l3_;
+    Cache l1_;
+    Cache l2_;
+    Cache l3_;
     std::uint64_t memAccesses_ = 0;
 };
 

@@ -32,6 +32,8 @@ using ValueSpan = std::span<const Value>;
 
 /** The three set-operation kinds of the stream ISA. */
 enum class SetOpKind : unsigned { Intersect, Subtract, Merge };
+/** Number of SetOpKind values, for per-kind arrays. */
+inline constexpr std::size_t numSetOpKinds = 3;
 
 const char *setOpName(SetOpKind kind);
 

@@ -134,7 +134,7 @@ zigzagDecode(std::uint64_t code)
  */
 struct EventProfile
 {
-    static constexpr std::size_t numSetOpKinds = 3;
+    static constexpr std::size_t numSetOpKinds = streams::numSetOpKinds;
 
     std::uint64_t streamLoads = 0;
     std::uint64_t streamLoadsKv = 0;

@@ -42,7 +42,7 @@ TEST(Smt, FullTableStalls)
     EXPECT_TRUE(smt.define(1).has_value());
     EXPECT_TRUE(smt.define(2).has_value());
     EXPECT_FALSE(smt.define(3).has_value()); // stall
-    EXPECT_EQ(smt.stats().get("allocStalls"), 1u);
+    EXPECT_EQ(smt.counters().allocStalls, 1u);
 }
 
 TEST(Smt, RedefineKeepsEntry)
@@ -52,7 +52,7 @@ TEST(Smt, RedefineKeepsEntry)
     auto e2 = smt.define(7);
     EXPECT_EQ(e1, e2);
     EXPECT_EQ(smt.activeCount(), 1u);
-    EXPECT_EQ(smt.stats().get("redefines"), 1u);
+    EXPECT_EQ(smt.counters().redefines, 1u);
 }
 
 TEST(Smt, RegisterNotReusableUntilRetire)
@@ -111,7 +111,7 @@ TEST(SCache, AllocateFetchesFirstSubSlot)
     // 32 keys = 128 B = 2 lines; both fetched via the L2 path.
     const Cycles latency = scache.allocate(0, 0x10000, 100, mem);
     EXPECT_GT(latency, 0u);
-    EXPECT_EQ(scache.stats().get("refillLines"), 2u);
+    EXPECT_EQ(scache.counters().refillLines, 2u);
     EXPECT_TRUE(scache.slot(0).startBit);
     EXPECT_FALSE(mem.l1().contains(0x10000)); // bypasses L1
     EXPECT_TRUE(mem.l2().contains(0x10000));
@@ -122,7 +122,7 @@ TEST(SCache, ShortStreamFetchesFewerLines)
     SCache scache(16, 64, 64);
     sim::MemHierarchy mem;
     scache.allocate(1, 0x20000, 8, mem); // 8 keys = 32 B = 1 line
-    EXPECT_EQ(scache.stats().get("refillLines"), 1u);
+    EXPECT_EQ(scache.counters().refillLines, 1u);
 }
 
 TEST(SCache, ProducedStreamOverflowClearsStartBit)
@@ -278,7 +278,8 @@ TEST(NestTranslator, ReadyTimesMonotonic)
     std::vector<Addr> info(40);
     for (std::size_t i = 0; i < info.size(); ++i)
         info[i] = 0x500000 + i * 8;
-    const auto ready = tr.translate(100, info, mem);
+    std::vector<Cycles> ready;
+    tr.translate(100, info, mem, ready);
     ASSERT_EQ(ready.size(), info.size());
     for (std::size_t i = 1; i < ready.size(); ++i)
         EXPECT_GE(ready[i], ready[i - 1]);
@@ -295,7 +296,8 @@ TEST(NestTranslator, BufferLimitsInFlight)
     std::vector<Addr> info(32);
     for (std::size_t i = 0; i < info.size(); ++i)
         info[i] = 0x600000 + i * 8;
-    const auto r_small = small.translate(0, info, mem_small);
-    const auto r_big = big.translate(0, info, mem_big);
+    std::vector<Cycles> r_small, r_big;
+    small.translate(0, info, mem_small, r_small);
+    big.translate(0, info, mem_big, r_big);
     EXPECT_GE(r_small.back(), r_big.back());
 }

@@ -135,7 +135,7 @@ TEST(Engine, ScratchpadHitsForHighPriorityReuse)
         const auto h = engine.streamRead(0x4000, a.size(), 1, a);
         engine.streamFree(h);
     }
-    EXPECT_GE(engine.stats().get("scratchpadStreamHits"), 9u);
+    EXPECT_GE(engine.counters().scratchpadStreamHits, 9u);
 
     // Priority-0 loads never hit the scratchpad.
     Engine engine2(config);
@@ -143,7 +143,7 @@ TEST(Engine, ScratchpadHitsForHighPriorityReuse)
         const auto h = engine2.streamRead(0x4000, a.size(), 0, a);
         engine2.streamFree(h);
     }
-    EXPECT_EQ(engine2.stats().get("scratchpadStreamHits"), 0u);
+    EXPECT_EQ(engine2.counters().scratchpadStreamHits, 0u);
 }
 
 TEST(Engine, DependentOpsSerialize)
@@ -220,7 +220,7 @@ TEST(Engine, SmtVirtualizationKicksIn)
     for (unsigned i = 0; i < 20; ++i)
         handles.push_back(
             engine.streamRead(0x1000 + i * 0x100, a.size(), 0, a));
-    EXPECT_GT(engine.stats().get("smtVirtualizationStalls"), 0u);
+    EXPECT_GT(engine.counters().smtVirtualizationStalls, 0u);
     engine.finish();
 }
 

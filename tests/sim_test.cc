@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/branch_predictor.hh"
@@ -73,6 +75,114 @@ TEST(Cache, NonPowerOfTwoSetCount)
     EXPECT_EQ(c.numSets(), 12288u);
     EXPECT_FALSE(c.access(0x100000));
     EXPECT_TRUE(c.access(0x100000));
+}
+
+namespace {
+
+/** The cache as it was first written: one {tag, valid, lastUse}
+ *  struct per way, victim = last invalid way, else the least recently
+ *  used one. Cache must give the same hit/miss sequence. */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheParams &p)
+        : ways_(p.ways), lineBytes_(p.lineBytes),
+          sets_(p.sizeBytes / p.lineBytes / p.ways),
+          data_(sets_ * ways_)
+    {
+    }
+
+    bool
+    access(Addr addr)
+    {
+        const Addr line = addr / lineBytes_;
+        Way *base = &data_[(line % sets_) * ways_];
+        ++clock_;
+        Way *victim = base;
+        for (std::uint64_t w = 0; w < ways_; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == line) {
+                way.lastUse = clock_;
+                return true;
+            }
+            if (!way.valid)
+                victim = &way;
+            else if (victim->valid && way.lastUse < victim->lastUse)
+                victim = &way;
+        }
+        *victim = {line, true, clock_};
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : data_)
+            way.valid = false;
+    }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        bool valid = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::uint64_t ways_, lineBytes_, sets_;
+    std::vector<Way> data_;
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+TEST(Cache, MatchesReferenceLruOnRandomStreams)
+{
+    const std::vector<CacheParams> geometries = {
+        {"pow2", 32 * 1024, 8, 64},    // 64 sets
+        {"odd_sets", 12 * 64 * 4, 4, 64}, // 12 sets
+        {"direct", 16 * 64, 1, 64},    // 1-way
+        {"wide", 3 * 16 * 32, 16, 32}, // 16-way, 3 sets
+    };
+    for (const CacheParams &p : geometries) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            Cache cache(p);
+            ReferenceCache ref(p);
+            Rng rng(seed);
+            // A footprint of ~3x capacity: hits, conflict and
+            // capacity misses all occur; a hot quarter adds reuse.
+            const std::uint64_t span = 3 * p.sizeBytes;
+            std::uint64_t hits = 0, misses = 0;
+            for (int i = 0; i < 20000; ++i) {
+                if (i % 5000 == 4999) {
+                    cache.flush();
+                    ref.flush();
+                }
+                const Addr addr = rng.chance(0.25)
+                                      ? rng.below(p.sizeBytes / 4)
+                                      : rng.below(span);
+                const bool hit = ref.access(addr);
+                ASSERT_EQ(cache.access(addr), hit)
+                    << p.name << " seed " << seed << " access " << i;
+                ++(hit ? hits : misses);
+            }
+            EXPECT_EQ(cache.hits(), hits) << p.name;
+            EXPECT_EQ(cache.misses(), misses) << p.name;
+            EXPECT_GT(hits, 0u) << p.name;
+            EXPECT_GT(misses, 0u) << p.name;
+        }
+    }
+}
+
+TEST(Cache, ResetIsCold)
+{
+    Cache c({"test", 1024, 2, 64});
+    c.access(0x40);
+    c.access(0x40);
+    c.reset();
+    EXPECT_EQ(c.hits() + c.misses(), 0u);
+    EXPECT_FALSE(c.contains(0x40));
+    EXPECT_FALSE(c.access(0x40));
 }
 
 TEST(MemHierarchy, LatencyComposition)
@@ -172,9 +282,21 @@ TEST(CoreModel, ResetClearsState)
     CoreModel core;
     core.executeOps(100);
     core.load(0x1234);
+    core.executeBranch(0x40, true);
     core.reset();
     EXPECT_EQ(core.cycles(), 0u);
     EXPECT_EQ(core.mem().l1().hits() + core.mem().l1().misses(), 0u);
+    EXPECT_EQ(core.mem().memAccesses(), 0u);
+    EXPECT_EQ(core.predictor().lookups(), 0u);
+    // Cold: the line is gone from every level, so the load misses to
+    // memory again, and the predictor has forgotten the branch.
+    core.load(0x1234);
+    EXPECT_EQ(core.mem().memAccesses(), 1u);
+    CoreModel fresh;
+    fresh.load(0x1234);
+    EXPECT_EQ(core.breakdown().cycles, fresh.breakdown().cycles);
+    EXPECT_EQ(core.executeBranch(0x40, true),
+              fresh.executeBranch(0x40, true));
 }
 
 TEST(CycleBreakdown, FractionsSumToOne)
