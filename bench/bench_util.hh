@@ -75,9 +75,7 @@ captureGpmTrace(const graph::CsrGraph &g,
  * process-wide ArtifactStore, so the capture happens exactly once
  * per (app, dataset) for the whole binary and is shared with every
  * other driver in the same process. Drivers hold the result across
- * their config ladder and replay its program per configuration. With
- * SC_ARTIFACT_CACHE=off the point captures privately; cycles are
- * bit-identical either way.
+ * their config ladder and replay its program per configuration.
  */
 api::Prepared gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
                            unsigned root_stride);

@@ -4,14 +4,20 @@
  * (one virtual ExecBackend call per captured call, through a
  * forwarding backend) versus the devirtualized per-backend loops
  * (trace::replayCompiled on the concrete backend, the path every api
- * call takes) on fig07-class GPM captures, for every replay
- * substrate, plus the cost of capturing each program. Every replay's
- * cycles are checksummed against direct execution of the workload on
- * the same backend, so this bench measures only what the engine is
- * allowed to move: how fast the host re-walks a captured program.
+ * call takes) on fig07-class GPM captures, on both timing substrates,
+ * plus the cost of capturing each program. Every replay's cycles are
+ * checksummed against direct execution of the workload on the same
+ * backend, so this bench measures only what the engine is allowed to
+ * move: how fast the host re-walks a captured program.
+ *
+ * One timing of a cell on a shared host can read several-fold off
+ * the next, so each cell is sampled kSamples times, generic and
+ * devirtualized samples interleaved, and reported as the median
+ * replays/s with its interquartile range.
  *
  * Writes BENCH_replay.json. `--smoke` runs a seconds-long subset for
- * CI (scripts/check.sh), which also gates the cycle checksums.
+ * CI (scripts/check.sh); either mode exits 1 when a replay's cycles
+ * differ from direct execution.
  */
 
 #include <algorithm>
@@ -23,7 +29,6 @@
 #include <vector>
 
 #include "backend/cpu_backend.hh"
-#include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "bench_util.hh"
 #include "common/table.hh"
@@ -138,9 +143,12 @@ class Forwarding final : public backend::ExecBackend
     B &inner_;
 };
 
+/** Samples per cell and engine. */
+constexpr int kSamples = 5;
+
 /** Replays/second of `replay`: whole replays until min_seconds
- *  elapses (at least twice), so short programs are averaged over
- *  many passes. */
+ *  elapses (at least one), so short programs are averaged over many
+ *  passes. */
 template <typename Replay>
 double
 measureReplays(Replay &&replay, double min_seconds, Cycles *cycles)
@@ -151,22 +159,53 @@ measureReplays(Replay &&replay, double min_seconds, Cycles *cycles)
     do {
         *cycles = replay();
         ++reps;
-    } while ((seconds = timer.seconds()) < min_seconds || reps < 2);
+    } while ((seconds = timer.seconds()) < min_seconds);
     return static_cast<double>(reps) / seconds;
 }
+
+/** Median and quartiles of one engine's samples. */
+struct Spread
+{
+    double q1 = 0, median = 0, q3 = 0;
+
+    explicit Spread(std::vector<double> samples)
+    {
+        std::sort(samples.begin(), samples.end());
+        // Linear interpolation between the closest ranks.
+        const auto at = [&samples](double p) {
+            const double pos = p * static_cast<double>(samples.size() - 1);
+            const auto lo = static_cast<std::size_t>(pos);
+            const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+            return samples[lo] +
+                   (pos - static_cast<double>(lo)) *
+                       (samples[hi] - samples[lo]);
+        };
+        q1 = at(0.25);
+        median = at(0.5);
+        q3 = at(0.75);
+    }
+
+    /** "q1-q3": one CSV field. */
+    std::string
+    iqr() const
+    {
+        return Table::num(q1) + "-" + Table::num(q3);
+    }
+};
 
 /** One backend family's measurements for one program. */
 struct FamilyResult
 {
-    double genericRate = 0, bytecodeRate = 0;
-    Cycles direct = 0, generic = 0, bytecode = 0;
+    std::vector<double> generic, bytecode; ///< replays/s samples
+    Cycles direct = 0;
+    bool cyclesMatch = true;
 };
 
 template <typename Make>
 FamilyResult
-measureFamily(const graph::CsrGraph &g, gpm::GpmApp app,
-              const trace::BytecodeProgram &bc, Make make,
-              double min_seconds)
+measureFamily(const char *name, const graph::CsrGraph &g,
+              gpm::GpmApp app, const trace::BytecodeProgram &bc,
+              Make make, double min_seconds)
 {
     FamilyResult r;
     {
@@ -174,19 +213,46 @@ measureFamily(const graph::CsrGraph &g, gpm::GpmApp app,
         gpm::PlanExecutor executor(g, *be);
         r.direct = executor.runMany(gpm::gpmAppPlans(app)).cycles;
     }
-    r.genericRate = measureReplays(
-        [&] {
-            auto be = make();
-            Forwarding fwd(*be);
-            return trace::replayCompiled(bc, fwd, false).cycles;
-        },
-        min_seconds, &r.generic);
-    r.bytecodeRate = measureReplays(
-        [&] {
-            auto be = make();
-            return trace::replayCompiled(bc, *be, false).cycles;
-        },
-        min_seconds, &r.bytecode);
+    const auto generic = [&] {
+        auto be = make();
+        Forwarding fwd(*be);
+        return trace::replayCompiled(bc, fwd, false).cycles;
+    };
+    const auto bytecode = [&] {
+        auto be = make();
+        return trace::replayCompiled(bc, *be, false).cycles;
+    };
+    // Alternate which engine goes first, so drift in the host's load
+    // lands on both.
+    for (int i = 0; i < kSamples; ++i) {
+        Cycles generic_cycles = 0, bytecode_cycles = 0;
+        const auto sampleGeneric = [&] {
+            r.generic.push_back(
+                measureReplays(generic, min_seconds, &generic_cycles));
+        };
+        const auto sampleBytecode = [&] {
+            r.bytecode.push_back(
+                measureReplays(bytecode, min_seconds, &bytecode_cycles));
+        };
+        if (i % 2 == 0) {
+            sampleGeneric();
+            sampleBytecode();
+        } else {
+            sampleBytecode();
+            sampleGeneric();
+        }
+        if (generic_cycles != r.direct || bytecode_cycles != r.direct) {
+            std::fprintf(stderr,
+                         "FAIL: %s %s replay cycles differ from direct "
+                         "execution (%llu generic, %llu bytecode, %llu "
+                         "direct)\n",
+                         gpm::gpmAppName(app), name,
+                         static_cast<unsigned long long>(generic_cycles),
+                         static_cast<unsigned long long>(bytecode_cycles),
+                         static_cast<unsigned long long>(r.direct));
+            r.cyclesMatch = false;
+        }
+    }
     return r;
 }
 
@@ -200,11 +266,13 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
 
-    const double min_seconds = smoke ? 0.05 : 0.5;
+    const double min_seconds = smoke ? 0.02 : 0.3;
     std::printf("==== replay microbench: generic loop vs devirtualized "
                 "bytecode ====\n");
     std::printf("host wall clock only; cycles are checksummed against "
-                "direct execution\n\n");
+                "direct execution; %d samples per cell, median and "
+                "interquartile range (q1-q3)\n\n",
+                kSamples);
 
     // Fig. 7-class workload: power-law graphs, the paper's headline
     // app set. The smoke graph keeps every leg under a second; the
@@ -226,9 +294,6 @@ main(int argc, char **argv)
                                          gpm::GpmApp::C5};
 
     static const arch::SparseCoreConfig config;
-    const auto functional = [] {
-        return std::make_unique<backend::FunctionalBackend>();
-    };
     const auto cpu = [] {
         return std::make_unique<backend::CpuBackend>(config.core,
                                                      config.mem);
@@ -239,12 +304,12 @@ main(int argc, char **argv)
 
     bench::BenchReport report("replay");
     Table table({"app", "backend", "events", "generic replays/s",
-                 "bytecode replays/s", "speedup"});
+                 "generic IQR", "bytecode replays/s", "bytecode IQR",
+                 "speedup"});
     Table capture({"app", "events", "instructions", "code bytes",
                    "bytes/event", "capture ms"});
 
     bool ok = true;
-    double best_speedup = 0;
     for (const gpm::GpmApp app : apps) {
         const bench::WallTimer capture_timer;
         const trace::BytecodeProgram bc =
@@ -252,32 +317,19 @@ main(int argc, char **argv)
         const double capture_seconds = capture_timer.seconds();
 
         const std::pair<const char *, FamilyResult> families[] = {
-            {"functional",
-             measureFamily(g, app, bc, functional, min_seconds)},
-            {"cpu", measureFamily(g, app, bc, cpu, min_seconds)},
-            {"sparsecore",
-             measureFamily(g, app, bc, sparsecore, min_seconds)},
+            {"cpu", measureFamily("cpu", g, app, bc, cpu, min_seconds)},
+            {"sparsecore", measureFamily("sparsecore", g, app, bc,
+                                         sparsecore, min_seconds)},
         };
         for (const auto &[name, r] : families) {
-            if (r.generic != r.direct || r.bytecode != r.direct) {
-                std::fprintf(stderr,
-                             "FAIL: %s %s replay cycles differ from "
-                             "direct execution (%llu generic, %llu "
-                             "bytecode, %llu direct)\n",
-                             gpm::gpmAppName(app), name,
-                             static_cast<unsigned long long>(r.generic),
-                             static_cast<unsigned long long>(r.bytecode),
-                             static_cast<unsigned long long>(r.direct));
-                ok = false;
-            }
-            const double speedup = r.bytecodeRate / r.genericRate;
-            if (std::strcmp(name, "functional") == 0)
-                best_speedup = std::max(best_speedup, speedup);
+            ok = ok && r.cyclesMatch;
+            const Spread generic(r.generic), bytecode(r.bytecode);
             table.addRow({gpm::gpmAppName(app), name,
                           std::to_string(bc.numEvents()),
-                          Table::num(r.genericRate, 1),
-                          Table::num(r.bytecodeRate, 1),
-                          Table::speedup(speedup)});
+                          Table::num(generic.median), generic.iqr(),
+                          Table::num(bytecode.median), bytecode.iqr(),
+                          Table::speedup(bytecode.median /
+                                         generic.median)});
         }
 
         capture.addRow(
@@ -290,25 +342,10 @@ main(int argc, char **argv)
              Table::num(capture_seconds * 1e3, 2)});
     }
 
+    report.setExtra("samples_per_cell",
+                    JsonValue::number(std::uint64_t{kSamples}));
     report.emit("replay throughput by engine (wall clock)", table);
     report.emit("capture cost and code density", capture);
     report.finish();
-
-    if (!ok)
-        return 1;
-    // The devirtualization claim: on the functional substrate, where
-    // decode and dispatch ARE the loop, the concrete-backend replay
-    // must be at least 5x faster than the generic loop. Gate it so
-    // the perf claim cannot silently rot.
-    if (best_speedup < 5.0) {
-        std::fprintf(stderr,
-                     "FAIL: best functional replay speedup %.2fx < "
-                     "5x target\n",
-                     best_speedup);
-        return 1;
-    }
-    std::printf("best functional replay speedup: %.1fx (>= 5x "
-                "target)\n",
-                best_speedup);
-    return 0;
+    return ok ? 0 : 1;
 }

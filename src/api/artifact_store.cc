@@ -140,19 +140,6 @@ ArtifactStore::peekTrace(const std::string &key)
     return traces_.peek(key);
 }
 
-std::shared_ptr<const graph::CsrGraph>
-ArtifactStore::graph(const std::string &dataset_key) const
-{
-    return graph::loadGraphShared(dataset_key);
-}
-
-std::shared_ptr<const graph::LabeledGraph>
-ArtifactStore::labeledGraph(const std::string &dataset_key,
-                            std::uint32_t num_labels) const
-{
-    return graph::loadLabeledGraphShared(dataset_key, num_labels);
-}
-
 ArtifactStoreStats
 ArtifactStore::stats() const
 {

@@ -22,14 +22,13 @@
  * summary caches hold small derived reports. Keys carry no format
  * version: a cached program never leaves process memory.
  *
- * Cached and cold paths are bit-identical in results and simulated
- * cycles (the PR-2/PR-6 replay invariants; pinned again by
- * tests/artifact_store_test.cc). The store only moves host
- * wall-clock. SC_ARTIFACT_CACHE=off|on is the process-wide escape
- * hatch; RunOptions::artifactCache / HostOptions::artifactCache
- * override per call. SC_ARTIFACT_CACHE_BYTES bounds the resident
- * bytes per cache (programs, verdicts, summaries; default 1 GiB
- * each) — LRU eviction with in-use artifacts pinned by their
+ * Every api path takes its program from here (api::prepare). A cold
+ * capture and a warm hit replay to the same results and simulated
+ * cycles as direct execution (the replay invariant; pinned by
+ * tests/artifact_store_test.cc and the cycle golden), so the store
+ * only moves host wall-clock. SC_ARTIFACT_CACHE_BYTES bounds the
+ * resident bytes per cache (programs, verdicts, summaries; default
+ * 1 GiB each) — LRU eviction with in-use artifacts pinned by their
  * shared_ptr.
  */
 
@@ -136,13 +135,6 @@ class ArtifactStore
      *  never counts a hit or miss (the smoke legs pin those). */
     std::shared_ptr<const CachedTrace>
     peekTrace(const std::string &key);
-
-    /** Dataset-registry accessors (shared graph+index artifacts). */
-    std::shared_ptr<const graph::CsrGraph>
-    graph(const std::string &dataset_key) const;
-    std::shared_ptr<const graph::LabeledGraph>
-    labeledGraph(const std::string &dataset_key,
-                 std::uint32_t num_labels = 8) const;
 
     ArtifactStoreStats stats() const;
     /** Drop resident programs and their reports (graph registry

@@ -255,49 +255,43 @@ JobQueue::submit(JobSpec spec)
     // JobDiags before it costs a scheduler slot. Cold jobs verify at
     // execution exactly as before (the program does not exist yet), and
     // jobs that declare no arch limits are never pressure-rejected.
-    if (!resolved.job->affinityKey.empty()) {
-        ArtifactStore &store = ArtifactStore::global();
-        if (const auto cached =
-                store.peekTrace(resolved.job->affinityKey)) {
-            const arch::SparseCoreConfig &cfg = resolved.job->config;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++verifyChecked_;
-            }
-            if (spec.options.verify.value_or(
-                    analysis::verifyByDefault())) {
-                const auto verdict =
-                    store.verdict(resolved.job->affinityKey,
-                                  cached->trace, cfg.numStreamRegs);
-                if (verdict->hasErrors()) {
-                    {
-                        std::lock_guard<std::mutex> lock(mutex_);
-                        ++verifyRejected_;
-                    }
-                    report.errors.push_back(
-                        {"program", verdict->format()});
-                    return reject(std::move(report));
+    ArtifactStore &store = ArtifactStore::global();
+    const std::string &key = resolved.job->affinityKey;
+    if (const auto cached = store.peekTrace(key)) {
+        const arch::SparseCoreConfig &cfg = resolved.job->config;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++verifyChecked_;
+        }
+        if (spec.options.verify.value_or(analysis::verifyByDefault())) {
+            const auto verdict =
+                store.verdict(key, cached->trace, cfg.numStreamRegs);
+            if (verdict->hasErrors()) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    ++verifyRejected_;
                 }
+                report.errors.push_back({"program", verdict->format()});
+                return reject(std::move(report));
             }
-            if (spec.numSus) {
-                const auto summary = store.summary(
-                    resolved.job->affinityKey, cached->trace, cfg);
-                if (summary->maxPressure > *spec.numSus) {
-                    {
-                        std::lock_guard<std::mutex> lock(mutex_);
-                        ++pressureRejected_;
-                    }
-                    report.errors.push_back(
-                        {"arch.sus",
-                         strprintf("peak live-stream pressure %u "
-                                   "(first at event %llu) exceeds the "
-                                   "declared arch.sus budget of %u",
-                                   summary->maxPressure,
-                                   static_cast<unsigned long long>(
-                                       summary->maxPressurePc),
-                                   *spec.numSus)});
-                    return reject(std::move(report));
+        }
+        if (spec.numSus) {
+            const auto summary = store.summary(key, cached->trace, cfg);
+            if (summary->maxPressure > *spec.numSus) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    ++pressureRejected_;
                 }
+                report.errors.push_back(
+                    {"arch.sus",
+                     strprintf("peak live-stream pressure %u (first at "
+                               "event %llu) exceeds the declared "
+                               "arch.sus budget of %u",
+                               summary->maxPressure,
+                               static_cast<unsigned long long>(
+                                   summary->maxPressurePc),
+                               *spec.numSus)});
+                return reject(std::move(report));
             }
         }
     }

@@ -168,9 +168,6 @@ JobSpec::toJsonValue() const
                  JsonValue::number(std::uint64_t{options.rootStride}));
     if (options.verify)
         opts.set("verify", JsonValue::boolean(*options.verify));
-    if (options.artifactCache)
-        opts.set("artifact_cache",
-                 JsonValue::boolean(*options.artifactCache));
     if (!opts.members().empty())
         out.set("options", std::move(opts));
     return out;
@@ -293,13 +290,10 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
         } else if (name == "verify") {
             if (reader.readBool(name, value, b))
                 options.verify = b;
-        } else if (name == "artifact_cache") {
-            if (reader.readBool(name, value, b))
-                options.artifactCache = b;
         } else {
             diag(errors, reader.fieldPath(name),
                  "unknown field (options accepts stride, root_stride, "
-                 "verify, artifact_cache)");
+                 "verify)");
         }
     }
 }
@@ -756,8 +750,7 @@ resolveJob(const JobSpec &spec)
       }
     }
 
-    // Dataset-affinity key = the store trace key this job will hit
-    // ("" when a disabled cache shares nothing).
+    // Dataset-affinity key = the store trace key this job will hit.
     job.affinityKey = traceKey(job.request);
 
     out.job = std::move(job);

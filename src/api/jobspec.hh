@@ -150,10 +150,9 @@ struct ResolvedJob
 
     /** Dataset-affinity key: api::traceKey(request), the
      *  ArtifactStore trace key this job will capture or replay
-     *  (workload + operand content fingerprints + sampling), or ""
-     *  when its artifact cache is disabled. The JobQueue's affinity
-     *  scheduler groups jobs into lanes by this key, and admission
-     *  checks a resident program under it. */
+     *  (workload + operand content fingerprints + sampling). The
+     *  JobQueue's affinity scheduler groups jobs into lanes by this
+     *  key, and admission checks a resident program under it. */
     std::string affinityKey;
 
     std::shared_ptr<const graph::CsrGraph> graph;

@@ -60,7 +60,7 @@ Machine::run(const RunRequest &request, Substrate substrate) const
     validate(request);
 
     // Capture once (or hit the store), then replay the program onto
-    // the substrate. With the store off the capture is local.
+    // the substrate.
     const Prepared prepared = prepare(request, request.options.verify);
     const auto t0 = std::chrono::steady_clock::now();
     const auto be = makeBackend(substrate, config_);

@@ -13,9 +13,8 @@
  * keeps its captured program in the content-keyed ArtifactStore
  * (api/artifact_store.hh), so repeated runs of one request across
  * substrates, configs or sweep points pay the functional enumeration
- * once. Cached and cold paths are bit-identical (results and
- * cycles); SC_ARTIFACT_CACHE or RunOptions::artifactCache opt out,
- * and each call then captures its own program.
+ * once. A cold capture and a warm hit give the same results and
+ * cycles as direct execution (api::execute) on the same backend.
  */
 
 #ifndef SPARSECORE_API_MACHINE_HH

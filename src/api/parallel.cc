@@ -44,7 +44,6 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
     const unsigned num_chunks = num_cores * std::max(1u, host.chunksPerCore);
     RunOptions options;
     options.rootStride = root_stride;
-    options.artifactCache = host.artifactCache;
     const std::string run_key =
         traceKey(RunRequest::gpm(app, g, options));
 
@@ -56,10 +55,9 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
     const auto runs = parallelMap<ChunkRun>(
         pool, num_chunks, [&](std::size_t m) {
             const auto chunk = static_cast<unsigned>(m);
-            const std::string key =
-                run_key.empty() ? std::string{}
-                                : run_key + "/c" + std::to_string(chunk) +
-                                      "of" + std::to_string(num_chunks);
+            const std::string key = run_key + "/c" +
+                                    std::to_string(chunk) + "of" +
+                                    std::to_string(num_chunks);
             const Prepared prepared = prepare(
                 key,
                 [&](trace::TraceRecorder &recorder) {

@@ -22,7 +22,6 @@
 #define SPARSECORE_API_PARALLEL_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "arch/config.hh"
@@ -63,15 +62,6 @@ struct HostOptions
      * one-session-per-core split exactly.
      */
     unsigned chunksPerCore = 4;
-    /**
-     * Share per-chunk captured programs across runs through the
-     * content-keyed ArtifactStore (same contract as
-     * RunOptions::artifactCache): a warm mining or comparison call
-     * skips every chunk's functional capture. nullopt =
-     * SC_ARTIFACT_CACHE (default on); cached and cold runs are
-     * bit-identical in results and cycles.
-     */
-    std::optional<bool> artifactCache;
 };
 
 /**

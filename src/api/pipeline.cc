@@ -3,14 +3,13 @@
 #include <chrono>
 #include <cinttypes>
 
-#include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/sparsecore_backend.hh"
-#include "common/config.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "gpm/executor.hh"
 #include "gpm/fsm.hh"
+#include "isa/stream_inst.hh"
 #include "kernels/ttm.hh"
 #include "kernels/ttv.hh"
 
@@ -30,9 +29,6 @@ throwOnErrors(const analysis::VerifyReport &report)
 std::string
 traceKey(const RunRequest &req)
 {
-    // A per-request override beats SC_ARTIFACT_CACHE.
-    if (!req.options.artifactCache.value_or(config().artifactCache))
-        return {};
     const unsigned stride = req.options.stride;
     switch (req.workload) {
       case RunRequest::Workload::Gpm:
@@ -58,7 +54,7 @@ traceKey(const RunRequest &req)
                          req.tensor->fingerprint(),
                          req.matrixB->fingerprint(), stride);
     }
-    return {};
+    panic("unknown workload %u", static_cast<unsigned>(req.workload));
 }
 
 RunResult
@@ -111,33 +107,22 @@ prepare(const std::string &key, const ArtifactStore::CaptureFn &capture,
         std::optional<bool> verify)
 {
     const bool check = verify.value_or(analysis::verifyByDefault());
+    ArtifactStore &store = ArtifactStore::global();
     Prepared out;
-    // A local call always captures. A keyed call's hit flag comes from
-    // whether *this call* ran the store's builder, which is race-free
-    // under concurrent callers (the store runs each builder at most
-    // once), unlike sampling its counters.
-    bool captured = key.empty();
+    // The hit flag comes from whether *this call* ran the store's
+    // builder, which is race-free under concurrent callers (the store
+    // runs each builder at most once), unlike sampling its counters.
+    bool captured = false;
     const auto t0 = std::chrono::steady_clock::now();
-    if (!key.empty()) {
-        out.cached = ArtifactStore::global().trace(
-            key, [&](trace::TraceRecorder &rec) {
-                captured = true;
-                return capture(rec);
-            });
-    } else {
-        auto local = std::make_shared<ArtifactStore::CachedTrace>();
-        trace::TraceRecorder recorder;
-        local->functionalResult = capture(recorder);
-        local->trace = recorder.takeTrace();
-        out.cached = std::move(local);
-    }
+    out.cached = store.trace(key, [&](trace::TraceRecorder &rec) {
+        captured = true;
+        return capture(rec);
+    });
     const auto t1 = std::chrono::steady_clock::now();
     out.program = {out.cached, &out.cached->trace};
-    if (check && key.empty())
-        throwOnErrors(analysis::verifyBytecode(*out.program));
-    else if (check)
-        throwOnErrors(*ArtifactStore::global().verdict(
-            key, *out.program, isa::numStreamRegs));
+    if (check)
+        throwOnErrors(
+            *store.verdict(key, *out.program, isa::numStreamRegs));
 
     TraceStats &stats = out.stats;
     stats.events = out.program->numEvents();

@@ -4,8 +4,8 @@
  *
  *   traceKey()     the request's content key in the ArtifactStore
  *   execute()      run the request's workload against any backend
- *   prepare()      obtain the captured program (ArtifactStore under a
- *                  content key, or a local capture), verify it once
+ *   prepare()      obtain the captured program from the ArtifactStore
+ *                  under its content key, and check its verdict
  *   makeBackend()  the timing backend for a substrate
  *   replayCompiled the devirtualized bytecode replay (trace/replay.hh)
  *
@@ -13,8 +13,9 @@
  * job queue and the figure drivers all route through these, so keys,
  * verification, store traffic and TraceStats cannot drift between
  * them. Replay is bit-identical to execute() on the same backend (the
- * trace invariant), so whether a program comes from the store or a
- * fresh capture only moves host wall clock.
+ * trace invariant), so whether prepare() captured or hit the store
+ * only moves host wall clock, and execute() on a fresh makeBackend()
+ * is the reference a replay is checked against.
  */
 
 #ifndef SPARSECORE_API_PIPELINE_HH
@@ -47,9 +48,9 @@ struct Prepared
 };
 
 /**
- * The ArtifactStore key of the request's captured program, or "" when
- * the request's artifactCache resolves off. Keys are built from
- * content fingerprints, never from object addresses or names:
+ * The ArtifactStore key of the request's captured program. Keys are
+ * built from content fingerprints, never from object addresses or
+ * names:
  *
  *   gpm/<app>/g<graph fp>/s<root stride>
  *   fsm/lg<labeled-graph fp>/sup<min support>
@@ -69,16 +70,15 @@ RunResult execute(const RunRequest &req, backend::ExecBackend &be);
 /**
  * Obtain and verify one workload's captured program.
  *
- * With a non-empty `key` the program comes out of
- * ArtifactStore::global(): `capture` runs only on a store miss, and
- * concurrent callers share one capture. With an empty key `capture`
- * runs against a local recorder and the program is private.
+ * The program comes out of ArtifactStore::global() under `key`:
+ * `capture` runs only on a store miss, and concurrent callers share
+ * one capture.
  *
  * When `verify` resolves true (nullopt = analysis::verifyByDefault())
  * the program is checked against the stream-lifetime contract on
- * every call — a keyed call recalls the store's cached verdict, so a
- * resident program never skips the check — and analysis::VerifyError
- * is thrown before anything is replayed.
+ * every call — through the store's cached verdict, so a resident
+ * program never skips the check — and analysis::VerifyError is
+ * thrown before anything is replayed.
  */
 Prepared prepare(const std::string &key,
                  const ArtifactStore::CaptureFn &capture,

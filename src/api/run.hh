@@ -50,15 +50,6 @@ struct RunOptions
      * the trace, so it never changes simulated cycles.
      */
     std::optional<bool> verify;
-    /**
-     * Share captured programs across run()/compare() calls through
-     * the content-keyed ArtifactStore (api/artifact_store.hh).
-     * nullopt = SC_ARTIFACT_CACHE (default on); off, each call
-     * captures its own. Cached and cold paths are bit-identical in
-     * results and simulated cycles — the store only moves host
-     * wall-clock (tests/artifact_store_test.cc pins the identity).
-     */
-    std::optional<bool> artifactCache;
 };
 
 /**

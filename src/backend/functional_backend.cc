@@ -1,7 +1,5 @@
 #include "backend/functional_backend.hh"
 
-#include "trace/bytecode.hh"
-
 namespace sc::backend {
 
 FunctionalBackend::FunctionalBackend()
@@ -114,28 +112,6 @@ FunctionalBackend::valueMerge(BackendStream, BackendStream,
     lengthHist_.sample(bk.size());
     ++liveStreams_;
     return nextHandle();
-}
-
-void
-FunctionalBackend::applyProfile(const trace::EventProfile &p)
-{
-    streamLoads_ += p.streamLoads;
-    streamLoadsKv_ += p.streamLoadsKv;
-    streamFrees_ += p.streamFrees;
-    for (std::size_t k = 0; k < numSetOpKinds; ++k) {
-        *setOps_[k] += p.setOps[k];
-        *setOpCounts_[k] += p.setOpCounts[k];
-    }
-    setOpElements_ += p.setOpElements;
-    valueIntersects_ += p.valueIntersects;
-    valueMatches_ += p.valueMatches;
-    valueMerges_ += p.valueMerges;
-    nestedIntersects_ += p.nestedGroups;
-    nestedElements_ += p.nestedElements;
-    for (const auto &[length, occurrences] : p.lengthSamples)
-        lengthHist_.sample(length, occurrences);
-    liveStreams_ += p.liveStreamDelta;
-    next_ += static_cast<BackendStream>(p.streamsCreated);
 }
 
 void

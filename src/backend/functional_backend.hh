@@ -12,14 +12,9 @@
 #include "backend/exec_backend.hh"
 #include "common/stats.hh"
 
-namespace sc::trace {
-struct EventProfile;
-} // namespace sc::trace
-
 namespace sc::backend {
 
-/** Structure-only backend. Final so the bytecode replay loop's
- *  per-backend instantiation devirtualizes every call. */
+/** Structure-only backend. */
 class FunctionalBackend final : public ExecBackend
 {
   public:
@@ -69,16 +64,6 @@ class FunctionalBackend final : public ExecBackend
     }
     void nestedIntersect(BackendStream s, streams::KeySpan s_keys,
                          const std::vector<NestedItem> &elems) override;
-
-    /**
-     * Apply a captured program's aggregate profile in one shot —
-     * exactly the state every hook of a per-event replay would leave
-     * (this backend is stateless across events: each hook is counter
-     * bumps plus order-independent histogram samples), at
-     * O(distinct lengths) instead of O(events). The bytecode replay
-     * path (trace::replayCompiled) uses this instead of walking.
-     */
-    void applyProfile(const trace::EventProfile &profile);
 
     const StatSet &stats() const { return stats_; }
     const Histogram &streamLengthHist() const { return lengthHist_; }

@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -56,18 +57,17 @@ loadConfig(
     if (const auto v = lookup("SC_VERIFY"))
         cfg.verify = parseSwitch("SC_VERIFY", *v);
 
-    if (const auto v = lookup("SC_ARTIFACT_CACHE"))
-        cfg.artifactCache = parseSwitch("SC_ARTIFACT_CACHE", *v);
-
     if (const auto v = lookup("SC_ARTIFACT_CACHE_BYTES")) {
-        char *end = nullptr;
-        const unsigned long long bytes =
-            std::strtoull(v->c_str(), &end, 10);
-        if (end == v->c_str() || *end)
+        // from_chars takes no sign and reports overflow, where strtoull
+        // would negate "-1" and saturate past 2^64 - 1.
+        const char *const end = v->data() + v->size();
+        std::size_t bytes = 0;
+        const auto [ptr, ec] = std::from_chars(v->data(), end, bytes);
+        if (ec != std::errc{} || ptr != end)
             fatal("SC_ARTIFACT_CACHE_BYTES must be a byte count, "
                   "got '%s'",
                   v->c_str());
-        cfg.artifactCacheBytes = static_cast<std::size_t>(bytes);
+        cfg.artifactCacheBytes = bytes;
     }
 
     if (const auto v = lookup("SC_HOST_THREADS")) {
@@ -120,10 +120,6 @@ describeConfig()
         cfg.verify ? (*cfg.verify ? "1" : "0") : "build-type",
         set("SC_VERIFY"), "off|on|0|1",
         "stream-lifetime verifier (default: on in debug builds)"));
-    knobs.push_back(row(
-        "SC_ARTIFACT_CACHE", cfg.artifactCache ? "on" : "off",
-        set("SC_ARTIFACT_CACHE"), "off|on|0|1",
-        "content-keyed trace/program store"));
     knobs.push_back(row(
         "SC_ARTIFACT_CACHE_BYTES",
         std::to_string(cfg.artifactCacheBytes),

@@ -17,7 +17,6 @@
  *
  *   SC_JOB_SCHED           fifo|affinity         JobQueue scheduling policy
  *   SC_VERIFY              off|on|0|1            stream-lifetime verifier
- *   SC_ARTIFACT_CACHE      off|on|0|1            content-keyed store
  *   SC_ARTIFACT_CACHE_BYTES <bytes>              per-cache LRU budget
  *   SC_HOST_THREADS        1..1024               host pool size
  *   SC_BENCH_DIR           <dir>                 BENCH_*.json directory
@@ -51,8 +50,6 @@ struct Config
     std::string jobSched = "affinity";
     /** SC_VERIFY: nullopt = build-type default (debug on). */
     std::optional<bool> verify;
-    /** SC_ARTIFACT_CACHE (default on). */
-    bool artifactCache = true;
     /** SC_ARTIFACT_CACHE_BYTES (default 1 GiB per cache). */
     std::size_t artifactCacheBytes = std::size_t{1} << 30;
     /** SC_HOST_THREADS: 0 = hardware_concurrency(). */

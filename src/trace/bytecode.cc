@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "trace/wire.hh"
 
@@ -26,39 +25,21 @@ rangeFits(std::uint64_t off, std::uint64_t len, std::size_t size)
 }
 
 /**
- * walkBytecode handler doing validation and profile accumulation in
- * one pass (finalize() runs it once per capture or load).
- *
- * Validation: every operand in range — handles below handleCount or
- * sentinel, spans inside the arena, nested groups inside the entry
- * table, set-op kinds in range — so the replay loops index unchecked;
- * and no handle count past the handles the code uses, so an image
- * cannot make a replay size its handle map from a forged header.
- *
- * Profile: the EventProfile mirrors the cost-model updates
- * FunctionalBackend's hooks perform per event
- * (backend/functional_backend.cc), aggregated — counts per hook,
- * set-op element work, and every stream-length histogram sample.
- * Lengths are small (span lengths and load lengths), so the multiset
- * uses a flat array with a map spillover for outliers.
+ * walkBytecode handler validating a program (finalize() runs it once
+ * per capture or load): every operand in range — handles below
+ * handleCount or sentinel, spans inside the arena, nested groups
+ * inside the entry table, set-op kinds in range — so the replay loops
+ * index unchecked; and no handle count past the handles the code
+ * uses, so an image cannot make a replay size its handle map from a
+ * forged header.
  */
 struct Auditor
 {
-    static constexpr std::size_t denseLengthLimit = 4096;
-
-    explicit Auditor(const BytecodeProgram &program)
-        : bc(program), dense(denseLengthLimit, 0)
-    {
-    }
-
     const BytecodeProgram &bc;
     std::size_t instructions = 0;
     std::size_t events = 0;
     /** One past the largest non-sentinel handle seen. */
     std::uint64_t handlesUsed = 0;
-    EventProfile p;
-    std::vector<std::uint64_t> dense;
-    std::map<std::uint64_t, std::uint64_t> sparse;
 
     void
     checkHandle(TraceStream h)
@@ -80,7 +61,7 @@ struct Auditor
     void
     checkKind(std::uint8_t kind) const
     {
-        if (kind >= EventProfile::numSetOpKinds)
+        if (kind >= streams::numSetOpKinds)
             panic("bytecode set-op kind %u out of range", kind);
     }
     void
@@ -106,53 +87,30 @@ struct Auditor
                   static_cast<unsigned long long>(handlesUsed));
     }
 
-    void
-    sample(std::uint64_t length)
-    {
-        if (length < denseLengthLimit)
-            ++dense[length];
-        else
-            ++sparse[length];
-    }
-    void
-    created()
-    {
-        ++p.streamsCreated;
-        ++p.liveStreamDelta;
-    }
-
     void scalarOps(std::uint64_t, std::uint32_t repeat) { count(repeat); }
     void scalarBranch(std::uint64_t, bool) { count(); }
     void scalarLoad(Addr) { count(); }
     void
-    streamLoad(TraceStream res, Addr, std::uint64_t len, std::uint8_t,
+    streamLoad(TraceStream res, Addr, std::uint64_t, std::uint8_t,
                SpanRef s0)
     {
         checkHandle(res);
         checkSpan(s0);
         count();
-        ++p.streamLoads;
-        created();
-        sample(static_cast<std::uint32_t>(len));
     }
     void
-    streamLoadKv(TraceStream res, Addr, Addr, std::uint64_t len,
+    streamLoadKv(TraceStream res, Addr, Addr, std::uint64_t,
                  std::uint8_t, SpanRef s0)
     {
         checkHandle(res);
         checkSpan(s0);
         count();
-        ++p.streamLoadsKv;
-        created();
-        sample(static_cast<std::uint32_t>(len));
     }
     void
     streamFree(TraceStream a)
     {
         checkHandle(a);
         count();
-        ++p.streamFrees;
-        --p.liveStreamDelta;
     }
     void
     setOp(TraceStream res, std::uint8_t kind, TraceStream a,
@@ -166,11 +124,6 @@ struct Auditor
         checkSpan(s1);
         checkSpan(s2);
         count();
-        ++p.setOps[kind];
-        p.setOpElements += std::uint64_t{s0.len} + s1.len;
-        sample(s0.len);
-        sample(s1.len);
-        created();
     }
     void
     setOpCount(std::uint8_t kind, TraceStream a, TraceStream b,
@@ -182,10 +135,6 @@ struct Auditor
         checkSpan(s0);
         checkSpan(s1);
         count();
-        ++p.setOpCounts[kind];
-        p.setOpElements += std::uint64_t{s0.len} + s1.len;
-        sample(s0.len);
-        sample(s1.len);
     }
     void
     valueIntersect(bool, TraceStream a, TraceStream b, SpanRef s0,
@@ -198,10 +147,6 @@ struct Auditor
         checkSpan(s2);
         checkSpan(s3);
         count();
-        ++p.valueIntersects;
-        p.valueMatches += s2.len;
-        sample(s0.len);
-        sample(s1.len);
     }
     void
     valueMerge(TraceStream res, TraceStream a, TraceStream b,
@@ -213,10 +158,6 @@ struct Auditor
         checkSpan(s0);
         checkSpan(s1);
         count();
-        ++p.valueMerges;
-        sample(s0.len);
-        sample(s1.len);
-        created();
     }
     void
     nestedGroup(TraceStream a, SpanRef s0, std::uint64_t index,
@@ -228,10 +169,6 @@ struct Auditor
             panic("bytecode nested group [%llu, +%u) out of range",
                   static_cast<unsigned long long>(index), n);
         count();
-        ++p.nestedGroups;
-        p.nestedElements += n;
-        for (std::uint32_t i = 0; i < n; ++i)
-            sample(bc.nestedEntry(index + i).nested.len);
     }
     void
     consumeStream(TraceStream a)
@@ -244,17 +181,6 @@ struct Auditor
     {
         checkHandle(a);
         count();
-    }
-
-    EventProfile
-    take()
-    {
-        for (std::uint64_t len = 0; len < dense.size(); ++len)
-            if (dense[len])
-                p.lengthSamples.emplace_back(len, dense[len]);
-        for (const auto &[len, n] : sparse)
-            p.lengthSamples.emplace_back(len, n);
-        return std::move(p);
     }
 };
 
@@ -358,10 +284,9 @@ BytecodeProgram::deserialize(std::string_view bytes)
 void
 BytecodeProgram::finalize()
 {
-    Auditor a(*this);
+    Auditor a{*this};
     walkBytecode</*BoundsChecked=*/true>(*this, a);
     a.verifyCounts();
-    profile_ = a.take();
 }
 
 void

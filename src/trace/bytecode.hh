@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -119,45 +118,6 @@ zigzagDecode(std::uint64_t code)
 }
 
 /**
- * Backend-independent aggregate of every cost-model update a replay
- * of the program performs: operation counts per hook, total set-op
- * work, and the full multiset of stream-length histogram samples.
- *
- * This is the limit case of run batching: for a stateless substrate
- * whose end state is a pure function of the program (FunctionalBackend
- * — every hook is a counter bump and/or an order-independent
- * histogram sample), the whole program collapses into one profile
- * application, so its replay costs O(distinct lengths) instead
- * of O(events). Derived when a capture finishes or an image loads,
- * from the code itself; never serialized (the SCBC image stays at
- * format v1).
- */
-struct EventProfile
-{
-    static constexpr std::size_t numSetOpKinds = streams::numSetOpKinds;
-
-    std::uint64_t streamLoads = 0;
-    std::uint64_t streamLoadsKv = 0;
-    std::uint64_t streamFrees = 0;
-    std::uint64_t setOps[numSetOpKinds] = {};
-    std::uint64_t setOpCounts[numSetOpKinds] = {};
-    std::uint64_t setOpElements = 0;   ///< sum |ak|+|bk| over both
-    std::uint64_t valueIntersects = 0; ///< dense folds in (same hook)
-    std::uint64_t valueMatches = 0;    ///< sum |match_a|
-    std::uint64_t valueMerges = 0;
-    std::uint64_t nestedGroups = 0;
-    std::uint64_t nestedElements = 0;
-    /** Streams created (loads + kv loads + set ops + merges). */
-    std::uint64_t streamsCreated = 0;
-    /** Creations minus frees — the end-of-replay live count. */
-    std::int64_t liveStreamDelta = 0;
-    /** Every stream-length histogram sample a call-by-call replay
-     *  would make, aggregated to (length, occurrences), sorted by
-     *  length. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> lengthSamples;
-};
-
-/**
  * One captured program: flat code + owned key arena + nested-entry
  * table. Immutable once TraceRecorder::takeTrace() or deserialize()
  * returns it; concurrent replays of one program are safe.
@@ -179,8 +139,6 @@ class BytecodeProgram
     }
     std::size_t numNestedEntries() const { return nested_.size(); }
     TraceStream handleCount() const { return handleCount_; }
-    /** Aggregate cost-model profile (see EventProfile). */
-    const EventProfile &profile() const { return profile_; }
 
     // ---------------- statistics ----------------
     std::size_t numInstructions() const { return numInstructions_; }
@@ -211,15 +169,14 @@ class BytecodeProgram
     friend class TraceRecorder;
 
     /**
-     * One fused, bounds-checked walk that validates the code and
-     * rebuilds profile_ (derived data — the serialized image carries
-     * none of it). Panics unless every operand is in range (handles
-     * below handleCount or sentinel, spans inside the arena, nested
-     * groups inside the entry table), the header counts match, and
-     * handleCount is at most one past the largest handle the code
-     * defines or names. Recorder output satisfies this by
-     * construction; deserialize() runs it so the unchecked replay
-     * loops can trust any loaded image.
+     * One bounds-checked walk that validates the code. Panics unless
+     * every operand is in range (handles below handleCount or
+     * sentinel, spans inside the arena, nested groups inside the
+     * entry table), the header counts match, and handleCount is at
+     * most one past the largest handle the code defines or names.
+     * Recorder output satisfies this by construction; deserialize()
+     * runs it so the unchecked replay loops can trust any loaded
+     * image.
      */
     void finalize();
 
@@ -229,7 +186,6 @@ class BytecodeProgram
     TraceStream handleCount_ = 0;
     std::size_t numInstructions_ = 0;
     std::size_t numEvents_ = 0;
-    EventProfile profile_;
 };
 
 /**

@@ -45,8 +45,7 @@ TraceRecorder::takeTrace()
     program_.arena_.shrink_to_fit();
     program_.nested_.shrink_to_fit();
     // The audit re-decodes the code with the shared walker, so it
-    // also proves encoder and decoder agree on this program's layout,
-    // and it aggregates the EventProfile stateless substrates apply.
+    // also proves encoder and decoder agree on this program's layout.
     program_.finalize();
     BytecodeProgram out = std::move(program_);
     begin();

@@ -2,7 +2,6 @@
 
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
-#include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 
 namespace sc::trace {
@@ -164,22 +163,16 @@ replayCompiled(const BytecodeProgram &program,
 
     backend.begin();
 
-    // One devirtualized loop instantiation per concrete backend: the
+    // One devirtualized loop instantiation per timing backend: the
     // concrete classes are final, so B's calls resolve statically and
-    // inline into the decode switch. The functional substrate goes
-    // further — it is stateless across events, so the EventProfile
-    // aggregate replaces the walk entirely (run batching taken to its
-    // limit; bit-identical stats by construction since every hook is
-    // additive and order-independent). Everything else (baseline
-    // accelerators, bench probes) takes the generic loop.
+    // inline into the decode switch. Everything else (the functional
+    // substrate, baseline accelerators, bench probes) takes the
+    // generic loop.
     if (auto *cpu = dynamic_cast<backend::CpuBackend *>(&backend))
         runBytecode(program, *cpu);
     else if (auto *sc =
                  dynamic_cast<backend::SparseCoreBackend *>(&backend))
         runBytecode(program, *sc);
-    else if (auto *fn =
-                 dynamic_cast<backend::FunctionalBackend *>(&backend))
-        fn->applyProfile(program.profile());
     else
         runBytecode(program, backend);
 

@@ -9,7 +9,7 @@
  *
  * The engine: the program (trace/bytecode.hh, encoded by
  * TraceRecorder while it captures) is driven by a template-specialized
- * loop instantiated per concrete backend, so every backend call
+ * loop instantiated per timing backend, so every backend call
  * devirtualizes and inlines. A program is reusable across backends
  * and replays — the intended shape is capture once, replayCompiled()
  * many times (api/pipeline.hh does exactly that for every api path,
@@ -39,9 +39,9 @@ struct ReplayResult
  * groups re-dispatch through the backend's nestedIntersect, which
  * lowers to the explicit loop on substrates without S_NESTINTER —
  * one program serves both classes of hardware. Dispatch
- * devirtualizes for the concrete backend types (CpuBackend,
- * SparseCoreBackend, FunctionalBackend); other ExecBackends run
- * through the generic loop, one virtual call per captured call.
+ * devirtualizes for the two timing backends api::makeBackend returns
+ * (CpuBackend, SparseCoreBackend); other ExecBackends run through the
+ * generic loop, one virtual call per captured call.
  *
  * When `verify` resolves to true (nullopt = analysis::verifyByDefault,
  * i.e. debug builds or SC_VERIFY=1) the program is checked against

@@ -460,8 +460,8 @@ TEST(VerifyHooks, MachineRunVerifiedMatchesUnverified)
     // A verified run checks its captured program before replaying
     // it; an unverified run replays it unchecked. Both must report
     // the same cycles, breakdown and functional result, for every
-    // workload, with the program from the store or captured locally
-    // (store off).
+    // workload, whether the program was captured cold or came out of
+    // the store warm.
     const auto g = test::randomTestGraph(60, 400, 9);
     const auto a = tensor::generateMatrix(
         24, 30, 160, tensor::MatrixStructure::Uniform, 16, "A");
@@ -474,15 +474,10 @@ TEST(VerifyHooks, MachineRunVerifiedMatchesUnverified)
     const api::Machine machine;
 
     const auto requests = [&](const api::RunOptions &options) {
-        api::RunOptions nostore = options;
-        nostore.artifactCache = false;
         std::vector<std::pair<std::string, api::RunRequest>> out;
         out.emplace_back("gpm TC",
                          api::RunRequest::gpm(gpm::GpmApp::TC, g,
                                               options));
-        out.emplace_back("gpm TC nostore",
-                         api::RunRequest::gpm(gpm::GpmApp::TC, g,
-                                              nostore));
         for (const auto algorithm :
              {kernels::SpmspmAlgorithm::Inner,
               kernels::SpmspmAlgorithm::Outer,

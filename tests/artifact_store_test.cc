@@ -1,17 +1,18 @@
 /**
  * @file
- * The ArtifactStore's contract: cached and cold paths are
- * bit-identical in functional results and simulated cycles (run(),
- * compare(), the host-parallel miners, every workload), artifacts are
- * content-keyed (two structurally identical graph, matrix or tensor
- * objects share one trace), each key holds one entry sized by its
- * program, the byte budget evicts LRU entries while pinned in-use
- * artifacts survive, and concurrent requests build each artifact
- * exactly once.
+ * The ArtifactStore's contract: a cold capture and a warm hit give
+ * the functional results and simulated cycles of direct execution
+ * (run(), compare(), the host-parallel miners, every workload),
+ * artifacts are content-keyed (two structurally identical graph,
+ * matrix or tensor objects share one trace), each key holds one
+ * entry sized by its program, the byte budget evicts LRU entries
+ * while pinned in-use artifacts survive, and concurrent requests
+ * build each artifact exactly once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -19,11 +20,11 @@
 #include "api/machine.hh"
 #include "api/parallel.hh"
 #include "api/pipeline.hh"
-#include "common/config.hh"
 #include "gpm/executor.hh"
 #include "gpm/fsm.hh"
 #include "graph/generators.hh"
 #include "tensor/tensor_gen.hh"
+#include "test_util.hh"
 
 using namespace sc;
 using namespace sc::api;
@@ -31,28 +32,20 @@ using namespace sc::api;
 namespace {
 
 /** Per-test seeds: each test gets a structurally distinct graph, so
- *  its first cache-on access is genuinely cold no matter which tests
- *  ran before it in this process (the store is process-wide). */
+ *  its first access is genuinely cold no matter which tests ran
+ *  before it in this process (the store is process-wide). */
 graph::CsrGraph
 testGraph(std::uint64_t seed)
 {
     return graph::generateChungLu(600, 7000, 150, 2.0, seed, "store");
 }
 
-RunOptions
-withCache(bool enabled)
-{
-    RunOptions options;
-    options.artifactCache = enabled;
-    return options;
-}
-
-/** Store on, with the tensor stride and the GPM root stride both at
- *  `stride` (each workload reads only its own). */
+/** The tensor stride and the GPM root stride both at `stride` (each
+ *  workload reads only its own). */
 RunOptions
 strided(unsigned stride)
 {
-    RunOptions options = withCache(true);
+    RunOptions options;
     options.stride = stride;
     options.rootStride = stride;
     return options;
@@ -82,21 +75,24 @@ TEST(ArtifactStore, CompareColdWarmBitIdentical)
 {
     Machine machine;
     const auto g = testGraph(101);
-    const auto off = machine.compare(
-        RunRequest::gpm(gpm::GpmApp::T, g, withCache(false)));
-    const auto cold = machine.compare(
-        RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
-    const auto warm = machine.compare(
-        RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
+    const auto req = RunRequest::gpm(gpm::GpmApp::T, g);
+    const auto cpu = test::directRun(req, Substrate::Cpu);
+    const auto sc = test::directRun(req, Substrate::SparseCore);
+    const auto cold = machine.compare(req);
+    const auto warm = machine.compare(req);
 
-    // Same result, same cycles, same breakdowns — the store only
-    // moves host wall-clock.
+    // Same result, same cycles, same breakdowns as direct execution —
+    // the store only moves host wall-clock.
     for (const auto *cmp : {&cold, &warm}) {
-        EXPECT_EQ(cmp->functionalResult, off.functionalResult);
-        EXPECT_EQ(cmp->baseline.cycles, off.baseline.cycles);
-        EXPECT_EQ(cmp->accelerated.cycles, off.accelerated.cycles);
-        EXPECT_EQ(cmp->trace.events, off.trace.events);
+        EXPECT_EQ(cmp->functionalResult, cpu.functionalResult);
+        EXPECT_EQ(cmp->functionalResult, sc.functionalResult);
+        EXPECT_EQ(cmp->baseline.cycles, cpu.cycles);
+        EXPECT_EQ(cmp->baseline.breakdown.cycles, cpu.breakdown.cycles);
+        EXPECT_EQ(cmp->accelerated.cycles, sc.cycles);
+        EXPECT_EQ(cmp->accelerated.breakdown.cycles,
+                  sc.breakdown.cycles);
     }
+    EXPECT_EQ(warm.trace.events, cold.trace.events);
     EXPECT_FALSE(cold.trace.traceCacheHit);
     EXPECT_TRUE(warm.trace.traceCacheHit);
 }
@@ -105,21 +101,17 @@ TEST(ArtifactStore, RunColdWarmBitIdentical)
 {
     Machine machine;
     const auto g = testGraph(102);
+    const auto req = RunRequest::gpm(gpm::GpmApp::TT, g);
     for (const Substrate substrate :
          {Substrate::Cpu, Substrate::SparseCore}) {
-        const auto off = machine.run(
-            RunRequest::gpm(gpm::GpmApp::TT, g, withCache(false)),
-            substrate);
-        const auto cold = machine.run(
-            RunRequest::gpm(gpm::GpmApp::TT, g, withCache(true)),
-            substrate);
-        const auto warm = machine.run(
-            RunRequest::gpm(gpm::GpmApp::TT, g, withCache(true)),
-            substrate);
-        EXPECT_EQ(cold.functionalResult, off.functionalResult);
-        EXPECT_EQ(warm.functionalResult, off.functionalResult);
-        EXPECT_EQ(cold.cycles, off.cycles);
-        EXPECT_EQ(warm.cycles, off.cycles);
+        const auto ref = test::directRun(req, substrate);
+        const auto cold = machine.run(req, substrate);
+        const auto warm = machine.run(req, substrate);
+        EXPECT_EQ(cold.functionalResult, ref.functionalResult);
+        EXPECT_EQ(warm.functionalResult, ref.functionalResult);
+        EXPECT_EQ(cold.cycles, ref.cycles);
+        EXPECT_EQ(warm.cycles, ref.cycles);
+        EXPECT_TRUE(warm.trace.traceCacheHit);
     }
 }
 
@@ -128,19 +120,18 @@ TEST(ArtifactStore, FsmColdWarmBitIdentical)
     Machine machine;
     const auto lg = graph::LabeledGraph::withRandomLabels(
         testGraph(103), 4, 77);
-    const auto off =
-        machine.compare(RunRequest::fsm(lg, 2, withCache(false)));
-    const auto warm1 =
-        machine.compare(RunRequest::fsm(lg, 2, withCache(true)));
-    const auto warm2 =
-        machine.compare(RunRequest::fsm(lg, 2, withCache(true)));
-    EXPECT_EQ(warm1.functionalResult, off.functionalResult);
-    EXPECT_EQ(warm2.functionalResult, off.functionalResult);
-    EXPECT_EQ(warm1.baseline.cycles, off.baseline.cycles);
-    EXPECT_EQ(warm2.baseline.cycles, off.baseline.cycles);
-    EXPECT_EQ(warm1.accelerated.cycles, off.accelerated.cycles);
-    EXPECT_EQ(warm2.accelerated.cycles, off.accelerated.cycles);
-    EXPECT_TRUE(warm2.trace.traceCacheHit);
+    const auto req = RunRequest::fsm(lg, 2);
+    const auto cpu = test::directRun(req, Substrate::Cpu);
+    const auto sc = test::directRun(req, Substrate::SparseCore);
+    const auto cold = machine.compare(req);
+    const auto warm = machine.compare(req);
+    for (const auto *cmp : {&cold, &warm}) {
+        EXPECT_EQ(cmp->functionalResult, cpu.functionalResult);
+        EXPECT_EQ(cmp->baseline.cycles, cpu.cycles);
+        EXPECT_EQ(cmp->accelerated.cycles, sc.cycles);
+    }
+    EXPECT_FALSE(cold.trace.traceCacheHit);
+    EXPECT_TRUE(warm.trace.traceCacheHit);
 }
 
 TEST(ArtifactStore, ContentKeyedAcrossGraphObjects)
@@ -154,9 +145,9 @@ TEST(ArtifactStore, ContentKeyedAcrossGraphObjects)
     ASSERT_EQ(g1.fingerprint(), g2.fingerprint());
 
     const auto first = machine.compare(
-        RunRequest::gpm(gpm::GpmApp::C4, g1, withCache(true)));
+        RunRequest::gpm(gpm::GpmApp::C4, g1));
     const auto second = machine.compare(
-        RunRequest::gpm(gpm::GpmApp::C4, g2, withCache(true)));
+        RunRequest::gpm(gpm::GpmApp::C4, g2));
     EXPECT_TRUE(second.trace.traceCacheHit);
     EXPECT_EQ(second.functionalResult, first.functionalResult);
     EXPECT_EQ(second.baseline.cycles, first.baseline.cycles);
@@ -166,26 +157,47 @@ TEST(ArtifactStore, ContentKeyedAcrossGraphObjects)
 TEST(ArtifactStore, ParallelMiningColdWarmBitIdentical)
 {
     const auto g = testGraph(105);
-    HostOptions off;
-    off.artifactCache = false;
-    HostOptions on;
-    on.artifactCache = true;
+    const HostOptions host;
+    constexpr unsigned cores = 4;
+    const unsigned chunks = cores * host.chunksPerCore;
 
-    const auto r_off =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 4, {}, 1, off);
+    // The reference: each root-loop chunk executed directly on a
+    // fresh backend, its cycles attributed to core m % cores.
+    const auto direct = [&](Substrate substrate) {
+        ParallelGpmResult ref;
+        ref.perCore.assign(cores, 0);
+        for (unsigned m = 0; m < chunks; ++m) {
+            const auto be = makeBackend(substrate, {});
+            gpm::PlanExecutor executor(g, *be);
+            executor.setRootRange(m, chunks);
+            const auto r =
+                executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::T));
+            ref.embeddings += r.embeddings;
+            ref.perCore[m % cores] += r.cycles;
+        }
+        for (const Cycles c : ref.perCore)
+            ref.cycles = std::max(ref.cycles, c);
+        return ref;
+    };
+    const ParallelGpmResult cpu = direct(Substrate::Cpu);
+    const ParallelGpmResult sc = direct(Substrate::SparseCore);
+
+    const auto before = ArtifactStore::global().stats();
     const auto r_cold =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 4, {}, 1, on);
+        mineParallelSparseCore(gpm::GpmApp::T, g, cores, {}, 1, host);
     const auto r_warm =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 4, {}, 1, on);
+        mineParallelSparseCore(gpm::GpmApp::T, g, cores, {}, 1, host);
+    const auto after = ArtifactStore::global().stats();
+    EXPECT_EQ(after.traces.misses, before.traces.misses + chunks);
+    EXPECT_EQ(after.traces.hits, before.traces.hits + chunks);
     for (const auto *r : {&r_cold, &r_warm}) {
-        EXPECT_EQ(r->embeddings, r_off.embeddings);
-        EXPECT_EQ(r->cycles, r_off.cycles);
-        EXPECT_EQ(r->perCore, r_off.perCore);
+        EXPECT_EQ(r->embeddings, sc.embeddings);
+        EXPECT_EQ(r->cycles, sc.cycles);
+        EXPECT_EQ(r->perCore, sc.perCore);
     }
     // Chunk m of n is keyed as the run key plus /c<m>of<n>.
     const std::string run_key =
-        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
-    const unsigned chunks = 4 * on.chunksPerCore;
+        traceKey(RunRequest::gpm(gpm::GpmApp::T, g));
     for (unsigned m = 0; m < chunks; ++m)
         EXPECT_NE(ArtifactStore::global().peekTrace(
                       run_key + "/c" + std::to_string(m) + "of" +
@@ -193,13 +205,13 @@ TEST(ArtifactStore, ParallelMiningColdWarmBitIdentical)
                   nullptr)
             << m;
 
-    const auto c_off =
-        compareParallelGpm(gpm::GpmApp::T, g, 4, {}, 1, off);
     const auto c_warm =
-        compareParallelGpm(gpm::GpmApp::T, g, 4, {}, 1, on);
-    EXPECT_EQ(c_warm.functionalResult, c_off.functionalResult);
-    EXPECT_EQ(c_warm.baseline.cycles, c_off.baseline.cycles);
-    EXPECT_EQ(c_warm.accelerated.cycles, c_off.accelerated.cycles);
+        compareParallelGpm(gpm::GpmApp::T, g, cores, {}, 1, host);
+    EXPECT_EQ(c_warm.functionalResult, cpu.embeddings);
+    EXPECT_EQ(c_warm.baseline.perCore, cpu.perCore);
+    EXPECT_EQ(c_warm.baseline.cycles, cpu.cycles);
+    EXPECT_EQ(c_warm.accelerated.perCore, sc.perCore);
+    EXPECT_EQ(c_warm.accelerated.cycles, sc.cycles);
 }
 
 TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
@@ -210,11 +222,9 @@ TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
     // program build to count.
     Machine machine;
     const auto g = testGraph(106);
-    const RunOptions options = withCache(true);
-
-    machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g, options));
+    machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g));
     const auto before = ArtifactStore::global().stats();
-    machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g, options));
+    machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g));
     const auto after = ArtifactStore::global().stats();
     EXPECT_EQ(after.traces.misses, before.traces.misses);
     EXPECT_EQ(after.traces.hits, before.traces.hits + 1);
@@ -237,9 +247,8 @@ TEST(ArtifactStore, OneEntryPerKeySizedByItsProgram)
     const graph::LabeledGraph lg(std::move(base), labels);
 
     const std::string gpm_key =
-        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, withCache(true)));
-    const std::string fsm_key =
-        traceKey(RunRequest::fsm(lg, 300, withCache(true)));
+        traceKey(RunRequest::gpm(gpm::GpmApp::T, g));
+    const std::string fsm_key = traceKey(RunRequest::fsm(lg, 300));
     const Prepared gpm_run =
         prepare(gpm_key, gpmCapture(g, gpm::GpmApp::T), false);
     const Prepared fsm_run =
@@ -331,22 +340,6 @@ TEST(ArtifactStore, ConcurrentRequestsCaptureOnce)
     EXPECT_EQ(stats.traces.entries, 1u);
     EXPECT_EQ(stats.traces.hits,
               static_cast<std::uint64_t>(kThreads) - 1);
-}
-
-TEST(ArtifactStore, EnvDefaultAndOverridesResolve)
-{
-    // An explicit override beats whatever SC_ARTIFACT_CACHE says;
-    // nullopt falls through to the environment default. A request
-    // that resolves off has no store key.
-    const auto g = testGraph(113);
-    const auto key = [&g](std::optional<bool> cache) {
-        RunOptions options;
-        options.artifactCache = cache;
-        return traceKey(RunRequest::gpm(gpm::GpmApp::T, g, options));
-    };
-    EXPECT_EQ(key(std::nullopt).empty(), !config().artifactCache);
-    EXPECT_FALSE(key(true).empty());
-    EXPECT_TRUE(key(false).empty());
 }
 
 TEST(ArtifactStore, KeysEncodeContentAndVersions)
@@ -447,7 +440,8 @@ TEST(ArtifactStore, TensorKeysAreContentKeyed)
 TEST(ArtifactStore, TensorRunColdWarmBitIdentical)
 {
     // A second run() of one tensor request replays the stored
-    // program; cold, warm and store-off runs agree bit for bit.
+    // program; cold and warm runs agree bit for bit with direct
+    // execution.
     const auto a = testMatrix(20, 28, 47, "A");
     const auto b = testMatrix(28, 20, 48, "B");
     const auto t = tensor::generateTensor(12, 10, 16, 200, 49, "T");
@@ -460,12 +454,9 @@ TEST(ArtifactStore, TensorRunColdWarmBitIdentical)
         RunRequest::ttm(t, m, strided(1))};
     const Machine machine;
     for (const RunRequest &req : requests) {
-        RunRequest off = req;
-        off.options.artifactCache = false;
-        const auto ref = machine.run(off, Substrate::SparseCore);
+        const auto ref = test::directRun(req, Substrate::SparseCore);
         const auto cold = machine.run(req, Substrate::SparseCore);
         const auto warm = machine.run(req, Substrate::SparseCore);
-        EXPECT_FALSE(ref.trace.traceCacheHit);
         EXPECT_FALSE(cold.trace.traceCacheHit) << traceKey(req);
         EXPECT_TRUE(warm.trace.traceCacheHit) << traceKey(req);
         for (const RunResult *r : {&cold, &warm}) {

@@ -39,7 +39,6 @@ TEST(Config, Defaults)
     const Config cfg = load({});
     EXPECT_EQ(cfg.jobSched, "affinity");
     EXPECT_FALSE(cfg.verify.has_value());
-    EXPECT_TRUE(cfg.artifactCache);
     EXPECT_EQ(cfg.artifactCacheBytes, std::size_t{1} << 30);
     EXPECT_EQ(cfg.hostThreads, 0u);
     EXPECT_EQ(cfg.benchDir, "bench_results");
@@ -51,7 +50,6 @@ TEST(Config, ParsesEveryKnob)
     const Config cfg = load({
         {"SC_JOB_SCHED", "fifo"},
         {"SC_VERIFY", "1"},
-        {"SC_ARTIFACT_CACHE", "off"},
         {"SC_ARTIFACT_CACHE_BYTES", "1048576"},
         {"SC_HOST_THREADS", "8"},
         {"SC_BENCH_DIR", "/tmp/b"},
@@ -60,7 +58,6 @@ TEST(Config, ParsesEveryKnob)
     EXPECT_EQ(cfg.jobSched, "fifo");
     ASSERT_TRUE(cfg.verify.has_value());
     EXPECT_TRUE(*cfg.verify);
-    EXPECT_FALSE(cfg.artifactCache);
     EXPECT_EQ(cfg.artifactCacheBytes, 1048576u);
     EXPECT_EQ(cfg.hostThreads, 8u);
     EXPECT_EQ(cfg.benchDir, "/tmp/b");
@@ -80,13 +77,9 @@ TEST(Config, SwitchKnobsAcceptOffOnZeroOne)
     // rest: SC_VERIFY=off must not turn the verifier on.
     const auto read = [](const std::string &name, const char *value) {
         const Config cfg = load({{name, value}});
-        if (name == "SC_VERIFY")
-            return cfg.verify.value();
-        return name == "SC_BENCH_SMOKE" ? cfg.benchSmoke
-                                        : cfg.artifactCache;
+        return name == "SC_VERIFY" ? cfg.verify.value() : cfg.benchSmoke;
     };
-    for (const char *name :
-         {"SC_VERIFY", "SC_BENCH_SMOKE", "SC_ARTIFACT_CACHE"}) {
+    for (const char *name : {"SC_VERIFY", "SC_BENCH_SMOKE"}) {
         EXPECT_TRUE(read(name, "on")) << name;
         EXPECT_TRUE(read(name, "1")) << name;
         EXPECT_FALSE(read(name, "off")) << name;
@@ -99,10 +92,16 @@ TEST(Config, SwitchKnobsAcceptOffOnZeroOne)
 TEST(Config, LoadBearingKnobsRejectBadValues)
 {
     // A typo in the scheduler or cache knobs must fail loudly, not
-    // silently run a different experiment.
+    // silently run a different experiment: no sign, no saturation
+    // past the largest byte count.
     EXPECT_THROW(load({{"SC_JOB_SCHED", "lifo"}}), SimError);
-    EXPECT_THROW(load({{"SC_ARTIFACT_CACHE", "maybe"}}), SimError);
-    EXPECT_THROW(load({{"SC_ARTIFACT_CACHE_BYTES", "1GB"}}), SimError);
+    for (const char *bytes : {"1GB", "-1", "18446744073709551616"})
+        EXPECT_THROW(load({{"SC_ARTIFACT_CACHE_BYTES", bytes}}),
+                     SimError)
+            << bytes;
+    EXPECT_EQ(load({{"SC_ARTIFACT_CACHE_BYTES", "18446744073709551615"}})
+                  .artifactCacheBytes,
+              std::size_t{18446744073709551615ull});
 }
 
 TEST(Config, TuningKnobsWarnAndFallBack)
@@ -123,7 +122,7 @@ TEST(Config, ProcessConfigIsStable)
 TEST(Config, DescribeCoversEveryKnob)
 {
     const auto knobs = describeConfig();
-    ASSERT_EQ(knobs.size(), 7u);
+    ASSERT_EQ(knobs.size(), 6u);
     for (const ConfigKnob &k : knobs) {
         EXPECT_EQ(k.name.rfind("SC_", 0), 0u) << k.name;
         EXPECT_FALSE(k.value.empty()) << k.name;

@@ -3,11 +3,12 @@
  * Absolute cycle golden: every api entry point that routes a
  * workload to a timing substrate (Machine::run on each substrate,
  * Machine::compare, mineParallelCpu, mineParallelSparseCore and
- * compareParallelGpm), with the artifact store on and off, over every
- * GPM app, FSM and the tensor kernels, at the default SparseCore
- * configuration and at one non-default point. Each cell stores the
- * simulated cycles, the 4-class breakdown (per-core cycles for the
- * multi-core runs) and the functional result.
+ * compareParallelGpm), over every GPM app, FSM and the tensor
+ * kernels, at the default SparseCore configuration and at one
+ * non-default point. Each cell stores the simulated cycles, the
+ * 4-class breakdown (per-core cycles for the multi-core runs) and the
+ * functional result. Every cell name ends in /store: its program came
+ * out of the ArtifactStore, as every program does.
  *
  * The other suites pin cycles relatively (replay == direct, cached ==
  * cold); a timing-model change that moves both sides of every such
@@ -65,60 +66,44 @@ parallelCell(const ParallelGpmResult &r)
     return cell;
 }
 
-const char *
-storeName(bool store)
-{
-    return store ? "store" : "nostore";
-}
-
-/** Machine::run on both substrates and Machine::compare, store on
- *  and off. */
+/** Machine::run on both substrates and Machine::compare. */
 void
 machineCells(Cells &cells, const std::string &prefix,
-             const arch::SparseCoreConfig &config, RunRequest req)
+             const arch::SparseCoreConfig &config, const RunRequest &req)
 {
     const Machine machine(config);
-    for (const bool store : {true, false}) {
-        req.options.artifactCache = store;
-        const std::string tail = std::string("/") + storeName(store);
-        const RunResult cpu = machine.run(req, Substrate::Cpu);
-        cells[prefix + "/run.cpu" + tail] =
-            runCell(cpu.functionalResult, cpu.cycles, cpu.breakdown);
-        const RunResult sc = machine.run(req, Substrate::SparseCore);
-        cells[prefix + "/run.sparsecore" + tail] =
-            runCell(sc.functionalResult, sc.cycles, sc.breakdown);
-        const Comparison cmp = machine.compare(req);
-        cells[prefix + "/compare.cpu" + tail] =
-            runCell(cmp.functionalResult, cmp.baseline.cycles,
-                    cmp.baseline.breakdown);
-        cells[prefix + "/compare.sparsecore" + tail] =
-            runCell(cmp.functionalResult, cmp.accelerated.cycles,
-                    cmp.accelerated.breakdown);
-    }
+    const RunResult cpu = machine.run(req, Substrate::Cpu);
+    cells[prefix + "/run.cpu/store"] =
+        runCell(cpu.functionalResult, cpu.cycles, cpu.breakdown);
+    const RunResult sc = machine.run(req, Substrate::SparseCore);
+    cells[prefix + "/run.sparsecore/store"] =
+        runCell(sc.functionalResult, sc.cycles, sc.breakdown);
+    const Comparison cmp = machine.compare(req);
+    cells[prefix + "/compare.cpu/store"] =
+        runCell(cmp.functionalResult, cmp.baseline.cycles,
+                cmp.baseline.breakdown);
+    cells[prefix + "/compare.sparsecore/store"] =
+        runCell(cmp.functionalResult, cmp.accelerated.cycles,
+                cmp.accelerated.breakdown);
 }
 
-/** The three multi-core entry points at 3 cores, store on and off. */
+/** The three multi-core entry points at 3 cores. */
 void
 parallelCells(Cells &cells, const std::string &prefix,
               const arch::SparseCoreConfig &config, gpm::GpmApp app,
               const graph::CsrGraph &g)
 {
     constexpr unsigned cores = 3;
-    for (const bool store : {true, false}) {
-        HostOptions host;
-        host.artifactCache = store;
-        const std::string tail = std::string("/") + storeName(store);
-        cells[prefix + "/mine.cpu" + tail] =
-            parallelCell(mineParallelCpu(app, g, cores, config, 1, host));
-        cells[prefix + "/mine.sparsecore" + tail] = parallelCell(
-            mineParallelSparseCore(app, g, cores, config, 1, host));
-        const ParallelComparison cmp =
-            compareParallelGpm(app, g, cores, config, 1, host);
-        cells[prefix + "/compare_parallel.cpu" + tail] =
-            parallelCell(cmp.baseline);
-        cells[prefix + "/compare_parallel.sparsecore" + tail] =
-            parallelCell(cmp.accelerated);
-    }
+    cells[prefix + "/mine.cpu/store"] =
+        parallelCell(mineParallelCpu(app, g, cores, config));
+    cells[prefix + "/mine.sparsecore/store"] =
+        parallelCell(mineParallelSparseCore(app, g, cores, config));
+    const ParallelComparison cmp =
+        compareParallelGpm(app, g, cores, config);
+    cells[prefix + "/compare_parallel.cpu/store"] =
+        parallelCell(cmp.baseline);
+    cells[prefix + "/compare_parallel.sparsecore/store"] =
+        parallelCell(cmp.accelerated);
 }
 
 Cells

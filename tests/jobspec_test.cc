@@ -64,7 +64,7 @@ validCorpus()
         R"({"version":1,"workload":"fsm","dataset":"C","min_support":500,"num_labels":4})",
         R"({"version":1,"workload":"spmspm","dataset":"C","dataset_b":"E","algorithm":"inner"})",
         R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false}})",
-        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"artifact_cache":false}})",
+        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"verify":true}})",
         R"({"version":1,"id":"p","priority":9,"workload":"gpm","app":"T","dataset":"W"})",
     };
     return corpus;
@@ -128,7 +128,7 @@ TEST(JobSpec, PriorityParsesValidatesAndRoundTrips)
 TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
 {
     // Every job routes through the ArtifactStore, so its affinity key
-    // is its store trace key; a disabled cache gives no affinity.
+    // is its store trace key.
     const auto gpm = parseJobSpec(
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})");
     ASSERT_TRUE(gpm.ok());
@@ -162,13 +162,6 @@ TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
     ASSERT_TRUE(strided_resolved.ok());
     EXPECT_NE(strided_resolved.job->affinityKey,
               gpm_resolved.job->affinityKey);
-
-    // A disabled artifact cache shares nothing: no affinity lane.
-    auto uncached = *gpm.spec;
-    uncached.options.artifactCache = false;
-    const auto uncached_resolved = resolveJob(uncached);
-    ASSERT_TRUE(uncached_resolved.ok());
-    EXPECT_TRUE(uncached_resolved.job->affinityKey.empty());
 }
 
 TEST(JobSpec, CanonicalJsonRoundTrips)
@@ -259,11 +252,13 @@ TEST(JobSpec, UnknownFieldsAreRejectedEverywhere)
             .errors,
         "options.threads"));
     // Host-implementation selectors are not job options: the process
-    // picks the set-op kernels, the set index and the host pool.
+    // picks the set-op kernels, the set index and the host pool, and
+    // every program comes from the artifact store.
     const std::pair<std::string, std::string> host_knobs[] = {
         {"kernel", R"("scalar")"},
         {"index_policy", R"("array")"},
-        {"host_threads", "2"}};
+        {"host_threads", "2"},
+        {"artifact_cache", "false"}};
     for (const auto &[field, value] : host_knobs) {
         const auto r = parseJobSpec(
             R"({"version":1,"workload":"gpm","dataset":"W","options":{")" +

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "api/artifact_store.hh"
 #include "api/machine.hh"
 #include "api/parallel.hh"
 #include "backend/cpu_backend.hh"
@@ -253,18 +254,17 @@ TEST(KernelCycles, MachineComparisonInvariantAcrossLevels)
 {
     const auto g = test::randomTestGraph(120, 900, 7);
     api::Machine machine;
-    // Store off: every level must capture its own trace, or each level
-    // after the first would replay the first level's capture.
-    api::RunOptions opts;
-    opts.artifactCache = false;
 
     std::uint64_t emb_ref = 0;
     Cycles cpu_ref = 0, sc_ref = 0;
     bool first = true;
     for (const KernelLevel level : availableKernelLevels()) {
         ScopedKernelOverride forced(level);
-        const auto cmp = machine.compare(
-            api::RunRequest::gpm(gpm::GpmApp::T, g, opts));
+        // Every level must capture its own trace, or each level after
+        // the first would replay the first level's capture.
+        api::ArtifactStore::global().clear();
+        const auto cmp =
+            machine.compare(api::RunRequest::gpm(gpm::GpmApp::T, g));
         EXPECT_FALSE(cmp.trace.traceCacheHit) << kernelLevelName(level);
         if (first) {
             emb_ref = cmp.functionalResult;
@@ -288,12 +288,11 @@ TEST(KernelCycles, ParallelMiningDeterministicAcrossLevels)
     std::uint64_t emb_ref = 0;
     Cycles cyc_ref = 0;
     bool first = true;
-    api::HostOptions host;
-    host.artifactCache = false; // capture every chunk at every level
     for (const KernelLevel level : availableKernelLevels()) {
         ScopedKernelOverride forced(level);
+        api::ArtifactStore::global().clear(); // capture every chunk
         const auto par = api::mineParallelSparseCore(
-            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1, host);
+            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1);
         if (first) {
             emb_ref = par.embeddings;
             cyc_ref = par.cycles;

@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the shared execution pipeline (api/pipeline.hh): prepare()
- * verifies on every call — including when the program is already
- * resident in the store — keyed and local preparation produce the
- * same program and result, a keyed program is the store entry itself,
- * and TraceStats report hits and misses per call. (makeBackend()'s
- * config plumbing is pinned by the non-default arch point of
- * tests/cycles_golden_test.cc.)
+ * verifies on every call — a cold capture as well as a program
+ * already resident in the store — the prepared program and result
+ * equal a local capture of the same workload, the program is the
+ * store entry itself, and TraceStats report hits and misses per call.
+ * (makeBackend()'s config plumbing is pinned by the non-default arch
+ * point of tests/cycles_golden_test.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -56,7 +56,6 @@ TEST(Pipeline, VerifyRunsOnWarmProgramHits)
     const graph::CsrGraph g = test::randomTestGraph(30, 120, 58);
     RunOptions options;
     options.verify = true;
-    options.artifactCache = true;
     const auto req = RunRequest::gpm(gpm::GpmApp::T, g, options);
     store.trace(traceKey(req), doubleFree);
     const ArtifactStoreStats planted = store.stats();
@@ -72,41 +71,54 @@ TEST(Pipeline, VerifyRunsOnWarmProgramHits)
     store.clear();
 }
 
-TEST(Pipeline, LocalCaptureVerifiesWhenAsked)
+TEST(Pipeline, ColdCaptureVerifiesWhenAsked)
 {
-    EXPECT_THROW(prepare("", doubleFree, true), analysis::VerifyError);
-    const Prepared unchecked = prepare("", doubleFree, false);
+    // A key's first prepare() captures and checks the new program; a
+    // verify=false call on another key keeps it unchecked.
+    ArtifactStore &store = ArtifactStore::global();
+    store.clear();
+    EXPECT_THROW(prepare("double-free/checked", doubleFree, true),
+                 analysis::VerifyError);
+    const Prepared unchecked =
+        prepare("double-free/unchecked", doubleFree, false);
+    EXPECT_FALSE(unchecked.stats.traceCacheHit);
     EXPECT_GT(unchecked.program->numEvents(), 0u);
     EXPECT_GT(unchecked.program->codeBytes(), 0u);
+    store.clear();
 }
 
 TEST(Pipeline, KeyedAndLocalPrepareAgree)
 {
+    // prepare() gives the program and result that executing the
+    // request into a local recorder gives, and a warm call hands out
+    // the same store entry.
     ArtifactStore::global().clear();
     const graph::CsrGraph g = test::randomTestGraph(60, 400, 59);
-    RunOptions options;
-    options.artifactCache = true;
-    const std::string key =
-        traceKey(RunRequest::gpm(gpm::GpmApp::T, g, options));
+    const auto req = RunRequest::gpm(gpm::GpmApp::T, g);
+    const std::string key = traceKey(req);
+
+    trace::TraceRecorder recorder;
+    const std::uint64_t local_result =
+        execute(req, recorder).functionalResult;
+    const trace::BytecodeProgram local = recorder.takeTrace();
 
     const ArtifactStoreStats before = ArtifactStore::global().stats();
-    const Prepared local = prepare("", captureTriangles(g), false);
     const Prepared cold = prepare(key, captureTriangles(g), false);
     const Prepared warm = prepare(key, captureTriangles(g), false);
 
-    EXPECT_EQ(local.functionalResult(), cold.functionalResult());
-    EXPECT_EQ(local.program->code(), cold.program->code());
+    EXPECT_EQ(cold.functionalResult(), local_result);
+    EXPECT_EQ(cold.program->code(), local.code());
     EXPECT_EQ(cold.program, warm.program); // the shared store entry
     EXPECT_EQ(warm.program.get(),
               &ArtifactStore::global().peekTrace(key)->trace);
 
-    for (const Prepared *p : {&local, &cold}) {
-        EXPECT_FALSE(p->stats.traceCacheHit);
+    for (const Prepared *p : {&cold, &warm}) {
         EXPECT_EQ(p->stats.replayMode, "bytecode");
         EXPECT_EQ(p->stats.events, p->program->numEvents());
         EXPECT_EQ(p->stats.arenaBytes, p->program->arenaBytes());
         EXPECT_EQ(p->stats.bytecodeBytes, p->program->codeBytes());
     }
+    EXPECT_FALSE(cold.stats.traceCacheHit);
     EXPECT_TRUE(warm.stats.traceCacheHit);
     EXPECT_EQ(warm.stats.captureSeconds, 0.0);
     const ArtifactStoreStats stats = ArtifactStore::global().stats();

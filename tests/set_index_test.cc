@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "api/artifact_store.hh"
 #include "api/machine.hh"
 #include "api/parallel.hh"
 #include "backend/cpu_backend.hh"
@@ -513,18 +514,17 @@ TEST(SetIndexCycles, MachineComparisonInvariantAcrossPolicies)
 {
     const auto g = autoHubGraph();
     api::Machine machine;
-    // Store off: every policy must capture its own trace, or the
-    // second policy would replay the first one's capture.
-    api::RunOptions opts;
-    opts.artifactCache = false;
 
     std::uint64_t emb_ref = 0;
     Cycles cpu_ref = 0, sc_ref = 0;
     bool first = true;
     for (const IndexPolicy policy : allPolicies) {
         ScopedIndexPolicyOverride forced(policy);
-        const auto cmp = machine.compare(
-            api::RunRequest::gpm(gpm::GpmApp::T, g, opts));
+        // Every policy must capture its own trace, or the second
+        // policy would replay the first one's capture.
+        api::ArtifactStore::global().clear();
+        const auto cmp =
+            machine.compare(api::RunRequest::gpm(gpm::GpmApp::T, g));
         EXPECT_FALSE(cmp.trace.traceCacheHit) << indexPolicyName(policy);
         if (first) {
             emb_ref = cmp.functionalResult;
@@ -548,12 +548,11 @@ TEST(SetIndexCycles, ParallelMiningDeterministicAcrossPolicies)
     std::uint64_t emb_ref = 0;
     Cycles cyc_ref = 0;
     bool first = true;
-    api::HostOptions host;
-    host.artifactCache = false; // capture every chunk under each policy
     for (const IndexPolicy policy : allPolicies) {
         ScopedIndexPolicyOverride forced(policy);
+        api::ArtifactStore::global().clear(); // capture every chunk
         const auto par = api::mineParallelSparseCore(
-            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1, host);
+            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1);
         if (first) {
             emb_ref = par.embeddings;
             cyc_ref = par.cycles;

@@ -192,7 +192,6 @@ TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
 
     api::HostOptions host;
     host.chunksPerCore = 2;
-    host.artifactCache = false;
     const auto parallel =
         api::mineParallelSparseCore(app, g, 2, config, 1, host);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "api/pipeline.hh"
 #include "common/logging.hh"
 #include "graph/generators.hh"
 #include "graph/graph_builder.hh"
@@ -85,6 +86,13 @@ figureOneGraph()
                             {4, 5},
                             {5, 6}},
                            "fig1b");
+}
+
+api::RunResult
+directRun(const api::RunRequest &req, api::Substrate sub,
+          const arch::SparseCoreConfig &config)
+{
+    return api::execute(req, *api::makeBackend(sub, config));
 }
 
 } // namespace sc::test

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the test suite: small deterministic graphs,
- * brute-force embedding counting, and convenience builders.
+ * brute-force embedding counting, the direct-execution reference
+ * replays are checked against, and convenience builders.
  */
 
 #ifndef SPARSECORE_TESTS_TEST_UTIL_HH
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/run.hh"
+#include "arch/config.hh"
 #include "graph/csr_graph.hh"
 #include "gpm/pattern.hh"
 
@@ -28,6 +31,12 @@ graph::CsrGraph randomTestGraph(VertexId n, std::uint64_t edges,
 
 /** The 7-vertex example graph of the paper's Fig. 1(b). */
 graph::CsrGraph figureOneGraph();
+
+/** Direct execution of `req` on the timing backend for `sub`
+ *  (api::execute on a fresh api::makeBackend, no capture): the
+ *  reference every replay, cold or warm, must match. */
+api::RunResult directRun(const api::RunRequest &req, api::Substrate sub,
+                         const arch::SparseCoreConfig &config = {});
 
 } // namespace sc::test
 

@@ -206,15 +206,6 @@ replayedCalls(const trace::BytecodeProgram &bc)
     return log.calls;
 }
 
-/** Direct execution of `req` on the timing backend for `sub`
- *  (api::execute, no capture): the reference every replay matches. */
-api::RunResult
-directRun(const api::RunRequest &req, api::Substrate sub,
-          const arch::SparseCoreConfig &config = {})
-{
-    return api::execute(req, *api::makeBackend(sub, config));
-}
-
 /** Replaying `bc` on each timing substrate gives the cycles and the
  *  4-class breakdown of direct execution of `req`. */
 void
@@ -225,7 +216,7 @@ expectReplayMatchesDirect(const trace::BytecodeProgram &bc,
     const arch::SparseCoreConfig config;
     for (const api::Substrate sub :
          {api::Substrate::Cpu, api::Substrate::SparseCore}) {
-        const api::RunResult direct = directRun(req, sub, config);
+        const api::RunResult direct = test::directRun(req, sub, config);
         const auto be = api::makeBackend(sub, config);
         const trace::ReplayResult replayed =
             trace::replayCompiled(bc, *be, /*verify=*/false);
@@ -601,11 +592,11 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
 
 TEST(BytecodeReplay, FunctionalStatsIdenticalAcrossEngines)
 {
-    // The functional substrate replays by applying the program's
-    // EventProfile aggregate instead of walking, so its whole
-    // observable surface — counters, stream-length histogram,
-    // live-stream balance — must equal direct execution on a
-    // FunctionalBackend, on both GPM and tensor workloads.
+    // The functional substrate replays through the generic loop, one
+    // virtual call per captured call, so this pins that loop: the
+    // whole observable surface of a FunctionalBackend — counters,
+    // stream-length histogram, live-stream balance — must equal
+    // direct execution on GPM and tensor workloads.
     const auto g = test::randomTestGraph(60, 420, 97);
     const auto a = tensor::generateMatrix(
         30, 40, 240, tensor::MatrixStructure::Uniform, 31, "A");
@@ -658,7 +649,7 @@ TEST(BytecodeReplay, ReplayCompiledMatchesDirectRun)
 
     const arch::SparseCoreConfig config;
     const api::RunResult want =
-        directRun(api::RunRequest::gpm(gpm::GpmApp::C4, g),
+        test::directRun(api::RunRequest::gpm(gpm::GpmApp::C4, g),
                   api::Substrate::SparseCore, config);
     for (int round = 0; round < 3; ++round) {
         backend::SparseCoreBackend be(config);
@@ -740,7 +731,7 @@ TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
     const auto golden = trace::BytecodeProgram::loadFile(path);
     backend::SparseCoreBackend be;
     EXPECT_EQ(trace::replayCompiled(golden, be).cycles,
-              directRun(api::RunRequest::gpm(gpm::GpmApp::T, g),
+              test::directRun(api::RunRequest::gpm(gpm::GpmApp::T, g),
                         api::Substrate::SparseCore)
                   .cycles);
 }
@@ -756,8 +747,8 @@ TEST(BytecodeApi, CompareIdenticalAcrossReplayModes)
     const arch::SparseCoreConfig config;
     const auto req = api::RunRequest::gpm(gpm::GpmApp::TC, g);
     const auto bc = api::Machine(config).compare(req);
-    const auto cpu = directRun(req, api::Substrate::Cpu, config);
-    const auto sc = directRun(req, api::Substrate::SparseCore, config);
+    const auto cpu = test::directRun(req, api::Substrate::Cpu, config);
+    const auto sc = test::directRun(req, api::Substrate::SparseCore, config);
 
     EXPECT_EQ(cpu.cycles, bc.baseline.cycles);
     EXPECT_EQ(sc.cycles, bc.accelerated.cycles);
