@@ -10,7 +10,6 @@
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "gpm/executor.hh"
-#include "trace/recorder.hh"
 
 namespace sc::bench {
 
@@ -79,20 +78,6 @@ autoStride(const graph::CsrGraph &g, gpm::GpmApp app,
         full_work / static_cast<double>(target_elements);
     return static_cast<unsigned>(
         std::min<double>(stride + 1.0, g.numVertices() / 8.0 + 1.0));
-}
-
-trace::BytecodeProgram
-captureGpmTrace(const graph::CsrGraph &g,
-                const std::vector<gpm::MiningPlan> &plans,
-                unsigned root_stride, std::uint64_t *embeddings)
-{
-    trace::TraceRecorder recorder;
-    gpm::PlanExecutor executor(g, recorder);
-    executor.setRootStride(root_stride);
-    const auto run = executor.runMany(plans);
-    if (embeddings)
-        *embeddings = run.embeddings;
-    return recorder.takeTrace();
 }
 
 api::Prepared

@@ -25,7 +25,6 @@
 #include "graph/datasets.hh"
 #include "gpm/apps.hh"
 #include "trace/replay.hh"
-#include "trace/bytecode.hh"
 
 namespace sc::bench {
 
@@ -58,16 +57,6 @@ std::string benchResultsDir();
 
 /** Print the table plus a CSV block for downstream plotting. */
 void emitTable(const Table &table);
-
-/**
- * Capture one (plans, graph, stride) GPM run's program privately,
- * outside the ArtifactStore — for benches that time the replay
- * engines themselves (bench/replay_microbench.cc).
- */
-trace::BytecodeProgram
-captureGpmTrace(const graph::CsrGraph &g,
-                const std::vector<gpm::MiningPlan> &plans,
-                unsigned root_stride, std::uint64_t *embeddings = nullptr);
 
 /**
  * One (app, graph, stride) sweep point's captured program, prepared

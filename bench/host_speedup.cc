@@ -49,21 +49,21 @@ main()
                  "pooled (s)", "host speedup"});
     for (const Case &c : cases) {
         const graph::CsrGraph &g = graph::loadGraph(c.graph);
-        api::HostOptions h1, hN;
-        h1.pool = &serial;
-        hN.pool = &pooled;
+        const auto mine = [&](ThreadPool &pool) {
+            return api::mineParallel(c.app, g, 6,
+                                     api::Substrate::SparseCore, config,
+                                     1, pool);
+        };
 
         // Warm-up pass pages the graph in and primes allocators.
-        api::mineParallelSparseCore(c.app, g, 6, config, 1, hN);
+        mine(pooled);
 
         bench::WallTimer t1;
-        const auto r1 =
-            api::mineParallelSparseCore(c.app, g, 6, config, 1, h1);
+        const auto r1 = mine(serial);
         const double s1 = t1.seconds();
 
         bench::WallTimer tN;
-        const auto rN =
-            api::mineParallelSparseCore(c.app, g, 6, config, 1, hN);
+        const auto rN = mine(pooled);
         const double sN = tN.seconds();
 
         if (r1.embeddings != rN.embeddings || r1.cycles != rN.cycles)

@@ -4,11 +4,16 @@
  * (one virtual ExecBackend call per captured call, through a
  * forwarding backend) versus the devirtualized per-backend loops
  * (trace::replayCompiled on the concrete backend, the path every api
- * call takes) on fig07-class GPM captures, on both timing substrates,
- * plus the cost of capturing each program. Every replay's cycles are
- * checksummed against direct execution of the workload on the same
- * backend, so this bench measures only what the engine is allowed to
- * move: how fast the host re-walks a captured program.
+ * call takes) on fig07-class GPM captures and an FSM capture, on both
+ * timing substrates, plus the cost of capturing each program. GPM
+ * programs are dominated by set ops the timing models cost per
+ * element; FSM programs are many cheap scalar events, where the
+ * per-call dispatch is a visible share of replay. Every capture and
+ * every reference is api::execute of the cell's RunRequest (into a
+ * TraceRecorder, or onto a fresh backend), and every replay's cycles
+ * are checksummed against that direct execution on the same backend,
+ * so this bench measures only what the engine is allowed to move:
+ * how fast the host re-walks a captured program.
  *
  * One timing of a cell on a shared host can read several-fold off
  * the next, so each cell is sampled kSamples times, generic and
@@ -28,13 +33,15 @@
 #include <utility>
 #include <vector>
 
+#include "api/pipeline.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "gpm/executor.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "gpm/apps.hh"
+#include "trace/recorder.hh"
 #include "trace/replay.hh"
 
 using namespace sc;
@@ -193,6 +200,13 @@ struct Spread
     }
 };
 
+/** One cell: a named workload. */
+struct Cell
+{
+    std::string name;
+    api::RunRequest request;
+};
+
 /** One backend family's measurements for one program. */
 struct FamilyResult
 {
@@ -203,16 +217,12 @@ struct FamilyResult
 
 template <typename Make>
 FamilyResult
-measureFamily(const char *name, const graph::CsrGraph &g,
-              gpm::GpmApp app, const trace::BytecodeProgram &bc,
-              Make make, double min_seconds)
+measureFamily(const char *name, const Cell &cell,
+              const trace::BytecodeProgram &bc, Make make,
+              double min_seconds)
 {
     FamilyResult r;
-    {
-        auto be = make();
-        gpm::PlanExecutor executor(g, *be);
-        r.direct = executor.runMany(gpm::gpmAppPlans(app)).cycles;
-    }
+    r.direct = api::execute(cell.request, *make()).cycles;
     const auto generic = [&] {
         auto be = make();
         Forwarding fwd(*be);
@@ -246,7 +256,7 @@ measureFamily(const char *name, const graph::CsrGraph &g,
                          "FAIL: %s %s replay cycles differ from direct "
                          "execution (%llu generic, %llu bytecode, %llu "
                          "direct)\n",
-                         gpm::gpmAppName(app), name,
+                         cell.name.c_str(), name,
                          static_cast<unsigned long long>(generic_cycles),
                          static_cast<unsigned long long>(bytecode_cycles),
                          static_cast<unsigned long long>(r.direct));
@@ -278,7 +288,9 @@ main(int argc, char **argv)
     // app set. The smoke graph keeps every leg under a second; the
     // full graph is sized so the clique apps stay in the
     // hundreds-of-thousands-of-events range (power-law clique
-    // enumeration grows explosively past this).
+    // enumeration grows explosively past this). FSM mines the
+    // citeseer-class dataset with 8 labels; smoke raises the support
+    // so fewer patterns survive.
     const auto g =
         smoke ? graph::generateChungLu(600, 9'000, 120, 2.2, 42,
                                        "power-law")
@@ -292,6 +304,14 @@ main(int argc, char **argv)
                                          gpm::GpmApp::TT,
                                          gpm::GpmApp::C4,
                                          gpm::GpmApp::C5};
+    const graph::LabeledGraph &labeled = graph::loadLabeledGraph("C", 8);
+    const std::uint64_t support = smoke ? 500 : 100;
+
+    std::vector<Cell> cells;
+    for (const gpm::GpmApp app : apps)
+        cells.push_back({gpm::gpmAppName(app), api::RunRequest::gpm(app, g)});
+    cells.push_back({"FSM C/" + std::to_string(support),
+                     api::RunRequest::fsm(labeled, support)});
 
     static const arch::SparseCoreConfig config;
     const auto cpu = [] {
@@ -303,28 +323,29 @@ main(int argc, char **argv)
     };
 
     bench::BenchReport report("replay");
-    Table table({"app", "backend", "events", "generic replays/s",
+    Table table({"workload", "backend", "events", "generic replays/s",
                  "generic IQR", "bytecode replays/s", "bytecode IQR",
                  "speedup"});
-    Table capture({"app", "events", "instructions", "code bytes",
+    Table capture({"workload", "events", "instructions", "code bytes",
                    "bytes/event", "capture ms"});
 
     bool ok = true;
-    for (const gpm::GpmApp app : apps) {
+    for (const Cell &cell : cells) {
         const bench::WallTimer capture_timer;
-        const trace::BytecodeProgram bc =
-            bench::captureGpmTrace(g, gpm::gpmAppPlans(app), 1);
+        trace::TraceRecorder recorder;
+        api::execute(cell.request, recorder);
+        const trace::BytecodeProgram bc = recorder.takeTrace();
         const double capture_seconds = capture_timer.seconds();
 
         const std::pair<const char *, FamilyResult> families[] = {
-            {"cpu", measureFamily("cpu", g, app, bc, cpu, min_seconds)},
-            {"sparsecore", measureFamily("sparsecore", g, app, bc,
+            {"cpu", measureFamily("cpu", cell, bc, cpu, min_seconds)},
+            {"sparsecore", measureFamily("sparsecore", cell, bc,
                                          sparsecore, min_seconds)},
         };
         for (const auto &[name, r] : families) {
             ok = ok && r.cyclesMatch;
             const Spread generic(r.generic), bytecode(r.bytecode);
-            table.addRow({gpm::gpmAppName(app), name,
+            table.addRow({cell.name, name,
                           std::to_string(bc.numEvents()),
                           Table::num(generic.median), generic.iqr(),
                           Table::num(bytecode.median), bytecode.iqr(),
@@ -333,7 +354,7 @@ main(int argc, char **argv)
         }
 
         capture.addRow(
-            {gpm::gpmAppName(app), std::to_string(bc.numEvents()),
+            {cell.name, std::to_string(bc.numEvents()),
              std::to_string(bc.numInstructions()),
              std::to_string(bc.codeBytes()),
              Table::num(static_cast<double>(bc.codeBytes()) /

@@ -236,9 +236,9 @@ main(int argc, char **argv)
             if (spec.workload != api::RunRequest::Workload::Gpm ||
                 !job.graph)
                 fatal("--cores needs a gpm job on a graph");
-            const auto par = api::mineParallelSparseCore(
-                spec.app, *job.graph, cores, job.config,
-                spec.options.rootStride);
+            const auto par = api::mineParallel(
+                spec.app, *job.graph, cores, api::Substrate::SparseCore,
+                job.config, spec.options.rootStride);
             std::printf("%s x%u cores: %llu embeddings, %llu cycles "
                         "(balance %.2f)\n",
                         gpm::gpmAppName(spec.app), cores,
@@ -247,9 +247,9 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(par.cycles),
                         par.balance());
             if (compare) {
-                const auto cpu_par = api::mineParallelCpu(
-                    spec.app, *job.graph, cores, job.config,
-                    spec.options.rootStride);
+                const auto cpu_par = api::mineParallel(
+                    spec.app, *job.graph, cores, api::Substrate::Cpu,
+                    job.config, spec.options.rootStride);
                 std::printf("cpu x%u cores: %llu cycles -> speedup "
                             "%.2fx\n",
                             cores,

@@ -115,9 +115,9 @@ echo "=== kernel microbench smoke ==="
 echo
 echo "=== replay microbench smoke ==="
 # Gates the cross-engine cycle checksums: every generic and
-# devirtualized replay must equal direct execution on its backend.
-# The timings it prints are medians of a few samples per cell and
-# gate nothing.
+# devirtualized replay of each GPM and FSM cell must equal direct
+# execution (api::execute) on its backend. The timings it prints are
+# medians of a few samples per cell and gate nothing.
 (cd "${prefix}" && bench/replay_microbench --smoke)
 
 echo

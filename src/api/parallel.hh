@@ -2,20 +2,23 @@
  * @file
  * Multi-core mining (Table 2 configures six cores): the root-vertex
  * loop is split across simulated cores by interleaving, each core
- * owning a private SparseCore engine — its own SUs, S-Cache,
+ * owning a private engine — on SparseCore its own SUs, S-Cache,
  * scratchpad and L1/L2 — exactly the replication the paper's per-core
  * extension implies. The parallel runtime is the slowest core's cycle
  * count; graph data is read-only, so no coherence traffic is modeled
  * (§5.1).
  *
- * Host execution: the simulation of the cores itself runs on the
- * host work-stealing pool (common/thread_pool.hh). Each simulated
- * core's root slice is further split into chunksPerCore chunks with a
- * fixed chunk→core mapping, so a skewed degree distribution cannot
- * serialize the host run behind one heavy simulated core. Chunk
- * results are reduced in chunk-index order, making the returned
- * ParallelGpmResult bit-identical for any host thread count (see
- * DESIGN.md "Host execution model").
+ * Host execution: the simulation of the cores itself runs on a host
+ * work-stealing pool (common/thread_pool.hh). Each simulated core's
+ * root slice is further split into a fixed 4 chunks with a fixed
+ * chunk→core mapping, so a skewed degree distribution cannot
+ * serialize the host run behind one heavy simulated core. Every
+ * chunk's program comes from the ArtifactStore under a key that
+ * names no substrate, so a run on one substrate after a run on the
+ * other replays the same captures. Chunk results are reduced in
+ * chunk-index order, making the returned ParallelGpmResult
+ * bit-identical for any host thread count (see DESIGN.md "Host
+ * execution model").
  */
 
 #ifndef SPARSECORE_API_PARALLEL_HH
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/run.hh"
 #include "arch/config.hh"
 #include "common/thread_pool.hh"
 #include "gpm/apps.hh"
@@ -50,64 +54,17 @@ struct ParallelGpmResult
     }
 };
 
-/** Host-side execution knobs for the multi-core runs. */
-struct HostOptions
-{
-    /** Pool to run on; nullptr = ThreadPool::global(). */
-    ThreadPool *pool = nullptr;
-    /**
-     * Root-loop chunks per simulated core (K): the run is split into
-     * K * num_cores dynamically-stolen chunks; chunk m is attributed
-     * to simulated core m % num_cores. K = 1 reproduces the legacy
-     * one-session-per-core split exactly.
-     */
-    unsigned chunksPerCore = 4;
-};
-
 /**
- * Run a GPM app across num_cores SparseCore cores.
+ * Run a GPM app across num_cores cores of `substrate`, each chunk
+ * replayed onto a fresh backend built from `config`.
  * @param root_stride extra sampling on top of the core split
- * @param host host-parallelism knobs (pool, chunking)
+ * @param pool the host pool the chunks run on
  */
-ParallelGpmResult mineParallelSparseCore(
+ParallelGpmResult mineParallel(
     gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
+    Substrate substrate,
     const arch::SparseCoreConfig &config = arch::SparseCoreConfig{},
-    unsigned root_stride = 1, const HostOptions &host = HostOptions{});
-
-/** The CPU-baseline equivalent (one scalar core per slice). */
-ParallelGpmResult mineParallelCpu(
-    gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
-    const arch::SparseCoreConfig &config = arch::SparseCoreConfig{},
-    unsigned root_stride = 1, const HostOptions &host = HostOptions{});
-
-/** Multi-core comparison sharing one capture per chunk. */
-struct ParallelComparison
-{
-    std::uint64_t functionalResult = 0; ///< total embeddings
-    ParallelGpmResult baseline;         ///< CPU cores
-    ParallelGpmResult accelerated;      ///< SparseCore cores
-
-    double
-    speedup() const
-    {
-        return accelerated.cycles
-                   ? static_cast<double>(baseline.cycles) /
-                         static_cast<double>(accelerated.cycles)
-                   : 0.0;
-    }
-};
-
-/**
- * Run a GPM app across num_cores cores on BOTH substrates. Each
- * root-loop chunk's event trace is captured once and replayed onto a
- * private CPU and a private SparseCore backend, so the functional
- * enumeration cost is paid once instead of per substrate. Both
- * results are bit-identical to the corresponding mineParallel* call.
- */
-ParallelComparison compareParallelGpm(
-    gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_cores,
-    const arch::SparseCoreConfig &config = arch::SparseCoreConfig{},
-    unsigned root_stride = 1, const HostOptions &host = HostOptions{});
+    unsigned root_stride = 1, ThreadPool &pool = ThreadPool::global());
 
 } // namespace sc::api
 

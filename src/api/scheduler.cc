@@ -30,16 +30,14 @@ JobScheduler::JobScheduler(SchedPolicy policy, unsigned slots,
 void
 JobScheduler::dispatchLocked(const Held &held)
 {
-    if (!held.lane.empty()) {
-        Lane &lane = lanes_[held.lane];
-        if (lane.temp == Lane::Temp::Cold) {
-            // First job of a cold lane: it becomes the designated
-            // warmer — the one job allowed to pay the capture cost
-            // for this dataset.
-            lane.temp = Lane::Temp::Warming;
-            lane.warmer = held.seq;
-            ++warmers_;
-        }
+    Lane &lane = lanes_[held.lane];
+    if (lane.temp == Lane::Temp::Cold) {
+        // First job of a cold lane: it becomes the designated
+        // warmer — the one job allowed to pay the capture cost for
+        // this dataset.
+        lane.temp = Lane::Temp::Warming;
+        lane.warmer = held.seq;
+        ++warmers_;
     }
     dispatched_.emplace(held.seq, held.lane);
 }
@@ -61,8 +59,8 @@ bool
 JobScheduler::admit(std::uint64_t seq, const std::string &affinity,
                     int priority, TimePoint now)
 {
-    if (!affinity.empty())
-        ++lanes_[affinity].jobs;
+    Lane &lane = lanes_[affinity];
+    ++lane.jobs;
 
     if (policy_ == SchedPolicy::Fifo) {
         // The PR-8 baseline: straight to the pool, no cap, no lanes.
@@ -71,16 +69,13 @@ JobScheduler::admit(std::uint64_t seq, const std::string &affinity,
     }
 
     const Held held{seq, priority, now, affinity};
-    if (!affinity.empty()) {
-        Lane &lane = lanes_[affinity];
-        if (lane.temp == Lane::Temp::Warming) {
-            // A sibling is already producing this lane's artifacts;
-            // piling in would only stack workers on the store's
-            // in-flight dedup. Park until the lane is warm.
-            lane.parked.push_back(held);
-            ++convoyAvoided_;
-            return false;
-        }
+    if (lane.temp == Lane::Temp::Warming) {
+        // A sibling is already producing this lane's artifacts;
+        // piling in would only stack workers on the store's in-flight
+        // dedup. Park until the lane is warm.
+        lane.parked.push_back(held);
+        ++convoyAvoided_;
+        return false;
     }
     if (dispatched_.size() < slots_) {
         dispatchLocked(held);
@@ -102,20 +97,18 @@ JobScheduler::onComplete(std::uint64_t seq, TimePoint now)
     if (policy_ == SchedPolicy::Fifo)
         return dispatch;
 
-    if (!lane_key.empty()) {
-        Lane &lane = lanes_[lane_key];
-        if (lane.temp == Lane::Temp::Warming && lane.warmer == seq) {
-            // The warmer landed the trace + program (or failed; its
-            // siblings would fail identically, so release them
-            // either way). The lane stays warm for its lifetime —
-            // artifacts are content-keyed and the store pins in-use
-            // entries, so a re-cold lane only costs one redundant
-            // capture, deduped by the store itself.
-            lane.temp = Lane::Temp::Warm;
-            for (Held &held : lane.parked)
-                ready_.push_back(std::move(held));
-            lane.parked.clear();
-        }
+    Lane &lane = lanes_[lane_key];
+    if (lane.temp == Lane::Temp::Warming && lane.warmer == seq) {
+        // The warmer landed the trace + program (or failed; its
+        // siblings would fail identically, so release them either
+        // way). The lane stays warm for its lifetime — artifacts are
+        // content-keyed and the store pins in-use entries, so a
+        // re-cold lane only costs one redundant capture, deduped by
+        // the store itself.
+        lane.temp = Lane::Temp::Warm;
+        for (Held &held : lane.parked)
+            ready_.push_back(std::move(held));
+        lane.parked.clear();
     }
 
     while (dispatched_.size() < slots_ && !ready_.empty()) {
@@ -137,16 +130,14 @@ JobScheduler::onComplete(std::uint64_t seq, TimePoint now)
         ready_.erase(ready_.begin() +
                      static_cast<std::ptrdiff_t>(best));
 
-        if (!held.lane.empty()) {
-            Lane &lane = lanes_[held.lane];
-            if (lane.temp == Lane::Temp::Warming) {
-                // Another ready job just became this lane's warmer
-                // while this one waited for a slot: park it instead
-                // of duplicating the cold work.
-                lane.parked.push_back(std::move(held));
-                ++convoyAvoided_;
-                continue;
-            }
+        Lane &held_lane = lanes_[held.lane];
+        if (held_lane.temp == Lane::Temp::Warming) {
+            // Another ready job just became this lane's warmer while
+            // this one waited for a slot: park it instead of
+            // duplicating the cold work.
+            held_lane.parked.push_back(std::move(held));
+            ++convoyAvoided_;
+            continue;
         }
         dispatchLocked(held);
         dispatch.push_back(held.seq);

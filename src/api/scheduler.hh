@@ -19,9 +19,9 @@
  *              baseline the bench compares against.
  *
  *  - Affinity  Jobs are grouped into *lanes* by their dataset
- *              affinity key (the artifact trace key: workload +
- *              dataset content fingerprint + sampling — see
- *              ResolvedJob::affinityKey). The first job of a cold
+ *              affinity key (the job's trace key, never empty:
+ *              workload + dataset content fingerprint + sampling —
+ *              see ResolvedJob::affinityKey). The first job of a cold
  *              lane is dispatched as the lane's designated *warmer*;
  *              siblings arriving while it runs are *parked* instead
  *              of burning pool workers on the same in-flight capture.
@@ -121,9 +121,8 @@ class JobScheduler
      * warming lane, or ready but out of slots) — it will come back
      * from a later onComplete() or be removed by cancel().
      *
-     * `affinity` keys the lane ("" = no shared artifacts: the job
-     * never parks and never warms a lane, but still counts against
-     * the slot cap).
+     * `affinity` keys the lane: the job's trace key
+     * (ResolvedJob::affinityKey), which is never empty.
      */
     bool admit(std::uint64_t seq, const std::string &affinity,
                int priority, TimePoint now);
@@ -151,7 +150,7 @@ class JobScheduler
         std::uint64_t seq = 0;
         int priority = 0;
         TimePoint enqueued;
-        std::string lane; ///< affinity key ("" = none)
+        std::string lane; ///< affinity key
     };
 
     /** Per-affinity-key artifact temperature + parked siblings. */

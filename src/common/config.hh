@@ -8,8 +8,8 @@
  * table).
  *
  * Precedence, highest first:
- *   1. per-job / per-call overrides (JobSpec fields, RunOptions,
- *      HostOptions) — always win;
+ *   1. per-job / per-call overrides (JobSpec fields, RunOptions, a
+ *      ThreadPool passed to a call) — always win;
  *   2. the environment (this loader);
  *   3. built-in defaults.
  *

@@ -65,18 +65,6 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (!verboseOutput)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
 setVerbose(bool verbose)
 {
     verboseOutput = verbose;

@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style logging helpers: panic() for internal invariant violations,
- * fatal() for user-caused errors, warn()/inform() for status messages.
+ * fatal() for user-caused errors, warn() for status messages.
  */
 
 #ifndef SPARSECORE_COMMON_LOGGING_HH
@@ -44,10 +44,7 @@ std::string strprintf(const char *fmt, ...)
 /** Report a suspicious-but-survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform()/warn() output (benches silence them). */
+/** Enable/disable warn() output (benches silence them). */
 void setVerbose(bool verbose);
 
 } // namespace sc

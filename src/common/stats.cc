@@ -15,14 +15,14 @@ Histogram::Histogram(std::uint64_t bucket_width, std::size_t n_buckets)
 }
 
 void
-Histogram::sample(std::uint64_t value, std::uint64_t weight)
+Histogram::sample(std::uint64_t value)
 {
     std::size_t idx = value / bucketWidth_;
     if (idx >= buckets_.size())
         idx = buckets_.size() - 1; // overflow bucket
-    buckets_[idx] += weight;
-    samples_ += weight;
-    sum_ += value * weight;
+    ++buckets_[idx];
+    ++samples_;
+    sum_ += value;
     max_ = std::max(max_, value);
 }
 

@@ -41,7 +41,7 @@ class Histogram
     explicit Histogram(std::uint64_t bucket_width = 1,
                        std::size_t n_buckets = 512);
 
-    void sample(std::uint64_t value, std::uint64_t weight = 1);
+    void sample(std::uint64_t value);
     void reset();
 
     std::uint64_t samples() const { return samples_; }

@@ -149,24 +149,4 @@ generateRmat(VertexId num_vertices_pow2, std::uint64_t num_edges,
     return std::move(builder).build(std::move(name));
 }
 
-CsrGraph
-generateSmallWorld(VertexId num_vertices, std::uint32_t ring_hops,
-                   std::uint64_t num_chords, std::uint64_t seed,
-                   std::string name)
-{
-    if (num_vertices < 3)
-        fatal("small-world graph needs at least three vertices");
-    Rng rng(seed);
-    GraphBuilder builder(num_vertices);
-    for (VertexId v = 0; v < num_vertices; ++v)
-        for (std::uint32_t h = 1; h <= ring_hops; ++h)
-            builder.addEdge(v, (v + h) % num_vertices);
-    for (std::uint64_t i = 0; i < num_chords; ++i) {
-        auto u = static_cast<VertexId>(rng.below(num_vertices));
-        auto v = static_cast<VertexId>(rng.below(num_vertices));
-        builder.addEdge(u, v);
-    }
-    return std::move(builder).build(std::move(name));
-}
-
 } // namespace sc::graph

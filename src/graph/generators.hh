@@ -51,11 +51,6 @@ CsrGraph generateRmat(VertexId num_vertices_pow2, std::uint64_t num_edges,
                       std::uint64_t seed, double a = 0.57, double b = 0.19,
                       double c = 0.19, std::string name = "rmat");
 
-/** A deterministic small ring+chords graph for examples and tests. */
-CsrGraph generateSmallWorld(VertexId num_vertices, std::uint32_t ring_hops,
-                            std::uint64_t num_chords, std::uint64_t seed,
-                            std::string name = "small-world");
-
 } // namespace sc::graph
 
 #endif // SPARSECORE_GRAPH_GENERATORS_HH

@@ -167,12 +167,6 @@ freesStream(Opcode op)
     return op == Opcode::SFree;
 }
 
-bool
-definesKvStream(Opcode op)
-{
-    return op == Opcode::SVRead || op == Opcode::SVMerge;
-}
-
 std::string
 Inst::toString() const
 {

@@ -74,9 +74,6 @@ bool isStreamOpcode(Opcode op);
 bool definesStream(Opcode op);
 /** True when the opcode releases a stream register (S_FREE). */
 bool freesStream(Opcode op);
-/** True when the defined stream carries values (key/value lattice
- *  point): S_VREAD and S_VMERGE. */
-bool definesKvStream(Opcode op);
 
 /** Number of general registers in the model. */
 constexpr unsigned numGprs = 32;

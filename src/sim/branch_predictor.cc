@@ -12,27 +12,15 @@ namespace {
 /** Counters start weakly not-taken. */
 constexpr std::uint8_t initialCounter = 1;
 
-void
-checkTableSize(std::size_t table_size)
-{
-    if (!std::has_single_bit(table_size))
-        fatal("branch predictor table size must be a power of two");
-}
-
 } // namespace
-
-TwoBitPredictor::TwoBitPredictor(std::size_t table_size)
-    : table_(table_size, initialCounter)
-{
-    checkTableSize(table_size);
-}
 
 GsharePredictor::GsharePredictor(std::size_t table_size,
                                  unsigned history_bits)
     : table_(table_size, initialCounter),
       historyMask_((1ull << history_bits) - 1)
 {
-    checkTableSize(table_size);
+    if (!std::has_single_bit(table_size))
+        fatal("branch predictor table size must be a power of two");
 }
 
 void
@@ -40,7 +28,7 @@ GsharePredictor::reset()
 {
     std::fill(table_.begin(), table_.end(), initialCounter);
     history_ = 0;
-    resetStats();
+    lookups_ = mispredicts_ = 0;
 }
 
 } // namespace sc::sim

@@ -103,7 +103,6 @@ class StreamSetIndex
     Key originalId(std::uint32_t r) const { return inv_[r]; }
 
     std::span<const std::uint32_t> perm() const { return perm_; }
-    std::span<const Key> inverse() const { return inv_; }
 
     /** Bitmap chunk of N(v) (invalid view when array-only). */
     BitmapView
@@ -131,7 +130,6 @@ class StreamSetIndex
 
     // ---- stats (benches, DESIGN.md numbers, tests) ----
     std::uint64_t numBitmaps() const { return numBitmaps_; }
-    std::uint64_t bitmapWords() const { return words_.size(); }
     const Params &params() const { return params_; }
 
     // ---- (key,value) relabel/restore round trip ----

@@ -101,14 +101,6 @@ TEST(Histogram, OverflowBucket)
     EXPECT_DOUBLE_EQ(h.cdfAt(5), 0.0);
 }
 
-TEST(Histogram, WeightedSamples)
-{
-    Histogram h(10, 20);
-    h.sample(15, 3);
-    EXPECT_EQ(h.samples(), 3u);
-    EXPECT_DOUBLE_EQ(h.mean(), 15.0);
-}
-
 TEST(Table, AlignmentAndCsv)
 {
     Table t({"name", "value"});

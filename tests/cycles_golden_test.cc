@@ -2,13 +2,13 @@
  * @file
  * Absolute cycle golden: every api entry point that routes a
  * workload to a timing substrate (Machine::run on each substrate,
- * Machine::compare, mineParallelCpu, mineParallelSparseCore and
- * compareParallelGpm), over every GPM app, FSM and the tensor
- * kernels, at the default SparseCore configuration and at one
- * non-default point. Each cell stores the simulated cycles, the
- * 4-class breakdown (per-core cycles for the multi-core runs) and the
- * functional result. Every cell name ends in /store: its program came
- * out of the ArtifactStore, as every program does.
+ * Machine::compare and mineParallel on each substrate), over every
+ * GPM app, FSM and the tensor kernels, at the default SparseCore
+ * configuration and at one non-default point. Each cell stores the
+ * simulated cycles, the 4-class breakdown (per-core cycles for the
+ * multi-core runs) and the functional result. Every cell name ends
+ * in /store: its program came out of the ArtifactStore, as every
+ * program does.
  *
  * The other suites pin cycles relatively (replay == direct, cached ==
  * cold); a timing-model change that moves both sides of every such
@@ -87,23 +87,17 @@ machineCells(Cells &cells, const std::string &prefix,
                 cmp.accelerated.breakdown);
 }
 
-/** The three multi-core entry points at 3 cores. */
+/** Multi-core mining on both substrates at 3 cores. */
 void
 parallelCells(Cells &cells, const std::string &prefix,
               const arch::SparseCoreConfig &config, gpm::GpmApp app,
               const graph::CsrGraph &g)
 {
     constexpr unsigned cores = 3;
-    cells[prefix + "/mine.cpu/store"] =
-        parallelCell(mineParallelCpu(app, g, cores, config));
-    cells[prefix + "/mine.sparsecore/store"] =
-        parallelCell(mineParallelSparseCore(app, g, cores, config));
-    const ParallelComparison cmp =
-        compareParallelGpm(app, g, cores, config);
-    cells[prefix + "/compare_parallel.cpu/store"] =
-        parallelCell(cmp.baseline);
-    cells[prefix + "/compare_parallel.sparsecore/store"] =
-        parallelCell(cmp.accelerated);
+    cells[prefix + "/mine.cpu/store"] = parallelCell(
+        mineParallel(app, g, cores, Substrate::Cpu, config));
+    cells[prefix + "/mine.sparsecore/store"] = parallelCell(
+        mineParallel(app, g, cores, Substrate::SparseCore, config));
 }
 
 Cells

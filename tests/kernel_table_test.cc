@@ -291,8 +291,8 @@ TEST(KernelCycles, ParallelMiningDeterministicAcrossLevels)
     for (const KernelLevel level : availableKernelLevels()) {
         ScopedKernelOverride forced(level);
         api::ArtifactStore::global().clear(); // capture every chunk
-        const auto par = api::mineParallelSparseCore(
-            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1);
+        const auto par = api::mineParallel(gpm::GpmApp::C4, g, 3,
+                                           api::Substrate::SparseCore);
         if (first) {
             emb_ref = par.embeddings;
             cyc_ref = par.cycles;

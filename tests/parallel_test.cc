@@ -13,6 +13,7 @@
 #include <chrono>
 #include <thread>
 
+#include "api/jobspec.hh"
 #include "api/machine.hh"
 #include "api/parallel.hh"
 #include "backend/functional_backend.hh"
@@ -31,8 +32,8 @@ TEST(Parallel, CountsConservedAcrossSplit)
     const auto serial = machine.run(RunRequest::gpm(gpm::GpmApp::T, g),
                                     Substrate::SparseCore);
     for (unsigned cores : {2u, 3u, 6u}) {
-        const auto par =
-            mineParallelSparseCore(gpm::GpmApp::T, g, cores);
+        const auto par = mineParallel(gpm::GpmApp::T, g, cores,
+                                      Substrate::SparseCore);
         EXPECT_EQ(par.embeddings, serial.functionalResult)
             << cores << " cores";
         EXPECT_EQ(par.perCore.size(), cores);
@@ -42,8 +43,10 @@ TEST(Parallel, CountsConservedAcrossSplit)
 TEST(Parallel, SixCoresFasterThanOne)
 {
     const auto g = test::randomTestGraph(400, 6000, 92);
-    const auto one = mineParallelSparseCore(gpm::GpmApp::C4, g, 1);
-    const auto six = mineParallelSparseCore(gpm::GpmApp::C4, g, 6);
+    const auto one =
+        mineParallel(gpm::GpmApp::C4, g, 1, Substrate::SparseCore);
+    const auto six =
+        mineParallel(gpm::GpmApp::C4, g, 6, Substrate::SparseCore);
     EXPECT_LT(six.cycles * 2, one.cycles); // at least 2x from 6 cores
     EXPECT_GT(six.balance(), 0.3);         // interleaving balances
 }
@@ -52,8 +55,9 @@ TEST(Parallel, CpuParallelMatchesCounts)
 {
     const auto g = test::randomTestGraph(200, 1500, 93);
     const auto sc_par =
-        mineParallelSparseCore(gpm::GpmApp::TC, g, 4);
-    const auto cpu_par = mineParallelCpu(gpm::GpmApp::TC, g, 4);
+        mineParallel(gpm::GpmApp::TC, g, 4, Substrate::SparseCore);
+    const auto cpu_par =
+        mineParallel(gpm::GpmApp::TC, g, 4, Substrate::Cpu);
     EXPECT_EQ(sc_par.embeddings, cpu_par.embeddings);
     EXPECT_LT(sc_par.cycles, cpu_par.cycles);
 }
@@ -69,45 +73,27 @@ TEST(Parallel, RootRangeValidation)
 
 TEST(HostParallel, DeterministicAcrossHostThreadCounts)
 {
-    // Byte-identical ParallelGpmResult whether the host pool has one
-    // thread (pure inline execution) or several: fixed chunk→core
-    // cycle attribution + ordered reduction.
+    // Byte-identical ParallelGpmResult on either substrate whether
+    // the host pool has one thread (pure inline execution) or
+    // several: fixed chunk→core cycle attribution + ordered
+    // reduction.
     ThreadPool one(1), many(4);
     for (std::uint64_t seed : {41ull, 42ull}) {
         const auto g = test::randomTestGraph(250, 2500, seed);
         for (const gpm::GpmApp app : {gpm::GpmApp::T, gpm::GpmApp::C4}) {
-            HostOptions h1, hN;
-            h1.pool = &one;
-            hN.pool = &many;
-            const auto r1 =
-                mineParallelSparseCore(app, g, 6, {}, 1, h1);
-            const auto rN =
-                mineParallelSparseCore(app, g, 6, {}, 1, hN);
-            EXPECT_EQ(r1.embeddings, rN.embeddings);
-            EXPECT_EQ(r1.cycles, rN.cycles);
-            ASSERT_EQ(r1.perCore.size(), rN.perCore.size());
-            for (std::size_t c = 0; c < r1.perCore.size(); ++c)
-                EXPECT_EQ(r1.perCore[c], rN.perCore[c])
-                    << "core " << c << " seed " << seed;
+            for (const Substrate substrate :
+                 {Substrate::SparseCore, Substrate::Cpu}) {
+                const auto r1 =
+                    mineParallel(app, g, 6, substrate, {}, 1, one);
+                const auto rN =
+                    mineParallel(app, g, 6, substrate, {}, 1, many);
+                EXPECT_EQ(r1.embeddings, rN.embeddings);
+                EXPECT_EQ(r1.cycles, rN.cycles);
+                EXPECT_EQ(r1.perCore, rN.perCore)
+                    << substrateName(substrate) << " seed " << seed;
+            }
         }
     }
-}
-
-TEST(HostParallel, LegacyChunkingMatchesPerCoreSplit)
-{
-    // chunksPerCore = 1 is exactly the legacy one-session-per-core
-    // split, so chunked runs must conserve the embedding count.
-    const auto g = test::randomTestGraph(300, 3000, 91);
-    HostOptions legacy;
-    legacy.chunksPerCore = 1;
-    HostOptions chunked;
-    chunked.chunksPerCore = 4;
-    const auto a =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, legacy);
-    const auto b =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, chunked);
-    EXPECT_EQ(a.embeddings, b.embeddings);
-    EXPECT_EQ(a.perCore.size(), b.perCore.size());
 }
 
 TEST(HostParallel, ExceptionFromSimulationTaskPropagates)
@@ -130,21 +116,13 @@ TEST(HostParallel, ExceptionFromSimulationTaskPropagates)
 TEST(HostParallel, ChunkingBalancesSkewedGraph)
 {
     // Regression: on a heavily skewed degree distribution the chunked
-    // split must not leave the simulated-core balance worse than the
-    // legacy per-core split, and must keep it well above the
+    // split must keep the simulated-core balance well above the
     // serialized-behind-one-core regime.
     const auto g = graph::generateChungLu(600, 6000, 580, 1.6, 1234,
                                           "skewed");
-    HostOptions legacy;
-    legacy.chunksPerCore = 1;
-    HostOptions chunked; // default K = 4
-    const auto coarse =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, legacy);
-    const auto fine =
-        mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, chunked);
-    EXPECT_EQ(coarse.embeddings, fine.embeddings);
-    EXPECT_GE(fine.balance(), coarse.balance() * 0.95);
-    EXPECT_GT(fine.balance(), 0.5);
+    const auto r =
+        mineParallel(gpm::GpmApp::T, g, 6, Substrate::SparseCore);
+    EXPECT_GT(r.balance(), 0.5);
 }
 
 TEST(HostParallel, WallClockSpeedupWithFourThreads)
@@ -158,23 +136,20 @@ TEST(HostParallel, WallClockSpeedupWithFourThreads)
 
     const auto g = test::randomTestGraph(500, 8000, 7);
     ThreadPool one(1), four(4);
-    HostOptions h1, h4;
-    h1.pool = &one;
-    h4.pool = &four;
     // Warm up caches / page in the graph.
-    mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, h1);
+    mineParallel(gpm::GpmApp::T, g, 6, Substrate::SparseCore, {}, 1, one);
 
-    const auto time_run = [&](const HostOptions &h) {
+    const auto time_run = [&](ThreadPool &pool) {
         const auto start = std::chrono::steady_clock::now();
-        const auto r =
-            mineParallelSparseCore(gpm::GpmApp::C4, g, 6, {}, 1, h);
+        const auto r = mineParallel(gpm::GpmApp::C4, g, 6,
+                                    Substrate::SparseCore, {}, 1, pool);
         const double s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
         return std::make_pair(r, s);
     };
-    const auto [r1, t1] = time_run(h1);
-    const auto [r4, t4] = time_run(h4);
+    const auto [r1, t1] = time_run(one);
+    const auto [r4, t4] = time_run(four);
     EXPECT_EQ(r1.embeddings, r4.embeddings);
     EXPECT_EQ(r1.cycles, r4.cycles);
     EXPECT_GE(t1 / t4, 2.0)

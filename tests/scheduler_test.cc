@@ -102,28 +102,14 @@ TEST(Scheduler, DistinctLanesSpreadAcrossSlots)
               (std::vector<std::uint64_t>{4}));
 }
 
-TEST(Scheduler, EmptyAffinityNeverParksOnlySlotCaps)
-{
-    // Tensor workloads share no store artifacts: no lane, no warmer,
-    // but the slot cap still applies.
-    JobScheduler sched(SchedPolicy::Affinity, 2);
-    EXPECT_TRUE(sched.admit(0, "", 0, at(0)));
-    EXPECT_TRUE(sched.admit(1, "", 0, at(0)));
-    EXPECT_FALSE(sched.admit(2, "", 0, at(0)));
-    EXPECT_EQ(sched.stats().warmers, 0u);
-    EXPECT_EQ(sched.stats().parked, 0u);
-    EXPECT_EQ(sched.stats().waitingForSlot, 1u);
-    EXPECT_EQ(sched.onComplete(0, at(1)),
-              (std::vector<std::uint64_t>{2}));
-}
-
 TEST(Scheduler, PriorityOrdersTheSlotQueue)
 {
+    // One lane per job, so nothing parks and only the slot cap holds.
     JobScheduler sched(SchedPolicy::Affinity, 1, /*aging=*/0);
-    EXPECT_TRUE(sched.admit(0, "", 0, at(0)));
-    EXPECT_FALSE(sched.admit(1, "", 0, at(0)));  // priority 0
-    EXPECT_FALSE(sched.admit(2, "", 50, at(0))); // priority 50
-    EXPECT_FALSE(sched.admit(3, "", 50, at(0))); // tie: lower seq
+    EXPECT_TRUE(sched.admit(0, "lane0", 0, at(0)));
+    EXPECT_FALSE(sched.admit(1, "lane1", 0, at(0)));  // priority 0
+    EXPECT_FALSE(sched.admit(2, "lane2", 50, at(0))); // priority 50
+    EXPECT_FALSE(sched.admit(3, "lane3", 50, at(0))); // tie: lower seq
     // Highest priority first; ties by submission order.
     EXPECT_EQ(sched.onComplete(0, at(1)),
               (std::vector<std::uint64_t>{2}));
@@ -139,9 +125,9 @@ TEST(Scheduler, AgingPreventsStarvation)
     // One lane of aging per 0.1 s held: a priority-0 job held for
     // 2 s outranks a fresh priority-10 job.
     JobScheduler sched(SchedPolicy::Affinity, 1, /*aging=*/0.1);
-    EXPECT_TRUE(sched.admit(0, "", 0, at(0)));
-    EXPECT_FALSE(sched.admit(1, "", 0, at(0)));
-    EXPECT_FALSE(sched.admit(2, "", 10, at(2)));
+    EXPECT_TRUE(sched.admit(0, "lane0", 0, at(0)));
+    EXPECT_FALSE(sched.admit(1, "lane1", 0, at(0)));
+    EXPECT_FALSE(sched.admit(2, "lane2", 10, at(2)));
     EXPECT_EQ(sched.onComplete(0, at(2)),
               (std::vector<std::uint64_t>{1}));
 }
@@ -196,7 +182,6 @@ TEST(Scheduler, LaneJobsReportPerDatasetBatchSizes)
     sched.admit(0, "laneB", 0, at(0));
     sched.admit(1, "laneA", 0, at(0));
     sched.admit(2, "laneA", 0, at(0));
-    sched.admit(3, "", 0, at(0)); // no lane: not listed
     const api::SchedulerStats stats = sched.stats();
     ASSERT_EQ(stats.laneJobs.size(), 2u);
     EXPECT_EQ(stats.laneJobs[0].first, "laneA"); // sorted by key
@@ -219,7 +204,7 @@ TEST(Scheduler, EveryAdmittedSeqIsEventuallyDispatched)
         seen[seq] = true;
         running.push_back(seq);
     };
-    const char *lanes[] = {"a", "b", "c", "", "a", "b"};
+    const char *lanes[] = {"a", "b", "c", "d", "a", "b"};
     double clock = 0;
     for (std::uint64_t seq = 0; seq < 64; ++seq) {
         if (sched.admit(seq, lanes[seq % 6],

@@ -551,8 +551,8 @@ TEST(SetIndexCycles, ParallelMiningDeterministicAcrossPolicies)
     for (const IndexPolicy policy : allPolicies) {
         ScopedIndexPolicyOverride forced(policy);
         api::ArtifactStore::global().clear(); // capture every chunk
-        const auto par = api::mineParallelSparseCore(
-            gpm::GpmApp::C4, g, 3, arch::SparseCoreConfig{}, 1);
+        const auto par = api::mineParallel(gpm::GpmApp::C4, g, 3,
+                                           api::Substrate::SparseCore);
         if (first) {
             emb_ref = par.embeddings;
             cyc_ref = par.cycles;

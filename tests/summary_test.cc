@@ -181,19 +181,18 @@ TEST(CostBounds, CommittedGoldenTraceBrackets)
 
 TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
 {
-    // The mineParallel* split: chunk m of M covers roots
-    // { (m + i*M) * stride }. Every chunk's trace must be
-    // verifier-clean and satisfy the bracket property; the chunk
-    // functional results must sum to the parallel miner's.
+    // The mineParallel split: chunk m of M covers roots
+    // { (m + i*M) * stride }, and one core runs 4 chunks. Every
+    // chunk's trace must be verifier-clean and satisfy the bracket
+    // property; the chunk functional results must sum to the
+    // parallel miner's.
     const auto g = test::randomTestGraph(80, 500, 7);
     const gpm::GpmApp app = gpm::GpmApp::TC;
     const arch::SparseCoreConfig config;
     constexpr unsigned kChunks = 4;
 
-    api::HostOptions host;
-    host.chunksPerCore = 2;
     const auto parallel =
-        api::mineParallelSparseCore(app, g, 2, config, 1, host);
+        api::mineParallel(app, g, 1, api::Substrate::SparseCore, config);
 
     std::uint64_t chunk_total = 0;
     for (unsigned chunk = 0; chunk < kChunks; ++chunk) {
