@@ -13,7 +13,10 @@
  * TraceRecorder, or onto a fresh backend), and every replay's cycles
  * are checksummed against that direct execution on the same backend,
  * so this bench measures only what the engine is allowed to move:
- * how fast the host re-walks a captured program.
+ * how fast the host re-walks a captured program. Sparsecore cells
+ * replay with the program's SU cost column attached, as the api paths
+ * do: the first replay of a cell builds the column and is reported on
+ * its own, and every timed sample reads it.
  *
  * One timing of a cell on a shared host can read several-fold off
  * the next, so each cell is sampled kSamples times, generic and
@@ -30,6 +33,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -211,6 +215,9 @@ struct Cell
 struct FamilyResult
 {
     std::vector<double> generic, bytecode; ///< replays/s samples
+    /** The first devirtualized replay; on sparsecore it includes
+     *  building the SU cost column the timed samples read. */
+    double firstSeconds = 0;
     Cycles direct = 0;
     bool cyclesMatch = true;
 };
@@ -221,17 +228,46 @@ measureFamily(const char *name, const Cell &cell,
               const trace::BytecodeProgram &bc, Make make,
               double min_seconds)
 {
+    using Backend = typename decltype(make())::element_type;
+    constexpr bool sparsecore =
+        std::is_same_v<Backend, backend::SparseCoreBackend>;
     FamilyResult r;
     r.direct = api::execute(cell.request, *make()).cycles;
-    const auto generic = [&] {
+    std::shared_ptr<const arch::SuCostColumn> column;
+    const auto fresh = [&] {
         auto be = make();
+        if constexpr (sparsecore)
+            be->engine().useSuCosts(column);
+        return be;
+    };
+    const auto generic = [&] {
+        auto be = fresh();
         Forwarding fwd(*be);
         return trace::replayCompiled(bc, fwd, false).cycles;
     };
     const auto bytecode = [&] {
-        auto be = make();
+        auto be = fresh();
         return trace::replayCompiled(bc, *be, false).cycles;
     };
+
+    unsigned window = 0;
+    if constexpr (sparsecore)
+        window = make()->engine().config().suWindow;
+    const bench::WallTimer first_timer;
+    if constexpr (sparsecore)
+        column = std::make_shared<const arch::SuCostColumn>(
+            trace::suCostColumn(bc, window));
+    const Cycles first_cycles = bytecode();
+    r.firstSeconds = first_timer.seconds();
+    if (first_cycles != r.direct) {
+        std::fprintf(stderr,
+                     "FAIL: %s %s first replay cycles differ from direct "
+                     "execution (%llu replay, %llu direct)\n",
+                     cell.name.c_str(), name,
+                     static_cast<unsigned long long>(first_cycles),
+                     static_cast<unsigned long long>(r.direct));
+        r.cyclesMatch = false;
+    }
     // Alternate which engine goes first, so drift in the host's load
     // lands on both.
     for (int i = 0; i < kSamples; ++i) {
@@ -281,7 +317,9 @@ main(int argc, char **argv)
                 "bytecode ====\n");
     std::printf("host wall clock only; cycles are checksummed against "
                 "direct execution; %d samples per cell, median and "
-                "interquartile range (q1-q3)\n\n",
+                "interquartile range (q1-q3); sparsecore replays read "
+                "the program's SU cost column, which its first replay "
+                "builds\n\n",
                 kSamples);
 
     // Fig. 7-class workload: power-law graphs, the paper's headline
@@ -323,9 +361,9 @@ main(int argc, char **argv)
     };
 
     bench::BenchReport report("replay");
-    Table table({"workload", "backend", "events", "generic replays/s",
-                 "generic IQR", "bytecode replays/s", "bytecode IQR",
-                 "speedup"});
+    Table table({"workload", "backend", "events", "first replay ms",
+                 "generic replays/s", "generic IQR", "bytecode replays/s",
+                 "bytecode IQR", "speedup"});
     Table capture({"workload", "events", "instructions", "code bytes",
                    "bytes/event", "capture ms"});
 
@@ -347,6 +385,7 @@ main(int argc, char **argv)
             const Spread generic(r.generic), bytecode(r.bytecode);
             table.addRow({cell.name, name,
                           std::to_string(bc.numEvents()),
+                          Table::num(r.firstSeconds * 1e3, 2),
                           Table::num(generic.median), generic.iqr(),
                           Table::num(bytecode.median), bytecode.iqr(),
                           Table::speedup(bytecode.median /

@@ -14,7 +14,8 @@
 # serialization + SCBC rejection + artifact-store + pipeline suites,
 # the cycle and counter goldens and the timing-model suites (arena
 # ownership, encoding and image-loading bugs show up here, and so do
-# out-of-range indexes into the cache tag/LRU arrays), then a
+# out-of-range indexes into the cache tag/LRU arrays, the CPU merge
+# loop's remembered L1 slots and the SU cost columns), then a
 # forced-scalar kernel build (the AVX2 TU omitted, so scalar is the
 # only kernel level) with the full suite, kernel and replay microbench
 # smoke runs (their BENCH_*.json stay under the build directory; this
@@ -99,7 +100,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ScbcRejection.*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*:Cache.*:MemHierarchy.*:BranchPredictor.*:CoreModel.*:Engine*.*:Smt.*:SCache.*:Scratchpad.*:Svpu.*:NestTranslator.*:CounterGolden.*:ColdBegin.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ScbcRejection.*:ArtifactStore.*:LruCache.*:Pipeline.*:CyclesGolden.*:Cache.*:MemHierarchy.*:BranchPredictor.*:CoreModel.*:CpuMergeLoop.*:Engine*.*:SuCostColumn.*:Smt.*:SCache.*:Scratchpad.*:Svpu.*:NestTranslator.*:CounterGolden.*:ColdBegin.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="
@@ -115,9 +116,10 @@ echo "=== kernel microbench smoke ==="
 echo
 echo "=== replay microbench smoke ==="
 # Gates the cross-engine cycle checksums: every generic and
-# devirtualized replay of each GPM and FSM cell must equal direct
-# execution (api::execute) on its backend. The timings it prints are
-# medians of a few samples per cell and gate nothing.
+# devirtualized replay of each GPM and FSM cell (on sparsecore, reading
+# the program's SU cost column) must equal direct execution
+# (api::execute) on its backend. The timings it prints are medians of
+# a few samples per cell and gate nothing.
 (cd "${prefix}" && bench/replay_microbench --smoke)
 
 echo

@@ -8,6 +8,7 @@
 #include "arch/config.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -57,9 +58,12 @@ ArtifactStoreStats::str() const
     appendCounters(os, "traces", traces);
     os << " | ";
     appendCounters(os, "verdicts", verdicts);
+    os << " | ";
+    appendCounters(os, "su costs", suCosts);
+    os << " (" << suCosts.bytes << " bytes)";
     os << " | resident "
        << (graphs.bytes + labeledGraphs.bytes + traces.bytes +
-           verdicts.bytes)
+           verdicts.bytes + suCosts.bytes)
        << " bytes";
     return os.str();
 }
@@ -67,7 +71,8 @@ ArtifactStoreStats::str() const
 ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
     : traces_(capacity_bytes, cachedTraceBytes),
       verdicts_(capacity_bytes, verdictBytes),
-      summaries_(capacity_bytes, summaryBytes)
+      summaries_(capacity_bytes, summaryBytes),
+      suCosts_(capacity_bytes, &arch::SuCostColumn::bytes)
 {
 }
 
@@ -134,6 +139,17 @@ ArtifactStore::summary(const std::string &trace_key,
     });
 }
 
+std::shared_ptr<const arch::SuCostColumn>
+ArtifactStore::suCosts(const std::string &trace_key,
+                       const trace::BytecodeProgram &program,
+                       unsigned window)
+{
+    return suCosts_.getOrBuild(suCostKey(trace_key, window), [&] {
+        return std::make_shared<const arch::SuCostColumn>(
+            trace::suCostColumn(program, window));
+    });
+}
+
 std::shared_ptr<const ArtifactStore::CachedTrace>
 ArtifactStore::peekTrace(const std::string &key)
 {
@@ -148,6 +164,7 @@ ArtifactStore::stats() const
     stats.labeledGraphs = graph::labeledGraphCacheStats();
     stats.traces = traces_.stats();
     stats.verdicts = verdicts_.stats();
+    stats.suCosts = suCosts_.stats();
     return stats;
 }
 
@@ -157,6 +174,7 @@ ArtifactStore::clear()
     traces_.clear();
     verdicts_.clear();
     summaries_.clear();
+    suCosts_.clear();
 }
 
 std::string
@@ -179,6 +197,12 @@ ArtifactStore::summaryKey(const std::string &trace_key,
        << config.suWindow << "bw" << config.aggregateBandwidth
        << (config.nestedIntersection ? "n1" : "n0");
     return os.str();
+}
+
+std::string
+ArtifactStore::suCostKey(const std::string &trace_key, unsigned window)
+{
+    return trace_key + "/su" + std::to_string(window);
 }
 
 } // namespace sc::api

@@ -19,17 +19,20 @@
  * a fig07–fig16 sweep captures each workload point exactly once and
  * replays the shared program at every point. One key holds one
  * entry, the program plus its functional result; the verdict and
- * summary caches hold small derived reports. Keys carry no format
- * version: a cached program never leaves process memory.
+ * summary caches hold small derived reports, and the SU cost cache
+ * holds each program's SU cost column per SU window (8 bytes per SU
+ * operation), which every SparseCore replay after the first reads
+ * instead of recomputing its costs. Keys carry no format version: a
+ * cached program never leaves process memory.
  *
  * Every api path takes its program from here (api::prepare). A cold
  * capture and a warm hit replay to the same results and simulated
  * cycles as direct execution (the replay invariant; pinned by
  * tests/artifact_store_test.cc and the cycle golden), so the store
  * only moves host wall-clock. SC_ARTIFACT_CACHE_BYTES bounds the
- * resident bytes per cache (programs, verdicts, summaries; default
- * 1 GiB each) — LRU eviction with in-use artifacts pinned by their
- * shared_ptr.
+ * resident bytes per cache (programs, verdicts, summaries, SU cost
+ * columns; default 1 GiB each) — LRU eviction with in-use artifacts
+ * pinned by their shared_ptr.
  */
 
 #ifndef SPARSECORE_API_ARTIFACT_STORE_HH
@@ -42,6 +45,7 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/summary.hh"
+#include "arch/engine.hh"
 #include "common/cache.hh"
 #include "graph/datasets.hh"
 #include "trace/recorder.hh"
@@ -58,6 +62,7 @@ struct ArtifactStoreStats
      *  compiles against this field. */
     CacheStats programs;
     CacheStats verdicts; ///< verified-bit cache (verdict())
+    CacheStats suCosts;  ///< SU cost columns (suCosts())
 
     /** One-line summary ("traces 3 hits / 1 miss | ..."). */
     std::string str() const;
@@ -131,6 +136,18 @@ class ArtifactStore
             const trace::BytecodeProgram &program,
             const arch::SparseCoreConfig &config);
 
+    /**
+     * Get-or-build the SU cost column of a program at SU `window`
+     * (trace::suCostColumn) — at most once per resident (trace_key,
+     * window). A SparseCore replay that attaches it reads each SU
+     * operation's cost instead of computing it; the column depends
+     * on nothing else, so every SU count, bandwidth and nested-flag
+     * point at one window shares it.
+     */
+    std::shared_ptr<const arch::SuCostColumn>
+    suCosts(const std::string &trace_key,
+            const trace::BytecodeProgram &program, unsigned window);
+
     /** Resident-entry peek for admission-time checks: never captures,
      *  never counts a hit or miss (the smoke legs pin those). */
     std::shared_ptr<const CachedTrace>
@@ -146,11 +163,14 @@ class ArtifactStore
                                   unsigned capacity);
     static std::string summaryKey(const std::string &trace_key,
                                   const arch::SparseCoreConfig &config);
+    static std::string suCostKey(const std::string &trace_key,
+                                 unsigned window);
 
   private:
     LruCache<std::string, CachedTrace> traces_;
     LruCache<std::string, analysis::VerifyReport> verdicts_;
     LruCache<std::string, analysis::ProgramSummary> summaries_;
+    LruCache<std::string, arch::SuCostColumn> suCosts_;
 };
 
 } // namespace sc::api

@@ -125,7 +125,9 @@ JobQueueStats::str() const
     os << " | latency p50 " << p50LatencySeconds * 1e3 << " ms, p99 "
        << p99LatencySeconds * 1e3 << " ms";
     os << " | store: traces " << traceHits << " hits / "
-       << traceMisses << " misses";
+       << traceMisses << " misses, su costs " << suCostHits
+       << " hits / " << suCostMisses << " misses (" << suCostBytes
+       << " bytes)";
     os << " | verify: " << verifyChecked << " checked, "
        << verifyRejected << " program / " << pressureRejected
        << " pressure rejects, " << verdictHits
@@ -157,6 +159,9 @@ JobQueueStats::toJsonValue() const
     store.set("trace_waits", JsonValue::number(traceWaits));
     store.set("verdict_hits", JsonValue::number(verdictHits));
     store.set("verdict_misses", JsonValue::number(verdictMisses));
+    store.set("su_cost_hits", JsonValue::number(suCostHits));
+    store.set("su_cost_misses", JsonValue::number(suCostMisses));
+    store.set("su_cost_bytes", JsonValue::number(suCostBytes));
     out.set("artifact_store", std::move(store));
     JsonValue verify = JsonValue::object();
     verify.set("checked", JsonValue::number(verifyChecked));
@@ -484,6 +489,9 @@ JobQueue::stats() const
     out.verdictHits = now.verdicts.hits - store_before_.verdicts.hits;
     out.verdictMisses =
         now.verdicts.misses - store_before_.verdicts.misses;
+    out.suCostHits = now.suCosts.hits - store_before_.suCosts.hits;
+    out.suCostMisses = now.suCosts.misses - store_before_.suCosts.misses;
+    out.suCostBytes = now.suCosts.bytes;
     return out;
 }
 

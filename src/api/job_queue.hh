@@ -144,6 +144,11 @@ struct JobQueueStats
     /** Verified-bit cache deltas: verdictHits = re-checks skipped. */
     std::uint64_t verdictHits = 0;
     std::uint64_t verdictMisses = 0;
+    /** SU cost column cache deltas (a miss builds a column) and the
+     *  columns' resident bytes at the snapshot. */
+    std::uint64_t suCostHits = 0;
+    std::uint64_t suCostMisses = 0;
+    std::uint64_t suCostBytes = 0;
     /** Admission-time verification (warm-trace jobs only):
      *  verifyChecked counts jobs whose resident trace was checked at
      *  submit(); verifyRejected / pressureRejected split the

@@ -63,9 +63,7 @@ Machine::run(const RunRequest &request, Substrate substrate) const
     // the substrate.
     const Prepared prepared = prepare(request, request.options.verify);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto be = makeBackend(substrate, config_);
-    const trace::ReplayResult rep =
-        trace::replayCompiled(*prepared.program, *be, /*verify=*/false);
+    const trace::ReplayResult rep = replay(prepared, substrate, config_);
     RunResult out;
     out.functionalResult = prepared.functionalResult();
     out.cycles = rep.cycles;
@@ -85,14 +83,10 @@ Machine::compare(const RunRequest &request) const
     const Prepared prepared = prepare(request, request.options.verify);
     const auto t0 = std::chrono::steady_clock::now();
     trace::ReplayResult cpu, sc;
-    const auto replayOn = [&](Substrate substrate) {
-        return trace::replayCompiled(*prepared.program,
-                                     *makeBackend(substrate, config_),
-                                     /*verify=*/false);
-    };
     parallelInvoke(
-        ThreadPool::global(), [&] { cpu = replayOn(Substrate::Cpu); },
-        [&] { sc = replayOn(Substrate::SparseCore); });
+        ThreadPool::global(),
+        [&] { cpu = replay(prepared, Substrate::Cpu, config_); },
+        [&] { sc = replay(prepared, Substrate::SparseCore, config_); });
 
     Comparison cmp;
     cmp.functionalResult = prepared.functionalResult();

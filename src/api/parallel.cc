@@ -9,7 +9,6 @@
 #include "common/parallel_for.hh"
 #include "gpm/executor.hh"
 #include "trace/recorder.hh"
-#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -57,11 +56,8 @@ mineChunks(gpm::GpmApp app, const graph::CsrGraph &g, unsigned num_chunks,
                 return executor.runMany(plans).embeddings;
             },
             std::nullopt);
-        const auto backend = makeBackend(substrate, config);
         return ChunkRun{prepared.functionalResult(),
-                        trace::replayCompiled(*prepared.program, *backend,
-                                              /*verify=*/false)
-                            .cycles};
+                        replay(prepared, substrate, config).cycles};
     });
 }
 

@@ -119,6 +119,7 @@ prepare(const std::string &key, const ArtifactStore::CaptureFn &capture,
         return capture(rec);
     });
     const auto t1 = std::chrono::steady_clock::now();
+    out.key = key;
     out.program = {out.cached, &out.cached->trace};
     if (check)
         throwOnErrors(
@@ -153,6 +154,20 @@ makeBackend(Substrate substrate, const arch::SparseCoreConfig &config)
         return std::make_unique<backend::CpuBackend>(config.core,
                                                      config.mem);
     return std::make_unique<backend::SparseCoreBackend>(config);
+}
+
+trace::ReplayResult
+replay(const Prepared &prepared, Substrate substrate,
+       const arch::SparseCoreConfig &config)
+{
+    const auto be = makeBackend(substrate, config);
+    if (substrate == Substrate::SparseCore)
+        static_cast<backend::SparseCoreBackend &>(*be).engine().useSuCosts(
+            ArtifactStore::global().suCosts(prepared.key,
+                                            *prepared.program,
+                                            config.suWindow));
+    return trace::replayCompiled(*prepared.program, *be,
+                                 /*verify=*/false);
 }
 
 } // namespace sc::api

@@ -7,7 +7,9 @@
  *   prepare()      obtain the captured program from the ArtifactStore
  *                  under its content key, and check its verdict
  *   makeBackend()  the timing backend for a substrate
- *   replayCompiled the devirtualized bytecode replay (trace/replay.hh)
+ *   replay()       replay a prepared program onto a fresh timing
+ *                  backend (trace::replayCompiled), a SparseCore one
+ *                  reading its SU costs from the store's column
  *
  * Machine::run/compare, the multi-core miners (api/parallel.hh), the
  * job queue and the figure drivers all route through these, so keys,
@@ -28,6 +30,7 @@
 #include "api/artifact_store.hh"
 #include "api/run.hh"
 #include "backend/exec_backend.hh"
+#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -35,6 +38,8 @@ namespace sc::api {
  *  (TraceStats::replaySeconds is the caller's to fill). */
 struct Prepared
 {
+    /** The program's ArtifactStore key. */
+    std::string key;
     /** The program and the functional result of its capture run. */
     std::shared_ptr<const ArtifactStore::CachedTrace> cached;
     /** cached->trace, sharing the entry's ownership. */
@@ -90,6 +95,18 @@ Prepared prepare(const RunRequest &req, std::optional<bool> verify);
 /** The timing backend for `substrate` under `config`. */
 std::unique_ptr<backend::ExecBackend>
 makeBackend(Substrate substrate, const arch::SparseCoreConfig &config);
+
+/**
+ * Replay a prepared (already verified) program onto a fresh
+ * makeBackend(substrate, config). A SparseCore replay attaches the
+ * program's SU cost column at config.suWindow from
+ * ArtifactStore::global() — the first replay per (key, window)
+ * builds it, concurrent first replays share one build — so it reads
+ * every SU cost instead of computing it. The cycles are those of
+ * direct execution either way.
+ */
+trace::ReplayResult replay(const Prepared &prepared, Substrate substrate,
+                           const arch::SparseCoreConfig &config);
 
 } // namespace sc::api
 

@@ -42,7 +42,35 @@ Engine::reset()
     // Only the core is costly to build (its cache tag arrays): keep
     // it, cleared in place, and rebuild the rest around it.
     core_.reset();
+    std::shared_ptr<const SuCostColumn> column = std::move(suCosts_);
     *this = Engine(config_, std::move(core_));
+    suCosts_ = std::move(column);
+}
+
+void
+Engine::useSuCosts(std::shared_ptr<const SuCostColumn> column)
+{
+    if (column && column->window != config_.suWindow)
+        panic("SU cost column built at window %u read at window %u",
+              column->window, config_.suWindow);
+    suCosts_ = std::move(column);
+    nextSuCost_ = 0;
+}
+
+Engine::OpCost
+Engine::opCost(streams::KeySpan a, streams::KeySpan b, SetOpKind kind,
+               Key bound)
+{
+    if (suCosts_) {
+        if (nextSuCost_ == suCosts_->entries.size())
+            panic("SU cost column of %zu entries read past its end",
+                  suCosts_->entries.size());
+        const SuCostColumn::Entry &e = suCosts_->entries[nextSuCost_++];
+        return {e.cycles, e.consumed};
+    }
+    const streams::SuCost cost =
+        streams::suCost(a, b, kind, bound, config_.suWindow);
+    return {cost.cycles, cost.aConsumed + cost.bConsumed};
 }
 
 StatSet
@@ -221,15 +249,13 @@ Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     const Cycles su_free = su->freeAt();
     const Cycles start = std::max({issue, su_free, operands});
 
-    const auto cost =
-        streams::suCost(ak, bk, kind, bound, config_.suWindow);
+    const OpCost cost = opCost(ak, bk, kind, bound);
     const Cycles intrinsic = config_.suPipelineLatency + cost.cycles;
 
     // Fluid bandwidth server shared by all SUs: the operation needs
     // (aConsumed + bConsumed) elements delivered from S-Cache or
     // scratchpad at the aggregate rate.
-    const double elems =
-        static_cast<double>(cost.aConsumed + cost.bConsumed);
+    const double elems = static_cast<double>(cost.consumed);
     const double bw_start =
         std::max(static_cast<double>(start), bwFreeAt_);
     bwFreeAt_ = bw_start + elems / config_.aggregateBandwidth;
@@ -250,7 +276,7 @@ Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
 
     lengthHist_.sample(ak.size());
     lengthHist_.sample(bk.size());
-    counters_.setOpElements += cost.aConsumed + cost.bConsumed;
+    counters_.setOpElements += cost.consumed;
     ++counters_.ops[static_cast<std::size_t>(kind)];
     return completion;
 }
@@ -428,14 +454,11 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         const Cycles su_free = su->freeAt();
         const Cycles op_start =
             std::max({ready_[i] + fetch, su_free, start});
-        const auto cost =
-            streams::suCost(s_keys, elem.nested,
-                            SetOpKind::Intersect, elem.bound,
-                            config_.suWindow);
+        const OpCost cost = opCost(s_keys, elem.nested,
+                                   SetOpKind::Intersect, elem.bound);
         const Cycles intrinsic =
             config_.suPipelineLatency + cost.cycles;
-        const double elems_moved =
-            static_cast<double>(cost.aConsumed + cost.bConsumed);
+        const double elems_moved = static_cast<double>(cost.consumed);
         const double bw_start =
             std::max(static_cast<double>(op_start), bwFreeAt_);
         bwFreeAt_ =
@@ -447,7 +470,7 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         su->occupy(op_start, completion);
 
         lengthHist_.sample(elem.nested.size());
-        counters_.setOpElements += cost.aConsumed + cost.bConsumed;
+        counters_.setOpElements += cost.consumed;
         ++counters_.nestedIntersectOps;
         // Memory is charged only for delay beyond SU availability
         // (nested prefetches overlap with earlier intersections).
@@ -496,6 +519,9 @@ Engine::fetchLoop(StreamHandle handle, std::uint64_t n,
 Cycles
 Engine::finish()
 {
+    if (suCosts_ && nextSuCost_ != suCosts_->entries.size())
+        panic("run read %zu of the %zu SU costs in its column",
+              nextSuCost_, suCosts_->entries.size());
     if (maxCompletion_ > now()) {
         const double total = drainMemWeight_ + drainSuWeight_;
         const double share =

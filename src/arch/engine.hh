@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "arch/config.hh"
@@ -55,6 +56,31 @@ struct NestedElem
     Key bound;      ///< intersection upper bound (the element value)
 };
 
+/**
+ * The streams::suCost results one program's replay asks for, in the
+ * order it asks, at one SU window: each entry is an operation's
+ * comparator cycles and the elements it moves (aConsumed +
+ * bConsumed). trace::suCostColumn builds one per (program, window);
+ * the SU count, the bandwidth and the nested flag do not change it.
+ */
+struct SuCostColumn
+{
+    struct Entry
+    {
+        std::uint32_t cycles = 0;
+        std::uint32_t consumed = 0;
+    };
+
+    unsigned window = 0;
+    std::vector<Entry> entries;
+
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) + entries.capacity() * sizeof(Entry);
+    }
+};
+
 /** The timing engine. */
 class Engine
 {
@@ -62,8 +88,18 @@ class Engine
     explicit Engine(const SparseCoreConfig &config = SparseCoreConfig{});
 
     /** Cold state, as constructed: the core's caches and predictor
-     *  are cleared in place, everything else is rebuilt. */
+     *  are cleared in place, everything else is rebuilt. An attached
+     *  SU cost column stays attached and is read from its start. */
     void reset();
+
+    /**
+     * Read every SU operation's cost from `column`, in order, instead
+     * of computing it with streams::suCost (null: compute again).
+     * The column must be built at this engine's SU window, and a run
+     * must read each entry exactly once: reading past the end panics,
+     * and so does finish() when entries are left.
+     */
+    void useSuCosts(std::shared_ptr<const SuCostColumn> column);
 
     // ------------- host scalar side -------------
     /** Charge n scalar ALU/addressing operations. */
@@ -214,6 +250,17 @@ class Engine
     /** Advance the shared value-load server; returns its drain time. */
     Cycles valueServerDone(Cycles start, std::uint64_t loads);
 
+    /** One SU operation's comparator cycles and elements moved. */
+    struct OpCost
+    {
+        Cycles cycles;
+        std::uint64_t consumed;
+    };
+    /** The column's next entry when one is attached, else
+     *  streams::suCost at the engine's window. */
+    OpCost opCost(streams::KeySpan a, streams::KeySpan b,
+                  streams::SetOpKind kind, Key bound);
+
     /** Schedule one set op on the SUs; returns completion time. */
     Cycles scheduleSetOp(streams::SetOpKind kind, StreamHandle a,
                          StreamHandle b, streams::KeySpan ak,
@@ -246,6 +293,9 @@ class Engine
 
     Histogram lengthHist_;
     Counters counters_;
+
+    std::shared_ptr<const SuCostColumn> suCosts_;
+    std::size_t nextSuCost_ = 0; ///< the column entry read next
 
     // Scratch buffers reused across instructions (no per-call
     // allocation on the replay path).

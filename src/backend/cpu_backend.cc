@@ -6,7 +6,6 @@ namespace sc::backend {
 
 using sim::CycleClass;
 using streams::SetOpKind;
-using streams::StepOutcome;
 
 namespace {
 
@@ -14,6 +13,15 @@ namespace {
 constexpr std::uint64_t pcMatchBranch = 0x40;
 constexpr std::uint64_t pcAdvanceBranch = 0x44;
 constexpr std::uint64_t pcLoopBranch = 0x48;
+
+/** The ordinary path of a merge-loop load: charge it through the core
+ *  model and return the cursor of the L1 line it left behind. */
+sim::Cache::Cursor
+lineLoad(sim::CoreModel &core, Addr addr)
+{
+    core.load(addr, CycleClass::Intersection);
+    return core.mem().l1().cursorAt(addr);
+}
 
 } // namespace
 
@@ -83,7 +91,6 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
                       bool producing)
 {
     const CycleClass cls = CycleClass::Intersection;
-    std::uint64_t out_index = 0;
 
     // Optimized baselines gallop when the operands are severely
     // skewed: iterate the short side, binary-search the long side.
@@ -112,69 +119,155 @@ CpuBackend::mergeLoop(SetOpKind kind, const StreamRec &ra,
         }
     }
 
-    // Initial element loads.
-    if (!ak.empty())
-        core_.load(ra.keyAddr, cls);
-    if (!bk.empty())
-        core_.load(rb.keyAddr, cls);
-
-    std::size_t ia = 0, ib = 0;
-    auto on_step = [&](StepOutcome outcome) {
-        core_.executeOps(costs_.opsPerStep, cls);
-        // Branch structure of the Fig. 4(a) loop:
-        //   if (cmp == 0) ... else if (cmp < 0) ... else ...
-        const bool match = outcome == StepOutcome::Match;
-        core_.executeBranch(pcMatchBranch, match, cls);
-        if (!match) {
-            core_.executeBranch(pcAdvanceBranch,
-                                outcome == StepOutcome::AdvanceA, cls);
-        }
-        // Element loads on pointer advance; sequential accesses hit
-        // L1 after the first line.
-        if (match || outcome == StepOutcome::AdvanceA) {
-            ++ia;
-            if (ia < ak.size())
-                core_.load(ra.keyAddr + ia * sizeof(Key), cls);
-        }
-        if (match || outcome == StepOutcome::AdvanceB) {
-            ++ib;
-            if (ib < bk.size())
-                core_.load(rb.keyAddr + ib * sizeof(Key), cls);
-        }
-        // Output handling.
-        const bool emits =
-            (kind == SetOpKind::Intersect && match) ||
-            (kind == SetOpKind::Subtract &&
-             outcome == StepOutcome::AdvanceA) ||
-            kind == SetOpKind::Merge;
-        if (emits) {
-            core_.executeOps(costs_.opsPerOutput, cls);
-            if (producing && out_addr != 0)
-                core_.load(out_addr + out_index * sizeof(Key), cls);
-            ++out_index;
-        }
-        // The loop-closing bounds check fuses with the advance
-        // branches in compiled code; charge its ALU work only.
-        core_.executeOps(1, cls);
-    };
-
-    // Deliberately the scalar reference templates, NOT runSetOp():
-    // this walk IS the modeled CPU — every visitor step drives the
-    // branch predictor and per-step ALU charges, so it must stay
-    // scalar no matter which host kernel level is active.
     switch (kind) {
       case SetOpKind::Intersect:
-        streams::intersect(ak, bk, bound, nullptr, on_step);
+        producing ? mergeWalk<SetOpKind::Intersect, true>(
+                        ra, rb, ak, bk, bound, out_addr)
+                  : mergeWalk<SetOpKind::Intersect, false>(
+                        ra, rb, ak, bk, bound, out_addr);
         break;
       case SetOpKind::Subtract:
-        streams::subtract(ak, bk, bound, nullptr, on_step);
+        producing ? mergeWalk<SetOpKind::Subtract, true>(
+                        ra, rb, ak, bk, bound, out_addr)
+                  : mergeWalk<SetOpKind::Subtract, false>(
+                        ra, rb, ak, bk, bound, out_addr);
         break;
       case SetOpKind::Merge:
-        streams::merge(ak, bk, nullptr, on_step);
+        producing ? mergeWalk<SetOpKind::Merge, true>(
+                        ra, rb, ak, bk, bound, out_addr)
+                  : mergeWalk<SetOpKind::Merge, false>(
+                        ra, rb, ak, bk, bound, out_addr);
         break;
     }
     // Loop exit branch (not taken).
     core_.executeBranch(pcLoopBranch, false, cls);
+}
+
+/**
+ * The Fig. 4(a) loop, one step per iteration:
+ *
+ *     if (a[i] == b[j]) { emit; ++i; ++j; }   // match branch
+ *     else if (a[i] < b[j]) { ++i; }          // advance branch
+ *     else { ++j; }
+ *
+ * charged exactly as the core model's calls would charge it, in the
+ * same order: per step, the step's ALU ops and the match branch;
+ * unless it matched, the advance branch; a load for each cursor that
+ * moved and is still in range; for an emitted element its ALU ops
+ * and, when producing into a buffer, a store-address load; and the
+ * loop's bounds-check op. Subtract takes the advance-A side once B
+ * is exhausted, Merge's tail is not walked (as in streams::merge),
+ * and Intersect and Subtract stop at the bound.
+ *
+ * The host must not branch on what the modeled CPU mispredicts, so
+ * each step's outcome is three bits, and the advance branch and the
+ * cursor loads are predicated on them. The predictor's state, the L1
+ * clock and hit count and the cycle sums stay in locals (registers).
+ * Each cursor (A, B and the output) remembers the L1 slot of its
+ * line, so a load on that line is an L1 hit with no search. A new
+ * line takes the ordinary CoreModel::load path, with the L1 locals
+ * written back around it; it may evict another cursor's line, which
+ * then forgets its slot. That path touches neither the predictor nor
+ * the sums, which are written back once, at the end.
+ */
+template <SetOpKind Kind, bool Producing>
+void
+CpuBackend::mergeWalk(const StreamRec &ra, const StreamRec &rb,
+                      streams::KeySpan ak, streams::KeySpan bk,
+                      Key bound, Addr out_addr)
+{
+    const sim::CoreParams &params = core_.params();
+    const auto ops = [&params](std::uint64_t n) -> Cycles {
+        return (n + params.issueWidth - 1) / params.issueWidth;
+    };
+    // ops(1) is 1 at any issue width.
+    const Cycles step_ops = ops(costs_.opsPerStep) + 1; // + match branch
+    const Cycles output_ops = ops(costs_.opsPerOutput);
+    const bool out_loads = Producing && out_addr != 0;
+    const Addr a_base = ra.keyAddr, b_base = rb.keyAddr;
+    const Key *const a = ak.data(), *const b = bk.data();
+    const std::size_t na = ak.size(), nb = bk.size();
+
+    sim::GsharePredictor &predictor = core_.predictor();
+    sim::Cache &l1 = core_.mem().l1();
+    sim::GsharePredictor::Regs bp = predictor.regs();
+    const std::uint64_t mispredicts_before = bp.mispredicts;
+    sim::Cache::Regs l1r = l1.regs();
+    Cycles compute = 0;
+    sim::Cache::Cursor cur_a, cur_b, cur_out;
+
+    // Nothing out of line may point at the locals, or the compiler
+    // would have to keep them in memory.
+    const auto slowLoad = [&](Addr addr, sim::Cache::Cursor &cursor) {
+        l1.store(l1r);
+        cursor = lineLoad(core_, addr);
+        l1r = l1.regs();
+        for (sim::Cache::Cursor *c : {&cur_a, &cur_b, &cur_out})
+            if (!l1r.holds(*c))
+                c->tag = 0;
+    };
+    const auto load = [&](Addr addr, sim::Cache::Cursor &cursor,
+                          bool executed) {
+        if (executed & (l1r.tagOf(addr) != cursor.tag)) [[unlikely]] {
+            slowLoad(addr, cursor);
+            return;
+        }
+        l1r.hit(cursor, executed);
+        compute += executed;
+    };
+
+    if (na != 0)
+        slowLoad(a_base, cur_a);
+    if (nb != 0)
+        slowLoad(b_base, cur_b);
+
+    std::size_t ia = 0, ib = 0;
+    std::uint64_t out_index = 0;
+    while (ia < na) {
+        const Key ka = a[ia];
+        bool lt, eq;
+        if constexpr (Kind == SetOpKind::Subtract) {
+            if (ka >= bound)
+                break;
+            const bool b_left = ib < nb;
+            const Key kb = b_left ? b[ib] : 0;
+            lt = !b_left | (ka < kb);
+            eq = b_left & (ka == kb);
+        } else {
+            if (ib == nb)
+                break;
+            const Key kb = b[ib];
+            if (Kind == SetOpKind::Intersect &&
+                (ka >= bound || kb >= bound))
+                break;
+            lt = ka < kb;
+            eq = ka == kb;
+        }
+        const bool gt = !lt & !eq;
+
+        compute += step_ops + !eq;
+        bp.predict(pcMatchBranch, eq);
+        bp.predict(pcAdvanceBranch, lt, !eq);
+
+        ia += !gt;
+        load(a_base + ia * sizeof(Key), cur_a, !gt & (ia < na));
+        ib += !lt;
+        load(b_base + ib * sizeof(Key), cur_b, !lt & (ib < nb));
+
+        const bool emits = Kind == SetOpKind::Intersect   ? eq
+                           : Kind == SetOpKind::Subtract ? lt
+                                                         : true;
+        compute += output_ops * emits + 1; // + the bounds-check op
+        if (out_loads)
+            load(out_addr + out_index * sizeof(Key), cur_out, emits);
+        out_index += emits;
+    }
+    predictor.store(bp);
+    l1.store(l1r);
+    core_.addCycles(CycleClass::Intersection, compute);
+    core_.addCycles(CycleClass::Mispredict,
+                    params.mispredictPenalty *
+                        (bp.mispredicts - mispredicts_before));
 }
 
 BackendStream

@@ -91,8 +91,8 @@ class CpuBackend final : public ExecBackend
 
     /** The modeled CPU is the scalar merge-loop baseline (Fig. 4a):
      *  no nested instruction, no wide comparators. Its timing comes
-     *  from the scalar step visitor, never the host kernel table, so
-     *  host SIMD can't move a cycle here. */
+     *  from its own scalar merge walk, never the host kernel table,
+     *  so host SIMD can't move a cycle here. */
     Caps caps() const override { return Caps{}; }
 
     void consumeStream(BackendStream handle) override;
@@ -117,6 +117,13 @@ class CpuBackend final : public ExecBackend
                    const StreamRec &rb, streams::KeySpan ak,
                    streams::KeySpan bk, Key bound, Addr out_addr,
                    bool producing);
+
+    /** mergeLoop's two-pointer walk for one kind, producing or
+     *  counting: the fused loop (see cpu_backend.cc). */
+    template <streams::SetOpKind Kind, bool Producing>
+    void mergeWalk(const StreamRec &ra, const StreamRec &rb,
+                   streams::KeySpan ak, streams::KeySpan bk, Key bound,
+                   Addr out_addr);
 
     StreamRec &rec(BackendStream handle);
 

@@ -16,7 +16,7 @@ constexpr std::uint8_t initialCounter = 1;
 
 GsharePredictor::GsharePredictor(std::size_t table_size,
                                  unsigned history_bits)
-    : table_(table_size, initialCounter),
+    : table_(table_size, initialCounter), indexMask_(table_size - 1),
       historyMask_((1ull << history_bits) - 1)
 {
     if (!std::has_single_bit(table_size))

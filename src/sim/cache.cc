@@ -28,7 +28,7 @@ Cache::Cache(const CacheParams &params)
     stamps_.resize(lines);
 }
 
-void
+std::uint32_t
 Cache::install(std::size_t base, Addr tag)
 {
     // Stamps of valid ways are distinct and nonzero, so the first
@@ -38,6 +38,7 @@ Cache::install(std::size_t base, Addr tag)
     tags_[static_cast<std::size_t>(victim - stamps_.data())] = tag;
     *victim = useClock_;
     ++misses_;
+    return static_cast<std::uint32_t>(victim - set);
 }
 
 bool

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -33,7 +34,13 @@ struct CacheParams
  * Two parallel arrays, numSets x ways, row-major: tags_ holds line+1
  * (0 = invalid) and is all a hit scans; stamps_ holds each way's last
  * use on a clock that ticks per access (0 = invalid, so a fill takes
- * an invalid way before the least recently used one).
+ * an invalid way before the least recently used one). Way 0 of a set
+ * holds its most recently used line: an access checks it before it
+ * scans the rest, and moves the line it hits or fills there, the line
+ * it displaces taking that line's way. Lines in a set are distinct
+ * and which invalid way a fill takes is invisible, so hits, misses
+ * and victims are those of a fixed layout; only the search order
+ * changes.
  */
 class Cache
 {
@@ -50,17 +57,84 @@ class Cache
     {
         const Addr tag = (addr >> lineShift_) + 1;
         const std::size_t base = setBase(tag - 1);
-        const Addr *tags = tags_.data() + base;
+        Addr *tags = tags_.data() + base;
+        std::uint64_t *stamps = stamps_.data() + base;
         ++useClock_;
-        for (std::uint32_t w = 0; w < params_.ways; ++w) {
-            if (tags[w] == tag) {
-                stamps_[base + w] = useClock_;
-                ++hits_;
-                return true;
-            }
+        if (tags[0] != tag) {
+            std::uint32_t way = 1;
+            while (way < params_.ways && tags[way] != tag)
+                ++way;
+            const bool hit = way < params_.ways;
+            if (!hit)
+                way = install(base, tag);
+            std::swap(tags[0], tags[way]);
+            std::swap(stamps[0], stamps[way]);
+            if (!hit)
+                return false;
         }
-        install(base, tag);
-        return false;
+        stamps[0] = useClock_;
+        ++hits_;
+        return true;
+    }
+
+    /** A load cursor's remembered line: the tag-array slot that held
+     *  it at its last access (tag 0: nothing remembered). */
+    struct Cursor
+    {
+        Addr tag = 0;
+        std::size_t slot = 0;
+    };
+
+    /** The cursor for addr's line, valid right after access(addr),
+     *  which left the line in way 0 of its set. */
+    Cursor
+    cursorAt(Addr addr) const
+    {
+        const Addr tag = (addr >> lineShift_) + 1;
+        return {tag, setBase(tag - 1)};
+    }
+
+    /**
+     * The hit path's state as a value, so a loop that hits remembered
+     * lines can keep the clock and the hit count in registers:
+     * regs() copies them out and store() writes them back, which
+     * must happen before any access() and at the end. A hit through
+     * Regs does what access() does on a hit, less the search.
+     */
+    struct Regs
+    {
+        const Addr *tags;
+        std::uint64_t *stamps;
+        unsigned lineShift;
+        std::uint64_t clock;
+        std::uint64_t hits;
+
+        Addr tagOf(Addr addr) const { return (addr >> lineShift) + 1; }
+        /** True while the cursor's slot still holds its line. */
+        bool holds(const Cursor &c) const { return tags[c.slot] == c.tag; }
+        /** A hit on the cursor's line when `executed`, nothing
+         *  otherwise, without a host branch. The line must be held. */
+        void
+        hit(const Cursor &c, bool executed)
+        {
+            clock += executed;
+            hits += executed;
+            std::uint64_t &stamp = stamps[c.slot];
+            stamp += (clock - stamp) & (std::uint64_t{0} - executed);
+        }
+    };
+
+    Regs
+    regs()
+    {
+        return {tags_.data(), stamps_.data(), lineShift_, useClock_,
+                hits_};
+    }
+    void
+    store(const Regs &r)
+    {
+        useClock_ = r.clock;
+        hits_ = r.hits;
     }
 
     /** Probe without installing or touching LRU state. */
@@ -88,8 +162,9 @@ class Cache
         return static_cast<std::size_t>(set) * params_.ways;
     }
 
-    /** Miss: fill an invalid way, else the least recently used one. */
-    void install(std::size_t base, Addr tag);
+    /** Miss: fill an invalid way, else the least recently used one.
+     *  @return the filled way */
+    std::uint32_t install(std::size_t base, Addr tag);
 
     CacheParams params_;
     unsigned lineShift_ = 0;

@@ -108,11 +108,10 @@ class CoreModel
                   CycleClass compute_cls = CycleClass::OtherCompute)
     {
         executeOps(1, compute_cls);
-        const bool correct = predictor_.predict(pc, taken);
-        if (!correct)
-            breakdown_[CycleClass::Mispredict] +=
-                params_.mispredictPenalty;
-        return !correct;
+        const bool mispredicted = !predictor_.predict(pc, taken);
+        breakdown_[CycleClass::Mispredict] +=
+            params_.mispredictPenalty * mispredicted;
+        return mispredicted;
     }
 
     /**

@@ -9,8 +9,9 @@
  * every remaining output element would be >= the bound.
  *
  * Two cost views are produced:
- *  - scalar steps + per-step advance outcomes (drives the CPU
- *    baseline's branch predictor and Fig. 9's mispredict cycles), and
+ *  - scalar steps and consumed counts (SetOpResult; the CPU
+ *    baseline walks the same loop itself to drive its branch
+ *    predictor and Fig. 9's mispredict cycles), and
  *  - SU parallel-comparison cycles under the Fig. 6 model (16-wide
  *    window, both pointers may skip up to the window per cycle),
  *    computed by suCycles().
@@ -37,9 +38,6 @@ inline constexpr std::size_t numSetOpKinds = 3;
 
 const char *setOpName(SetOpKind kind);
 
-/** Per-step outcome of the scalar dual-pointer loop. */
-enum class StepOutcome : std::uint8_t { Match, AdvanceA, AdvanceB };
-
 /** Work summary of one set operation. */
 struct SetOpResult
 {
@@ -49,23 +47,15 @@ struct SetOpResult
     std::uint64_t bConsumed = 0; ///< elements read from operand B
 };
 
-/** A no-op step visitor (keeps the hot path branch-free). */
-struct NullVisitor
-{
-    void operator()(StepOutcome) const {}
-};
-
 /**
  * Intersection of two sorted key streams with optional upper bound.
  * @param a,b sorted operands
  * @param bound exclusive upper bound on output keys (noBound = none)
  * @param out optional output vector (appended); null for .C variants
- * @param vis called once per scalar loop step with its outcome
  */
-template <typename Visitor = NullVisitor>
-SetOpResult
+inline SetOpResult
 intersect(KeySpan a, KeySpan b, Key bound = noBound,
-          std::vector<Key> *out = nullptr, Visitor &&vis = Visitor{})
+          std::vector<Key> *out = nullptr)
 {
     SetOpResult res;
     std::size_t i = 0, j = 0;
@@ -77,17 +67,14 @@ intersect(KeySpan a, KeySpan b, Key bound = noBound,
             break;
         ++res.steps;
         if (ka == kb) {
-            vis(StepOutcome::Match);
             if (out)
                 out->push_back(ka);
             ++res.count;
             ++i;
             ++j;
         } else if (ka < kb) {
-            vis(StepOutcome::AdvanceA);
             ++i;
         } else {
-            vis(StepOutcome::AdvanceB);
             ++j;
         }
     }
@@ -100,10 +87,9 @@ intersect(KeySpan a, KeySpan b, Key bound = noBound,
  * Subtraction a - b (keys of a absent from b), optional upper bound on
  * output keys.
  */
-template <typename Visitor = NullVisitor>
-SetOpResult
+inline SetOpResult
 subtract(KeySpan a, KeySpan b, Key bound = noBound,
-         std::vector<Key> *out = nullptr, Visitor &&vis = Visitor{})
+         std::vector<Key> *out = nullptr)
 {
     SetOpResult res;
     std::size_t i = 0, j = 0;
@@ -113,19 +99,16 @@ subtract(KeySpan a, KeySpan b, Key bound = noBound,
             break;
         if (j >= b.size() || ka < b[j]) {
             ++res.steps;
-            vis(StepOutcome::AdvanceA);
             if (out)
                 out->push_back(ka);
             ++res.count;
             ++i;
         } else if (ka == b[j]) {
             ++res.steps;
-            vis(StepOutcome::Match);
             ++i;
             ++j;
         } else {
             ++res.steps;
-            vis(StepOutcome::AdvanceB);
             ++j;
         }
     }
@@ -135,10 +118,8 @@ subtract(KeySpan a, KeySpan b, Key bound = noBound,
 }
 
 /** Merge (set union) of two sorted key streams. */
-template <typename Visitor = NullVisitor>
-SetOpResult
-merge(KeySpan a, KeySpan b, std::vector<Key> *out = nullptr,
-      Visitor &&vis = Visitor{})
+inline SetOpResult
+merge(KeySpan a, KeySpan b, std::vector<Key> *out = nullptr)
 {
     SetOpResult res;
     std::size_t i = 0, j = 0;
@@ -147,16 +128,13 @@ merge(KeySpan a, KeySpan b, std::vector<Key> *out = nullptr,
         const Key ka = a[i], kb = b[j];
         Key k;
         if (ka == kb) {
-            vis(StepOutcome::Match);
             k = ka;
             ++i;
             ++j;
         } else if (ka < kb) {
-            vis(StepOutcome::AdvanceA);
             k = ka;
             ++i;
         } else {
-            vis(StepOutcome::AdvanceB);
             k = kb;
             ++j;
         }
@@ -241,8 +219,7 @@ Cycles suCycles(KeySpan a, KeySpan b, SetOpKind kind, Key bound = noBound,
                 unsigned width = 16);
 
 // ---------------- dispatched host kernels ----------------
-// The templates above are the scalar REFERENCE (and the per-step
-// visitor source for the CPU cost model). Functional hot paths go
+// The functions above are the scalar REFERENCE. Functional hot paths go
 // through these entry points instead, which route to the process's
 // active kernel table (streams/simd/kernel_table.hh): AVX2 or scalar,
 // CPUID-selected. All levels return bit-identical SetOpResults and

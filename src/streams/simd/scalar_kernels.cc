@@ -1,7 +1,7 @@
 /**
  * @file
  * Portable scalar kernel table: thin trampolines onto the reference
- * two-pointer templates in streams/set_ops.hh. It is the process
+ * two-pointer functions in streams/set_ops.hh. It is the process
  * default on hosts and builds without AVX2, and every other level is
  * property-tested against this one.
  */

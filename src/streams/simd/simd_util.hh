@@ -35,7 +35,7 @@
  *    counting the matched partner.
  *
  * tests/kernel_table_test.cc checks these identities field-by-field
- * against the scalar templates on randomized streams.
+ * against the scalar reference functions on randomized streams.
  */
 
 #ifndef SPARSECORE_STREAMS_SIMD_SIMD_UTIL_HH

@@ -38,6 +38,8 @@ struct Auditor
     const BytecodeProgram &bc;
     std::size_t instructions = 0;
     std::size_t events = 0;
+    /** SU operations: set ops, value ops and nested entries. */
+    std::size_t suOps = 0;
     /** One past the largest non-sentinel handle seen. */
     std::uint64_t handlesUsed = 0;
 
@@ -124,6 +126,7 @@ struct Auditor
         checkSpan(s1);
         checkSpan(s2);
         count();
+        ++suOps;
     }
     void
     setOpCount(std::uint8_t kind, TraceStream a, TraceStream b,
@@ -135,6 +138,7 @@ struct Auditor
         checkSpan(s0);
         checkSpan(s1);
         count();
+        ++suOps;
     }
     void
     valueIntersect(bool, TraceStream a, TraceStream b, SpanRef s0,
@@ -147,6 +151,7 @@ struct Auditor
         checkSpan(s2);
         checkSpan(s3);
         count();
+        ++suOps;
     }
     void
     valueMerge(TraceStream res, TraceStream a, TraceStream b,
@@ -158,6 +163,7 @@ struct Auditor
         checkSpan(s0);
         checkSpan(s1);
         count();
+        ++suOps;
     }
     void
     nestedGroup(TraceStream a, SpanRef s0, std::uint64_t index,
@@ -169,6 +175,7 @@ struct Auditor
             panic("bytecode nested group [%llu, +%u) out of range",
                   static_cast<unsigned long long>(index), n);
         count();
+        suOps += n;
     }
     void
     consumeStream(TraceStream a)
@@ -287,6 +294,7 @@ BytecodeProgram::finalize()
     Auditor a{*this};
     walkBytecode</*BoundsChecked=*/true>(*this, a);
     a.verifyCounts();
+    numSuOps_ = a.suOps;
 }
 
 void

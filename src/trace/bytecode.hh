@@ -144,6 +144,10 @@ class BytecodeProgram
     std::size_t numInstructions() const { return numInstructions_; }
     /** Backend calls captured (a fused run counts each call). */
     std::size_t numEvents() const { return numEvents_; }
+    /** Operations a SparseCore replay costs on its SUs: set ops,
+     *  counting set ops, value intersections and merges, and one per
+     *  nested-intersection entry. */
+    std::size_t numSuOps() const { return numSuOps_; }
     std::size_t codeBytes() const { return code_.size() * sizeof(Word); }
     std::size_t arenaKeys() const { return arena_.size(); }
     std::size_t arenaBytes() const { return arena_.size() * sizeof(Key); }
@@ -186,6 +190,7 @@ class BytecodeProgram
     TraceStream handleCount_ = 0;
     std::size_t numInstructions_ = 0;
     std::size_t numEvents_ = 0;
+    std::size_t numSuOps_ = 0; ///< counted by finalize()
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "trace/replay.hh"
 
+#include <limits>
+
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/sparsecore_backend.hh"
@@ -147,6 +149,81 @@ runBytecode(const BytecodeProgram &bc, B &backend)
     walkBytecode(bc, loop);
 }
 
+/** walkBytecode handler appending the SU cost of each operation a
+ *  SparseCore replay issues, in issue order (see suCostColumn). */
+struct SuCostWalk
+{
+    const BytecodeProgram &bc;
+    unsigned window;
+    std::vector<arch::SuCostColumn::Entry> &out;
+
+    void
+    cost(SpanRef s0, SpanRef s1, streams::SetOpKind kind, Key bound)
+    {
+        const streams::SuCost c =
+            streams::suCost(bc.span(s0), bc.span(s1), kind, bound, window);
+        const std::uint64_t consumed = c.aConsumed + c.bConsumed;
+        constexpr std::uint64_t limit =
+            std::numeric_limits<std::uint32_t>::max();
+        if (c.cycles > limit || consumed > limit)
+            panic("SU cost (%llu cycles, %llu elements) does not fit "
+                  "a cost column entry",
+                  static_cast<unsigned long long>(c.cycles),
+                  static_cast<unsigned long long>(consumed));
+        out.push_back({static_cast<std::uint32_t>(c.cycles),
+                       static_cast<std::uint32_t>(consumed)});
+    }
+
+    void scalarOps(std::uint64_t, std::uint32_t) {}
+    void scalarBranch(std::uint64_t, bool) {}
+    void scalarLoad(Addr) {}
+    void streamLoad(TraceStream, Addr, std::uint64_t, std::uint8_t,
+                    SpanRef)
+    {
+    }
+    void streamLoadKv(TraceStream, Addr, Addr, std::uint64_t,
+                      std::uint8_t, SpanRef)
+    {
+    }
+    void streamFree(TraceStream) {}
+    void
+    setOp(TraceStream, std::uint8_t kind, TraceStream, TraceStream,
+          SpanRef s0, SpanRef s1, Key bound, SpanRef, Addr)
+    {
+        cost(s0, s1, static_cast<streams::SetOpKind>(kind), bound);
+    }
+    void
+    setOpCount(std::uint8_t kind, TraceStream, TraceStream, SpanRef s0,
+               SpanRef s1, Key bound, std::uint64_t)
+    {
+        cost(s0, s1, static_cast<streams::SetOpKind>(kind), bound);
+    }
+    void
+    valueIntersect(bool, TraceStream, TraceStream, SpanRef s0,
+                   SpanRef s1, Addr, Addr, SpanRef, SpanRef)
+    {
+        cost(s0, s1, streams::SetOpKind::Intersect, noBound);
+    }
+    void
+    valueMerge(TraceStream, TraceStream, TraceStream, SpanRef s0,
+               SpanRef s1, Addr, Addr, std::uint64_t, Addr)
+    {
+        cost(s0, s1, streams::SetOpKind::Merge, noBound);
+    }
+    void
+    nestedGroup(TraceStream, SpanRef s0, std::uint64_t index,
+                std::uint32_t count)
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const NestedEntry &entry = bc.nestedEntry(index + i);
+            cost(s0, entry.nested, streams::SetOpKind::Intersect,
+                 entry.bound);
+        }
+    }
+    void consumeStream(TraceStream) {}
+    void iterateStream(TraceStream, std::uint64_t, std::uint8_t) {}
+};
+
 } // namespace
 
 ReplayResult
@@ -180,6 +257,19 @@ replayCompiled(const BytecodeProgram &program,
     out.cycles = backend.finish();
     out.breakdown = backend.breakdown();
     return out;
+}
+
+arch::SuCostColumn
+suCostColumn(const BytecodeProgram &program, unsigned window)
+{
+    arch::SuCostColumn column;
+    column.window = window;
+    column.entries.reserve(program.numSuOps());
+    walkBytecode(program, SuCostWalk{program, window, column.entries});
+    if (column.entries.size() != program.numSuOps())
+        panic("SU cost walk found %zu operations, the program counts %zu",
+              column.entries.size(), program.numSuOps());
+    return column;
 }
 
 } // namespace sc::trace

@@ -21,6 +21,7 @@
 
 #include <optional>
 
+#include "arch/engine.hh"
 #include "backend/exec_backend.hh"
 #include "trace/bytecode.hh"
 
@@ -55,6 +56,21 @@ struct ReplayResult
 ReplayResult replayCompiled(const BytecodeProgram &program,
                             backend::ExecBackend &backend,
                             std::optional<bool> verify = std::nullopt);
+
+/**
+ * The SU cost column of `program` at SU window `window`: the
+ * streams::suCost result of every SU operation a SparseCore replay
+ * issues, in issue order — one per set op, counting set op, value
+ * intersection and value merge, and one per nested entry, which the
+ * S_NESTINTER engine and the TS/4CS/5CS lowering both cost the same
+ * way. One walk, into a column allocated at its exact size
+ * (program.numSuOps()); panics if an entry does not fit 32 bits.
+ * Attached to a SparseCoreBackend's engine (Engine::useSuCosts), it
+ * makes every replay of the program at that window read its costs
+ * instead of computing them, with cycles and counters unchanged.
+ */
+arch::SuCostColumn suCostColumn(const BytecodeProgram &program,
+                                unsigned window);
 
 } // namespace sc::trace
 

@@ -345,6 +345,43 @@ TEST(ArtifactStore, ConcurrentRequestsCaptureOnce)
               static_cast<std::uint64_t>(kThreads) - 1);
 }
 
+TEST(ArtifactStore, ConcurrentFirstReplaysBuildTheSuCostColumnOnce)
+{
+    // Concurrent first SparseCore replays of one program share one
+    // build of its SU cost column, and each reads it to the cycles of
+    // direct execution. Runs under TSan in check.sh.
+    const auto g = testGraph(112);
+    const auto req = RunRequest::gpm(gpm::GpmApp::C4, g);
+    const Prepared prepared = prepare(req, false);
+    const arch::SparseCoreConfig config;
+    const Cycles direct =
+        test::directRun(req, Substrate::SparseCore, config).cycles;
+
+    ArtifactStore &store = ArtifactStore::global();
+    const CacheStats before = store.stats().suCosts;
+    constexpr int kThreads = 6;
+    std::vector<Cycles> cycles(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            cycles[t] =
+                replay(prepared, Substrate::SparseCore, config).cycles;
+        });
+    for (auto &th : threads)
+        th.join();
+    for (const Cycles c : cycles)
+        EXPECT_EQ(c, direct);
+    const CacheStats after = store.stats().suCosts;
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits,
+              static_cast<std::uint64_t>(kThreads) - 1);
+    EXPECT_EQ(store.suCosts(prepared.key, *prepared.program,
+                            config.suWindow)
+                  ->entries.size(),
+              prepared.program->numSuOps());
+}
+
 TEST(ArtifactStore, KeysEncodeContentAndVersions)
 {
     const auto g1 = testGraph(109);

@@ -161,7 +161,8 @@ TEST(JobQueue, SingleWorkerRunsInSubmissionOrder)
 TEST(JobQueue, StatsExposeArtifactSharing)
 {
     // Two identical compare jobs: the second replays the first's
-    // captured program.
+    // captured program, and its SparseCore leg reads the SU cost
+    // column the first one's built.
     JobQueue queue(1);
     const std::string job =
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
@@ -170,6 +171,8 @@ TEST(JobQueue, StatsExposeArtifactSharing)
     const api::JobQueueStats stats = queue.stats();
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_GE(stats.traceHits, 1u);
+    EXPECT_GE(stats.suCostHits, 1u);
+    EXPECT_GT(stats.suCostBytes, 0u);
     EXPECT_GT(stats.jobsPerSecond, 0.0);
     EXPECT_GE(stats.p99LatencySeconds, stats.p50LatencySeconds);
     // The JSON form carries the same counters.
@@ -177,6 +180,8 @@ TEST(JobQueue, StatsExposeArtifactSharing)
     EXPECT_NE(dumped.find("\"jobs_per_second\""), std::string::npos);
     EXPECT_NE(dumped.find("\"artifact_store\""), std::string::npos);
     EXPECT_NE(dumped.find("\"trace_hits\""), std::string::npos);
+    EXPECT_NE(dumped.find("\"su_cost_hits\""), std::string::npos);
+    EXPECT_NE(dumped.find("\"su_cost_bytes\""), std::string::npos);
 }
 
 TEST(JobQueue, ConcurrentSubmittersSoak)

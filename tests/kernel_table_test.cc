@@ -3,7 +3,7 @@
  * Property tests for the runtime-dispatched SIMD kernel registry
  * (streams/simd): every available level must return bit-identical
  * outputs AND bit-identical SetOpResult work summaries versus the
- * scalar reference templates, the .C counting forms must agree with
+ * scalar reference functions, the .C counting forms must agree with
  * their materializing twins, and — the load-bearing invariant —
  * simulated cycles must not move by a single cycle when the kernel
  * level changes (golden-trace replay and Machine comparisons under

@@ -153,18 +153,23 @@ TEST(SetOps, ValueOpsMaxMin)
 
 TEST(SetOps, StepVisitorSeesEveryStep)
 {
+    // Every step of the dual-pointer loop is a match, which moves
+    // both pointers, or an advance of one, so the work summary
+    // accounts for each step: steps = aConsumed + bConsumed - matches.
     const std::vector<Key> a = {1, 3, 5};
     const std::vector<Key> b = {2, 3, 6};
-    unsigned matches = 0, advances = 0;
-    const auto res = intersect(a, b, noBound, nullptr,
-                               [&](StepOutcome o) {
-                                   if (o == StepOutcome::Match)
-                                       ++matches;
-                                   else
-                                       ++advances;
-                               });
-    EXPECT_EQ(matches, 1u);
-    EXPECT_EQ(matches + advances, res.steps);
+    const auto inter = intersect(a, b);
+    EXPECT_EQ(inter.count, 1u); // 3
+    EXPECT_EQ(inter.steps, 4u);
+    EXPECT_EQ(inter.aConsumed + inter.bConsumed - inter.count,
+              inter.steps);
+    // Subtract emits on its advance-A steps, so its matches are the
+    // A elements it consumed without emitting.
+    const auto sub = subtract(a, b);
+    EXPECT_EQ(sub.count, 2u); // 1, 5
+    EXPECT_EQ(sub.steps, 4u);
+    EXPECT_EQ(sub.aConsumed + sub.bConsumed - (sub.aConsumed - sub.count),
+              sub.steps);
 }
 
 // ---------------- property tests ----------------
@@ -442,7 +447,7 @@ TEST_P(SetOpsProperty, BoundedGallopAtExactBoundary)
     // exactly at element keys, one past them, at the short side's last
     // key, and one past it — the positions where an off-by-one in
     // bound trimming vs. gallop termination would show. Checked for
-    // both skew directions against the scalar templates, through every
+    // both skew directions against the scalar reference, through every
     // dispatched kernel level and through suCost.
     Rng rng(GetParam() ^ 0xb0907);
     const auto small = sortedRandom(rng, 12, 50'000);

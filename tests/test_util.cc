@@ -95,4 +95,72 @@ directRun(const api::RunRequest &req, api::Substrate sub,
     return api::execute(req, *api::makeBackend(sub, config));
 }
 
+Counts
+coreCounts(sim::CoreModel &core)
+{
+    sim::MemHierarchy &mem = core.mem();
+    return {
+        {"cycles", core.cycles()},
+        {"l1.hits", mem.l1().hits()},
+        {"l1.misses", mem.l1().misses()},
+        {"l2.hits", mem.l2().hits()},
+        {"l2.misses", mem.l2().misses()},
+        {"l3.hits", mem.l3().hits()},
+        {"l3.misses", mem.l3().misses()},
+        {"mem.accesses", mem.memAccesses()},
+        {"bp.lookups", core.predictor().lookups()},
+        {"bp.mispredicts", core.predictor().mispredicts()},
+    };
+}
+
+Counts
+archCounts(const arch::Engine &engine)
+{
+    const auto &e = engine.counters();
+    const auto &smt = engine.smt().counters();
+    const auto &sc = engine.scache().counters();
+    const arch::Scratchpad &sp = engine.scratchpad();
+    const arch::SvpuCost &svpu = engine.svpu().totals();
+    const arch::NestTranslator &tr = engine.translator();
+    using streams::SetOpKind;
+    const auto op = [&e](SetOpKind kind) {
+        return e.ops[static_cast<std::size_t>(kind)];
+    };
+    return {
+        {"engine.streamInstructions", e.streamInstructions},
+        {"engine.sread", e.sread},
+        {"engine.svread", e.svread},
+        {"engine.sfree", e.sfree},
+        {"engine.svinter", e.svinter},
+        {"engine.svmerge", e.svmerge},
+        {"engine.snestinter", e.snestinter},
+        {"engine.setOpElements", e.setOpElements},
+        {"engine.smtVirtualizationStalls", e.smtVirtualizationStalls},
+        {"engine.scratchpadStreamHits", e.scratchpadStreamHits},
+        {"engine.op.intersect", op(SetOpKind::Intersect)},
+        {"engine.op.subtract", op(SetOpKind::Subtract)},
+        {"engine.op.merge", op(SetOpKind::Merge)},
+        {"engine.op.nestedIntersect", e.nestedIntersectOps},
+        {"smt.defines", smt.defines},
+        {"smt.redefines", smt.redefines},
+        {"smt.frees", smt.frees},
+        {"smt.allocStalls", smt.allocStalls},
+        {"smt.spills", smt.spills},
+        {"scache.allocs", sc.allocs},
+        {"scache.producedAllocs", sc.producedAllocs},
+        {"scache.refillLines", sc.refillLines},
+        {"scache.prefetchLines", sc.prefetchLines},
+        {"scache.writebackLines", sc.writebackLines},
+        {"scratchpad.hits", sp.hits()},
+        {"scratchpad.misses", sp.missesOrAbsent()},
+        {"scratchpad.inserts", sp.inserts()},
+        {"scratchpad.evictions", sp.evictions()},
+        {"svpu.loads", svpu.loads},
+        {"svpu.flops", svpu.flops},
+        {"svpu.cycles", svpu.cycles},
+        {"translator.elements", tr.elements()},
+        {"translator.instructions", tr.instructions()},
+    };
+}
+
 } // namespace sc::test

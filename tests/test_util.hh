@@ -9,10 +9,14 @@
 #define SPARSECORE_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "api/run.hh"
 #include "arch/config.hh"
+#include "arch/engine.hh"
+#include "sim/core_model.hh"
 #include "graph/csr_graph.hh"
 #include "gpm/pattern.hh"
 
@@ -37,6 +41,17 @@ graph::CsrGraph figureOneGraph();
  *  reference every replay, cold or warm, must match. */
 api::RunResult directRun(const api::RunRequest &req, api::Substrate sub,
                          const arch::SparseCoreConfig &config = {});
+
+/** Counter snapshots by name. */
+using Counts = std::map<std::string, std::uint64_t>;
+
+/** Cycles, each cache level's hits and misses, memory accesses and
+ *  gshare lookups and mispredicts of a core model. */
+Counts coreCounts(sim::CoreModel &core);
+
+/** Every counter of the SparseCore engine and its stream-side
+ *  components (SMT, S-Cache, scratchpad, SVPU, nested translator). */
+Counts archCounts(const arch::Engine &engine);
 
 } // namespace sc::test
 
